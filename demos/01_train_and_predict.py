@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from gradboost import TrainConfig, load_csv, train
-from gradboost.cli import deserialize_model, serialize_model
+from gradboost.booster import deserialize_model, serialize_model
 
 HERE = Path(__file__).parent
 

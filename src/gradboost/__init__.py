@@ -2,18 +2,24 @@
 
 A small numpy library exposing the full training loop (residual fitting,
 second-order leaf values, score accumulation), prediction, an exact
-bisection minimizer for auditing the closed-form leaf step, and CSV/JSON
-tooling via the command line.
+bisection minimizer for auditing the closed-form leaf step, versioned JSON
+model files, and CSV tooling via the command line.
 """
 
 from .booster import (
+    MODEL_FORMAT_VERSION,
     IterationRecord,
     LeafRecord,
     Model,
+    ModelFormatError,
+    ModelVersionError,
     TrainConfig,
-    TrainingState,
     TrainingTrace,
+    deserialize_model,
+    load_model,
     replay,
+    save_model,
+    serialize_model,
     total_loss,
     train,
 )
@@ -43,27 +49,33 @@ __all__ = [
     "Leaf",
     "LeafRecord",
     "LeafSample",
+    "MODEL_FORMAT_VERSION",
     "Model",
+    "ModelFormatError",
+    "ModelVersionError",
     "NEWTON_DENOMINATOR_FLOOR",
     "RegressionTree",
     "Split",
     "SplitCandidate",
     "TrainConfig",
-    "TrainingState",
     "TrainingTrace",
     "best_split",
+    "deserialize_model",
     "exact_leaf_value",
     "fit_tree",
     "leaf_loss",
     "leaf_loss_derivative",
     "leaf_value_terms",
     "load_csv",
+    "load_model",
     "log_odds",
     "newton_leaf_value",
     "newton_step",
     "replay",
     "residuals",
     "save_csv",
+    "save_model",
+    "serialize_model",
     "sigmoid",
     "total_loss",
     "train",

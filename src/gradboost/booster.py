@@ -1,16 +1,17 @@
-"""Boosting driver: additive residual-tree training, prediction, and the
-per-iteration bookkeeping trace."""
+"""Boosting driver: additive residual-tree training, prediction, the
+per-iteration bookkeeping trace, and the JSON model file format."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid
-from .tree import RegressionTree, fit_tree
+from .tree import Leaf, RegressionTree, Split, fit_tree
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,6 @@ class TrainConfig:
     max_depth: int = 1
     min_leaf: int = 1
     forced_splits: tuple[tuple[int, float], ...] | None = None
-    threshold: float = 0.5
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -33,8 +33,6 @@ class TrainConfig:
             raise ValueError("max_depth must be >= 1")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
         if self.forced_splits is not None:
             forced = tuple((int(f), float(t)) for f, t in self.forced_splits)
             object.__setattr__(self, "forced_splits", forced)
@@ -52,7 +50,6 @@ class Model:
     learning_rate: float
     n_features: int
     feature_names: tuple[str, ...] = ()
-    format_version: int = 1
 
     def predict_raw(self, x) -> float:
         """Sum of learning-rate-scaled tree outputs for one instance."""
@@ -74,13 +71,139 @@ class Model:
         return 1 if self.predict_proba(x) >= threshold else 0
 
 
-@dataclass
-class TrainingState:
-    """Mutable per-instance working set threaded through the iterations."""
+MODEL_FORMAT_VERSION = 1
 
-    scores: np.ndarray
-    probs: np.ndarray
-    residuals: np.ndarray
+
+class ModelFormatError(Exception):
+    """Model file is structurally invalid."""
+
+
+class ModelVersionError(ModelFormatError):
+    """Model file declares an unsupported format version."""
+
+
+def _node_to_dict(node):
+    if isinstance(node, Leaf):
+        return {"leaf_id": node.leaf_id, "gamma": node.value}
+    return {
+        "feature_index": node.feature_index,
+        "threshold": node.threshold,
+        "left": _node_to_dict(node.left),
+        "right": _node_to_dict(node.right),
+    }
+
+
+def serialize_model(model: Model) -> str:
+    """Render a model as a versioned JSON document.
+
+    Floats go through repr's shortest round-trip form, so deserializing
+    reproduces every threshold and leaf value bit for bit.
+    """
+    document = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "learning_rate": model.learning_rate,
+        "n_features": model.n_features,
+        "feature_names": list(model.feature_names),
+        "trees": [_node_to_dict(tree.root) for tree in model.trees],
+    }
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+# json.loads accepts Infinity and integers too large for a float, which
+# int() and float() reject with OverflowError rather than ValueError
+_BAD_NUMBER = (TypeError, ValueError, OverflowError)
+
+
+def _node_from_dict(obj, n_features: int):
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
+    if "leaf_id" in obj:
+        if "gamma" not in obj:
+            raise ModelFormatError("leaf node missing 'gamma'")
+        try:
+            leaf_id = int(obj["leaf_id"])
+            value = float(obj["gamma"])
+        except _BAD_NUMBER as exc:
+            raise ModelFormatError(f"bad leaf node: {exc}") from None
+        if not math.isfinite(value):
+            raise ModelFormatError("leaf gamma must be finite")
+        return Leaf(leaf_id, value)
+    for key in ("feature_index", "threshold", "left", "right"):
+        if key not in obj:
+            raise ModelFormatError(f"internal node missing {key!r}")
+    try:
+        feature_index = int(obj["feature_index"])
+        threshold = float(obj["threshold"])
+    except _BAD_NUMBER as exc:
+        raise ModelFormatError(f"bad internal node: {exc}") from None
+    if not 0 <= feature_index < n_features:
+        raise ModelFormatError(
+            f"feature_index {feature_index} out of range for {n_features} features"
+        )
+    if not math.isfinite(threshold):
+        raise ModelFormatError("threshold must be finite")
+    left = _node_from_dict(obj["left"], n_features)
+    right = _node_from_dict(obj["right"], n_features)
+    return Split(feature_index, threshold, left, right)
+
+
+def deserialize_model(text: str) -> Model:
+    """Parse a JSON model document.
+
+    An unknown format_version is rejected before anything else is read; a
+    malformed document raises ModelFormatError naming the problem (parse
+    failures include the byte offset).
+    """
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(
+            f"model file is not valid JSON: {exc.msg} (byte offset {exc.pos})"
+        ) from None
+    except ValueError as exc:  # an integer literal longer than int() accepts
+        raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise ModelFormatError("model document must be a JSON object")
+    version = document.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelVersionError(
+            f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
+        )
+    for key in ("learning_rate", "n_features", "feature_names", "trees"):
+        if key not in document:
+            raise ModelFormatError(f"model document missing {key!r}")
+    try:
+        learning_rate = float(document["learning_rate"])
+        n_features = int(document["n_features"])
+    except _BAD_NUMBER as exc:
+        raise ModelFormatError(f"bad model header: {exc}") from None
+    names = document["feature_names"]
+    if not isinstance(names, list) or len(names) != n_features:
+        raise ModelFormatError(f"'feature_names' must be a list of {n_features} names")
+    trees_raw = document["trees"]
+    if not isinstance(trees_raw, list):
+        raise ModelFormatError("'trees' must be a list")
+    trees = tuple(RegressionTree(_node_from_dict(t, n_features), n_features) for t in trees_raw)
+    return Model(
+        trees=trees,
+        learning_rate=learning_rate,
+        n_features=n_features,
+        feature_names=tuple(str(s) for s in names),
+    )
+
+
+def save_model(model: Model, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_model(model))
+
+
+def load_model(path) -> Model:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: model file is not UTF-8 text ({exc.reason})") from None
+    return deserialize_model(text)
 
 
 @dataclass(frozen=True)
@@ -132,48 +255,42 @@ def total_loss(labels, probs) -> float:
     return math.fsum(terms.tolist())
 
 
-def _boost_pass(m, tree, X, y, state, learning_rate, leaf_value_fn) -> tuple[dict, IterationRecord]:
+def _boost_pass(m, tree, X, y, scores, prior_probs, learning_rate, leaf_value) -> IterationRecord:
     """Run one boosting iteration over an already-built tree.
 
-    leaf_value_fn(leaf_id, numerator, denominator, empty) supplies each
-    leaf's value; training computes it, replay reads it off the model.
+    scores and prior_probs, the state before the round, are left untouched;
+    the record's scores and probs are the state after it.
+    leaf_value(leaf_id, numerator, denominator) supplies each leaf's value;
+    training computes it, replay reads it off the model.
     """
-    state.residuals = y - state.probs
-    prior_probs = state.probs
-    assignment = tree.leaf_assignment(X)
-    leaf_values: dict[int, float] = {}
+    residuals = y - prior_probs
+    scores = scores.copy()
+    leaf_ids = np.zeros(y.shape[0], dtype=np.intp)
     leaf_records = []
-    for leaf_id in sorted(assignment):
-        members = assignment[leaf_id]
-        if members.size == 0:
-            numerator = denominator = 0.0
-        else:
+    for leaf_id, members in sorted(tree.leaf_assignment(X).items()):
+        numerator = denominator = 0.0
+        if members.size:
             sample = LeafSample(
                 labels=y[members],
-                prior_scores=state.scores[members],
+                prior_scores=scores[members],
                 prior_probs=prior_probs[members],
             )
             numerator, denominator = leaf_value_terms(sample)
-        value = leaf_value_fn(leaf_id, numerator, denominator, members.size == 0)
-        if members.size:
-            state.scores[members] = state.scores[members] + learning_rate * value
-        leaf_values[leaf_id] = value
+        value = leaf_value(leaf_id, numerator, denominator)
+        scores[members] = scores[members] + learning_rate * value
+        leaf_ids[members] = leaf_id
         leaf_records.append(LeafRecord(leaf_id, members, numerator, denominator, value))
-    state.probs = sigmoid(state.scores)
-    leaf_ids = np.zeros(y.shape[0], dtype=np.intp)
-    for record in leaf_records:
-        leaf_ids[record.members] = record.leaf_id
-    iteration_record = IterationRecord(
+    probs = sigmoid(scores)
+    return IterationRecord(
         iteration=m,
-        residuals=state.residuals,
+        residuals=residuals,
         leaf_ids=leaf_ids,
         prior_probs=prior_probs,
-        scores=state.scores.copy(),
-        probs=state.probs,
+        scores=scores,
+        probs=probs,
         leaves=tuple(leaf_records),
-        total_loss=total_loss(y, state.probs),
+        total_loss=total_loss(y, probs),
     )
-    return leaf_values, iteration_record
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
@@ -182,41 +299,33 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
     Starts every instance at raw score 0 (probability 0.5).  Each iteration
     fits a tree to the current residuals (or builds the configured forced
     stump), replaces its leaf values with the Newton step, and advances the
-    scores by learning_rate times the leaf value.
+    scores by learning_rate times the leaf value.  An empty leaf's Newton
+    step is 0.
     """
     if dataset.labels is None:
         raise ValueError("training requires a labeled dataset")
-    if config.forced_splits is not None:
-        for feature_index, _ in config.forced_splits:
-            if not 0 <= feature_index < dataset.n_features:
-                raise ValueError(f"forced split feature index {feature_index} out of range")
     X = dataset.features
     y = dataset.labels
-    n = dataset.n_rows
-    state = TrainingState(
-        scores=np.zeros(n), probs=np.full(n, 0.5), residuals=np.zeros(n)
-    )
+    scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     trees = []
     records = []
     for m in range(1, config.n_trees + 1):
         forced = config.forced_splits[m - 1] if config.forced_splits is not None else None
         tree = fit_tree(
             X,
-            y - state.probs,
+            y - probs,
             max_depth=config.max_depth,
             min_leaf=config.min_leaf,
             forced_split=forced,
         )
-        leaf_values, record = _boost_pass(
-            m,
-            tree,
-            X,
-            y,
-            state,
-            config.learning_rate,
-            lambda leaf_id, num, den, empty: 0.0 if empty else newton_step(num, den),
+        record = _boost_pass(
+            m, tree, X, y, scores, probs, config.learning_rate,
+            lambda leaf_id, numerator, denominator: newton_step(numerator, denominator),
         )
-        trees.append(tree.with_leaf_values(leaf_values))
+        # this round's probs are the next round's prior_probs: the trace shares
+        # one array rather than holding a recomputed sigmoid(scores)
+        scores, probs = record.scores, record.probs
+        trees.append(tree.with_leaf_values({leaf.leaf_id: leaf.value for leaf in record.leaves}))
         records.append(record)
     model = Model(
         trees=tuple(trees),
@@ -233,26 +342,19 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     if dataset.labels is None:
         raise ValueError("replay requires a labeled dataset")
     if dataset.n_features != model.n_features:
-        raise ValueError(
+        raise DataError(
             f"data has {dataset.n_features} feature columns, model expects {model.n_features}"
         )
     X = dataset.features
     y = dataset.labels
-    n = dataset.n_rows
-    state = TrainingState(
-        scores=np.zeros(n), probs=np.full(n, 0.5), residuals=np.zeros(n)
-    )
+    scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []
     for m, tree in enumerate(model.trees, start=1):
         stored = {leaf.leaf_id: leaf.value for leaf in tree.leaves()}
-        _, record = _boost_pass(
-            m,
-            tree,
-            X,
-            y,
-            state,
-            model.learning_rate,
-            lambda leaf_id, num, den, empty: stored[leaf_id],
+        record = _boost_pass(
+            m, tree, X, y, scores, probs, model.learning_rate,
+            lambda leaf_id, numerator, denominator: stored[leaf_id],
         )
+        scores, probs = record.scores, record.probs
         records.append(record)
     return TrainingTrace(tuple(records))

@@ -1,4 +1,4 @@
-"""Command-line interface (train / predict / trace) and JSON model persistence.
+"""Command-line interface: train / predict / trace.
 
 Exit codes: 0 success, 2 bad arguments, 3 data validation failure,
 4 I/O or unreadable model file, 5 unsupported model format version.
@@ -9,15 +9,23 @@ the model file alone stores full-precision floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import json
-import math
 import sys
 
-from .booster import Model, TrainConfig, TrainingTrace, replay, train
+from .booster import (
+    Model,
+    ModelFormatError,
+    ModelVersionError,
+    TrainConfig,
+    TrainingTrace,
+    load_model,
+    replay,
+    save_model,
+    train,
+)
 from .dataset import DataError, Dataset, EmptyDatasetError, load_csv
 from .leaf_values import sigmoid
-from .tree import Leaf, RegressionTree, Split
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -25,121 +33,16 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_MODEL_VERSION = 5
 
-MODEL_FORMAT_VERSION = 1
-
-
-class ModelFormatError(Exception):
-    """Model file is structurally invalid."""
-
-
-class ModelVersionError(ModelFormatError):
-    """Model file declares an unsupported format version."""
-
-
-def _node_to_dict(node):
-    if isinstance(node, Leaf):
-        return {"leaf_id": node.leaf_id, "gamma": node.value}
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def serialize_model(model: Model) -> str:
-    """Render a model as a versioned JSON document.
-
-    Floats go through repr's shortest round-trip form, so deserializing
-    reproduces every threshold and leaf value bit for bit.
-    """
-    document = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "learning_rate": model.learning_rate,
-        "n_features": model.n_features,
-        "feature_names": list(model.feature_names),
-        "trees": [_node_to_dict(tree.root) for tree in model.trees],
-    }
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
-
-
-def _node_from_dict(obj):
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
-    if "leaf_id" in obj:
-        if "gamma" not in obj:
-            raise ModelFormatError("leaf node missing 'gamma'")
-        try:
-            leaf_id = int(obj["leaf_id"])
-            value = float(obj["gamma"])
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"bad leaf node: {exc}") from None
-        if not math.isfinite(value):
-            raise ModelFormatError("leaf gamma must be finite")
-        return Leaf(leaf_id, value)
-    for key in ("feature_index", "threshold", "left", "right"):
-        if key not in obj:
-            raise ModelFormatError(f"internal node missing {key!r}")
-    try:
-        feature_index = int(obj["feature_index"])
-        threshold = float(obj["threshold"])
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"bad internal node: {exc}") from None
-    if not math.isfinite(threshold):
-        raise ModelFormatError("threshold must be finite")
-    return Split(feature_index, threshold, _node_from_dict(obj["left"]), _node_from_dict(obj["right"]))
-
-
-def deserialize_model(text: str) -> Model:
-    """Parse a JSON model document.
-
-    An unknown format_version is rejected before anything else is read; a
-    malformed document raises ModelFormatError naming the problem (parse
-    failures include the byte offset).
-    """
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"model file is not valid JSON: {exc.msg} (byte offset {exc.pos})"
-        ) from None
-    if not isinstance(document, dict):
-        raise ModelFormatError("model document must be a JSON object")
-    version = document.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
-        )
-    for key in ("learning_rate", "n_features", "feature_names", "trees"):
-        if key not in document:
-            raise ModelFormatError(f"model document missing {key!r}")
-    try:
-        learning_rate = float(document["learning_rate"])
-        n_features = int(document["n_features"])
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"bad model header: {exc}") from None
-    feature_names = tuple(str(s) for s in document["feature_names"])
-    trees_raw = document["trees"]
-    if not isinstance(trees_raw, list):
-        raise ModelFormatError("'trees' must be a list")
-    trees = tuple(RegressionTree(_node_from_dict(t), n_features) for t in trees_raw)
-    return Model(
-        trees=trees,
-        learning_rate=learning_rate,
-        n_features=n_features,
-        feature_names=feature_names,
-        format_version=version,
-    )
-
-
-def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_model(model))
-
-
-def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        return deserialize_model(fh.read())
+# The first class an error is an instance of decides the exit code, so every
+# subclass comes before its base: DataError is a ValueError, and the only
+# other ValueErrors that reach main are bad command-line values.
+EXIT_CODES = (
+    (ModelVersionError, EXIT_MODEL_VERSION),
+    (ModelFormatError, EXIT_IO),
+    (OSError, EXIT_IO),
+    (DataError, EXIT_DATA),
+    (ValueError, EXIT_USAGE),
+)
 
 
 def write_predictions(fh, model: Model, dataset: Dataset | None, threshold: float) -> None:
@@ -203,122 +106,64 @@ def _parse_force_splits(text: str) -> tuple[tuple[int, float], ...]:
     """Parse 'feature:threshold' pairs joined by ';', e.g. '0:3.5;0:2.25'."""
     pairs = []
     for part in text.split(";"):
-        part = part.strip()
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ValueError(f"bad --force-splits entry {part!r}, expected feature:threshold")
+        feature, _, threshold = part.strip().partition(":")
         try:
-            pairs.append((int(pieces[0]), float(pieces[1])))
+            pairs.append((int(feature), float(threshold)))
         except ValueError:
-            raise ValueError(f"bad --force-splits entry {part!r}, expected feature:threshold") from None
+            raise ValueError(
+                f"bad --force-splits entry {part.strip()!r}, expected feature:threshold"
+            ) from None
     return tuple(pairs)
 
 
-def _fail(exc, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
+def _open_output(path):
+    """The named file opened for writing, or stdout when no path is given."""
+    if path:
+        return open(path, "w", newline="", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
 
 
-def cmd_train(args) -> int:
-    try:
-        forced = _parse_force_splits(args.force_splits) if args.force_splits else None
-        config = TrainConfig(
-            n_trees=args.trees,
-            learning_rate=args.learning_rate,
-            max_depth=args.max_depth,
-            min_leaf=args.min_leaf,
-            forced_splits=forced,
-        )
-    except ValueError as exc:
-        return _fail(exc, EXIT_USAGE)
-    try:
-        dataset = load_csv(args.data, expect_labels=True)
-    except DataError as exc:
-        return _fail(exc, EXIT_DATA)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
-    try:
-        model, trace = train(dataset, config)
-    except ValueError as exc:  # forced split feature index out of range
-        return _fail(exc, EXIT_USAGE)
-    try:
-        if args.out:
-            save_model(model, args.out)
-        if args.trace:
-            with open(args.trace, "w", newline="", encoding="utf-8") as fh:
-                write_trace(fh, dataset, trace)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
+def cmd_train(args) -> None:
+    forced = _parse_force_splits(args.force_splits) if args.force_splits else None
+    config = TrainConfig(
+        n_trees=args.trees,
+        learning_rate=args.learning_rate,
+        max_depth=args.max_depth,
+        min_leaf=args.min_leaf,
+        forced_splits=forced,
+    )
+    dataset = load_csv(args.data, expect_labels=True)
+    model, trace = train(dataset, config)
+    if args.out:
+        save_model(model, args.out)
+    if args.trace:
+        with _open_output(args.trace) as fh:
+            write_trace(fh, dataset, trace)
     print(f"{trace.final_loss:.6f}")
-    return EXIT_OK
 
 
-def _load_model_for_command(path):
-    """Shared model loading; returns (model, None) or (None, exit_code)."""
-    try:
-        return load_model(path), None
-    except ModelVersionError as exc:
-        return None, _fail(exc, EXIT_MODEL_VERSION)
-    except ModelFormatError as exc:
-        return None, _fail(exc, EXIT_IO)
-    except OSError as exc:
-        return None, _fail(exc, EXIT_IO)
-
-
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     if not 0.0 < args.threshold < 1.0:
-        return _fail("--threshold must be in (0, 1)", EXIT_USAGE)
-    model, code = _load_model_for_command(args.model)
-    if model is None:
-        return code
-    dataset = None
+        raise ValueError("--threshold must be in (0, 1)")
+    model = load_model(args.model)
     try:
         dataset = load_csv(args.data, expect_labels=False)
     except EmptyDatasetError:
         dataset = None  # header-only input: vacuous success below
-    except DataError as exc:
-        return _fail(exc, EXIT_DATA)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
     if dataset is not None and dataset.n_features != model.n_features:
-        return _fail(
-            f"data has {dataset.n_features} feature columns, model expects {model.n_features}",
-            EXIT_DATA,
+        raise DataError(
+            f"data has {dataset.n_features} feature columns, model expects {model.n_features}"
         )
-    try:
-        if args.out:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                write_predictions(fh, model, dataset, args.threshold)
-        else:
-            write_predictions(sys.stdout, model, dataset, args.threshold)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
-    return EXIT_OK
+    with _open_output(args.out) as fh:
+        write_predictions(fh, model, dataset, args.threshold)
 
 
-def cmd_trace(args) -> int:
-    model, code = _load_model_for_command(args.model)
-    if model is None:
-        return code
-    try:
-        dataset = load_csv(args.data, expect_labels=True)
-    except DataError as exc:
-        return _fail(exc, EXIT_DATA)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
-    try:
-        trace = replay(model, dataset)
-    except ValueError as exc:  # feature count mismatch
-        return _fail(exc, EXIT_DATA)
-    try:
-        if args.out:
-            with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                write_trace(fh, dataset, trace)
-        else:
-            write_trace(sys.stdout, dataset, trace)
-    except OSError as exc:
-        return _fail(exc, EXIT_IO)
-    return EXIT_OK
+def cmd_trace(args) -> None:
+    model = load_model(args.model)
+    dataset = load_csv(args.data, expect_labels=True)
+    trace = replay(model, dataset)
+    with _open_output(args.out) as fh:
+        write_trace(fh, dataset, trace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +208,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        args.func(args)
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -99,7 +99,12 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
     holds a header but no rows, and DataError for every other violation.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: file is not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
+            raise DataError(f"{path}: {exc}") from None
     if not rows or not rows[0]:
         raise DataError(f"{path}: empty file, expected a header row")
     header, data_rows = rows[0], rows[1:]

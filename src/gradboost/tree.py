@@ -127,21 +127,17 @@ class RegressionTree:
 
         return d(self.root)
 
-    def leaf_assignment(self, features, instance_set=None) -> dict[int, np.ndarray]:
-        """Map each leaf id to the ascending instance indices routed to it.
+    def leaf_assignment(self, features) -> dict[int, np.ndarray]:
+        """Map each leaf id to the ascending row indices routed to it.
 
         Every leaf id appears as a key, with an empty array when nothing
-        reaches it; the member arrays partition the instance set.
+        reaches it; the member arrays partition the rows.
         """
         X = np.asarray(features, dtype=np.float64)
-        if instance_set is None:
-            idx = np.arange(X.shape[0], dtype=np.intp)
-        else:
-            idx = np.asarray(instance_set, dtype=np.intp)
         membership: dict[int, list[int]] = {leaf.leaf_id: [] for leaf in self.leaves()}
-        for i in idx:
+        for i in range(X.shape[0]):
             leaf_id, _ = self.apply(X[i])
-            membership[leaf_id].append(int(i))
+            membership[leaf_id].append(i)
         return {j: np.asarray(v, dtype=np.intp) for j, v in membership.items()}
 
     def with_leaf_values(self, values: dict[int, float]) -> "RegressionTree":
@@ -181,7 +177,6 @@ def _grow(X, res, idx, depth, max_depth, min_leaf):
 def fit_tree(
     features,
     residuals,
-    instance_set=None,
     *,
     max_depth: int = 1,
     min_leaf: int = 1,
@@ -201,12 +196,9 @@ def fit_tree(
         raise ValueError("max_depth must be >= 1")
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
-    if instance_set is None:
-        idx = np.arange(X.shape[0], dtype=np.intp)
-    else:
-        idx = np.asarray(instance_set, dtype=np.intp)
+    idx = np.arange(X.shape[0], dtype=np.intp)
     if idx.size == 0:
-        raise ValueError("instance_set must be nonempty")
+        raise ValueError("features must hold at least one row")
     if forced_split is not None:
         if max_depth != 1:
             raise ValueError("forced_split is only valid with max_depth=1")

@@ -26,7 +26,7 @@ from gradboost import (
     newton_leaf_value,
     train,
 )
-from gradboost.cli import deserialize_model, serialize_model
+from gradboost.booster import deserialize_model, serialize_model
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -61,8 +61,6 @@ class TestTrainConfig:
             {"learning_rate": 1.5},
             {"max_depth": 0},
             {"min_leaf": 0},
-            {"threshold": 0.0},
-            {"threshold": 1.0},
             {"n_trees": 2, "forced_splits": ((0, 1.0),)},
             {"max_depth": 2, "n_trees": 1, "forced_splits": ((0, 1.0),)},
         ],

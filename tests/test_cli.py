@@ -1,22 +1,14 @@
 """Command-line behavior: subcommands, file formats, and exit codes."""
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gradboost.cli import (
-    EXIT_DATA,
-    EXIT_IO,
-    EXIT_MODEL_VERSION,
-    EXIT_OK,
-    EXIT_USAGE,
-    deserialize_model,
-    load_model,
-    main,
-    serialize_model,
-)
+from gradboost.booster import deserialize_model, load_model, serialize_model
+from gradboost.cli import EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, main
 
 from conftest import SIX_CSV
 
@@ -281,6 +273,79 @@ class TestIOErrors:
         )
         assert code == EXIT_IO
         capsys.readouterr()
+
+
+def _set(key, value):
+    return lambda document: document.update({key: value})
+
+
+def _set_root(key, value):
+    return lambda document: document["trees"][0].update({key: value})
+
+
+class TestUnreadableInputs:
+    """A bad input file ends the command with a one-line error and its documented code."""
+
+    @pytest.mark.parametrize(
+        "command, model, data, code",
+        [
+            pytest.param("train", None, b"x,label\n\xff,1\n", EXIT_DATA, id="non-utf8-csv"),
+            pytest.param(
+                "train", None, b"x,label\n" + b"1" * 200_000 + b",1\n", EXIT_DATA,
+                id="cell-over-csv-field-limit",
+            ),
+            pytest.param(
+                "trace", None, b"a,b,label\n1,2,1\n", EXIT_DATA, id="trace-feature-count-mismatch"
+            ),
+            pytest.param(
+                "predict", b'{"format_version": 1, "\xff": 0}', None, EXIT_IO, id="non-utf8-model"
+            ),
+            pytest.param(
+                "predict", _set_root("feature_index", 1), None, EXIT_IO,
+                id="feature-index-out-of-range",
+            ),
+            pytest.param(
+                "trace", _set_root("feature_index", -1), None, EXIT_IO, id="negative-feature-index"
+            ),
+            pytest.param(
+                "predict", _set("feature_names", None), None, EXIT_IO, id="feature-names-null"
+            ),
+            pytest.param(
+                "predict", _set("feature_names", ["x", "y"]), None, EXIT_IO,
+                id="feature-names-wrong-length",
+            ),
+            pytest.param(
+                "predict", _set("n_features", math.inf), None, EXIT_IO, id="infinite-n-features"
+            ),
+            pytest.param(
+                "predict", _set_root("threshold", 10**400), None, EXIT_IO,
+                id="threshold-beyond-float-range",
+            ),
+            pytest.param(
+                "predict", b'{"format_version": 1, "n_features": ' + b"1" * 5000 + b"}", None,
+                EXIT_IO, id="integer-past-digit-limit",
+            ),
+        ],
+    )
+    def test_clean_error(self, trained, tmp_path, capsys, command, model, data, code):
+        model_path, data_path = trained.model, trained.data
+        if isinstance(model, bytes):
+            model_path = tmp_path / "bad.json"
+            model_path.write_bytes(model)
+        elif model is not None:
+            document = json.loads(trained.model.read_text(encoding="utf-8"))
+            model(document)
+            model_path = tmp_path / "edited.json"
+            model_path.write_text(json.dumps(document), encoding="utf-8")
+        if data is not None:
+            data_path = tmp_path / "bad.csv"
+            data_path.write_bytes(data)
+        argv = [command, "--data", str(data_path)]
+        if command != "train":
+            argv += ["--model", str(model_path)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestModelVersion:

@@ -61,6 +61,8 @@ class TestTrainConfig:
             {"learning_rate": 1.5},
             {"max_depth": 0},
             {"min_leaf": 0},
+            {"learning_rate": float("nan")},
+            {"n_trees": -1},
             {"n_trees": 2, "forced_splits": ((0, 1.0),)},
             {"max_depth": 2, "n_trees": 1, "forced_splits": ((0, 1.0),)},
         ],

@@ -112,6 +112,7 @@ def serialize_model(model: Model) -> str:
 # json.loads accepts Infinity and integers too large for a float, which
 # int() and float() reject with OverflowError rather than ValueError
 _BAD_NUMBER = (TypeError, ValueError, OverflowError)
+_TOO_DEEP = "model file is nested deeper than the recursion limit"
 
 
 def _node_from_dict(obj, n_features: int):
@@ -162,6 +163,8 @@ def deserialize_model(text: str) -> Model:
         ) from None
     except ValueError as exc:  # an integer literal longer than int() accepts
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError(_TOO_DEEP) from None
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = document.get("format_version")
@@ -183,7 +186,10 @@ def deserialize_model(text: str) -> Model:
     trees_raw = document["trees"]
     if not isinstance(trees_raw, list):
         raise ModelFormatError("'trees' must be a list")
-    trees = tuple(RegressionTree(_node_from_dict(t, n_features), n_features) for t in trees_raw)
+    try:
+        trees = tuple(RegressionTree(_node_from_dict(t, n_features), n_features) for t in trees_raw)
+    except RecursionError:
+        raise ModelFormatError(_TOO_DEEP) from None
     return Model(
         trees=trees,
         learning_rate=learning_rate,
@@ -255,106 +261,78 @@ def total_loss(labels, probs) -> float:
     return math.fsum(terms.tolist())
 
 
-def _boost_pass(m, tree, X, y, scores, prior_probs, learning_rate, leaf_value) -> IterationRecord:
-    """Run one boosting iteration over an already-built tree.
-
-    scores and prior_probs, the state before the round, are left untouched;
-    the record's scores and probs are the state after it.
-    leaf_value(leaf_id, numerator, denominator) supplies each leaf's value;
-    training computes it, replay reads it off the model.
-    """
-    residuals = y - prior_probs
-    scores = scores.copy()
-    leaf_ids = np.zeros(y.shape[0], dtype=np.intp)
-    leaf_records = []
-    for leaf_id, members in sorted(tree.leaf_assignment(X).items()):
-        numerator = denominator = 0.0
-        if members.size:
-            sample = LeafSample(
-                labels=y[members],
-                prior_scores=scores[members],
-                prior_probs=prior_probs[members],
-            )
-            numerator, denominator = leaf_value_terms(sample)
-        value = leaf_value(leaf_id, numerator, denominator)
-        scores[members] = scores[members] + learning_rate * value
-        leaf_ids[members] = leaf_id
-        leaf_records.append(LeafRecord(leaf_id, members, numerator, denominator, value))
-    probs = sigmoid(scores)
-    return IterationRecord(
-        iteration=m,
-        residuals=residuals,
-        leaf_ids=leaf_ids,
-        prior_probs=prior_probs,
-        scores=scores,
-        probs=probs,
-        leaves=tuple(leaf_records),
-        total_loss=total_loss(y, probs),
-    )
-
-
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
     """Fit an additive ensemble of residual trees with second-order leaf values.
 
     Starts every instance at raw score 0 (probability 0.5).  Each iteration
     fits a tree to the current residuals (or builds the configured forced
-    stump), replaces its leaf values with the Newton step, and advances the
-    scores by learning_rate times the leaf value.  An empty leaf's Newton
-    step is 0.
+    stump), sets each leaf to the Newton step over the rows it holds (an
+    empty leaf keeps 0), and advances the scores by learning_rate times the
+    leaf value.  The returned trace is replay(model, dataset).
     """
     if dataset.labels is None:
         raise ValueError("training requires a labeled dataset")
-    X = dataset.features
-    y = dataset.labels
-    scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
+    X, y = dataset.features, dataset.labels
+    scores = np.zeros(dataset.n_rows)
     trees = []
-    records = []
-    for m in range(1, config.n_trees + 1):
-        forced = config.forced_splits[m - 1] if config.forced_splits is not None else None
+    for m in range(config.n_trees):
+        probs = sigmoid(scores)
+        forced = config.forced_splits[m] if config.forced_splits is not None else None
         tree = fit_tree(
-            X,
-            y - probs,
-            max_depth=config.max_depth,
-            min_leaf=config.min_leaf,
-            forced_split=forced,
+            X, y - probs, max_depth=config.max_depth, min_leaf=config.min_leaf, forced_split=forced
         )
-        record = _boost_pass(
-            m, tree, X, y, scores, probs, config.learning_rate,
-            lambda leaf_id, numerator, denominator: newton_step(numerator, denominator),
-        )
-        # this round's probs are the next round's prior_probs: the trace shares
-        # one array rather than holding a recomputed sigmoid(scores)
-        scores, probs = record.scores, record.probs
-        trees.append(tree.with_leaf_values({leaf.leaf_id: leaf.value for leaf in record.leaves}))
-        records.append(record)
-    model = Model(
-        trees=tuple(trees),
-        learning_rate=config.learning_rate,
-        n_features=dataset.n_features,
-        feature_names=dataset.feature_names,
-    )
-    return model, TrainingTrace(tuple(records))
+        values = {}
+        for leaf_id, members in tree.leaf_assignment(X).items():
+            if members.size:
+                sample = LeafSample(y[members], scores[members], probs[members])
+                values[leaf_id] = newton_step(*leaf_value_terms(sample))
+                scores[members] += config.learning_rate * values[leaf_id]
+        trees.append(tree.with_leaf_values(values))
+    model = Model(tuple(trees), config.learning_rate, dataset.n_features, dataset.feature_names)
+    return model, replay(model, dataset)
 
 
 def replay(model: Model, dataset: Dataset) -> TrainingTrace:
-    """Recompute the per-iteration bookkeeping of an existing model on a
-    labeled dataset, reading leaf values off the model instead of refitting."""
+    """Recompute the per-iteration bookkeeping of a model on a labeled dataset.
+
+    Each round groups the rows by leaf, sums every leaf's Newton terms, reads
+    its value off the model and advances the scores.  Each record's
+    prior_probs is the previous record's probs array, not a copy.  Over the
+    training data this is exactly the trace train returns.
+    """
     if dataset.labels is None:
         raise ValueError("replay requires a labeled dataset")
     if dataset.n_features != model.n_features:
         raise DataError(
             f"data has {dataset.n_features} feature columns, model expects {model.n_features}"
         )
-    X = dataset.features
-    y = dataset.labels
+    X, y = dataset.features, dataset.labels
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []
     for m, tree in enumerate(model.trees, start=1):
         stored = {leaf.leaf_id: leaf.value for leaf in tree.leaves()}
-        record = _boost_pass(
-            m, tree, X, y, scores, probs, model.learning_rate,
-            lambda leaf_id, numerator, denominator: stored[leaf_id],
+        prior_probs, scores = probs, scores.copy()
+        leaf_ids = np.zeros(dataset.n_rows, dtype=np.intp)
+        leaves = []
+        for leaf_id, members in sorted(tree.leaf_assignment(X).items()):
+            numerator = denominator = 0.0
+            if members.size:
+                sample = LeafSample(y[members], scores[members], prior_probs[members])
+                numerator, denominator = leaf_value_terms(sample)
+            scores[members] += model.learning_rate * stored[leaf_id]
+            leaf_ids[members] = leaf_id
+            leaves.append(LeafRecord(leaf_id, members, numerator, denominator, stored[leaf_id]))
+        probs = sigmoid(scores)
+        records.append(
+            IterationRecord(
+                iteration=m,
+                residuals=y - prior_probs,
+                leaf_ids=leaf_ids,
+                prior_probs=prior_probs,
+                scores=scores,
+                probs=probs,
+                leaves=tuple(leaves),
+                total_loss=total_loss(y, probs),
+            )
         )
-        scores, probs = record.scores, record.probs
-        records.append(record)
     return TrainingTrace(tuple(records))

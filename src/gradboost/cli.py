@@ -54,11 +54,9 @@ def write_predictions(fh, model: Model, dataset: Dataset | None, threshold: floa
     writer.writerow(["index", "raw_score", "probability", "label"])
     if dataset is None:
         return
-    for i in range(dataset.n_rows):
-        raw = model.predict_raw(dataset.features[i])
-        prob = sigmoid(raw)
-        label = 1 if prob >= threshold else 0
-        writer.writerow([i + 1, f"{raw:.6f}", f"{prob:.6f}", label])
+    raws = [model.predict_raw(row) for row in dataset.features]
+    for i, (raw, prob) in enumerate(zip(raws, sigmoid(raws)), start=1):
+        writer.writerow([i, f"{raw:.6f}", f"{prob:.6f}", 1 if prob >= threshold else 0])
 
 
 def write_trace(fh, dataset: Dataset, trace: TrainingTrace) -> None:
@@ -70,35 +68,21 @@ def write_trace(fh, dataset: Dataset, trace: TrainingTrace) -> None:
     indices and member lists are 1-based; members are space-separated.
     """
     writer = csv.writer(fh, lineterminator="\n")
-    y = dataset.labels
+    rows = [
+        [i, *(f"{v:.6f}" for v in features), int(label)]
+        for i, (features, label) in enumerate(zip(dataset.features, dataset.labels), start=1)
+    ]
     for record in trace.records:
         writer.writerow([f"iteration {record.iteration}"])
         writer.writerow(["index", *dataset.feature_names, "y", "p_prev", "r"])
-        for i in range(dataset.n_rows):
-            features = [f"{v:.6f}" for v in dataset.features[i]]
-            writer.writerow(
-                [
-                    i + 1,
-                    *features,
-                    int(y[i]),
-                    f"{record.prior_probs[i]:.6f}",
-                    f"{record.residuals[i]:.6f}",
-                ]
-            )
+        for row, prior, residual in zip(rows, record.prior_probs, record.residuals):
+            writer.writerow([*row, f"{prior:.6f}", f"{residual:.6f}"])
         writer.writerow([])
         writer.writerow(["iteration", "leaf_id", "members", "numerator", "denominator", "gamma"])
         for leaf in record.leaves:
             members = " ".join(str(int(i) + 1) for i in leaf.members)
-            writer.writerow(
-                [
-                    record.iteration,
-                    leaf.leaf_id,
-                    members,
-                    f"{leaf.numerator:.6f}",
-                    f"{leaf.denominator:.6f}",
-                    f"{leaf.value:.6f}",
-                ]
-            )
+            sums = (f"{v:.6f}" for v in (leaf.numerator, leaf.denominator, leaf.value))
+            writer.writerow([record.iteration, leaf.leaf_id, members, *sums])
         writer.writerow([])
 
 

@@ -131,14 +131,26 @@ class RegressionTree:
         """Map each leaf id to the ascending row indices routed to it.
 
         Every leaf id appears as a key, with an empty array when nothing
-        reaches it; the member arrays partition the rows.
+        reaches it; the member arrays partition the rows.  Each split divides
+        its node's rows with the same x[feature] <= threshold rule as apply,
+        left subtree first.
         """
         X = np.asarray(features, dtype=np.float64)
-        membership: dict[int, list[int]] = {leaf.leaf_id: [] for leaf in self.leaves()}
-        for i in range(X.shape[0]):
-            leaf_id, _ = self.apply(X[i])
-            membership[leaf_id].append(i)
-        return {j: np.asarray(v, dtype=np.intp) for j, v in membership.items()}
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
+        groups: dict[int, np.ndarray] = {}
+        # an explicit stack, so a tree as deep as the model loader accepts
+        # cannot exhaust the interpreter's recursion limit here
+        stack = [(self.root, np.arange(X.shape[0], dtype=np.intp))]
+        while stack:
+            node, rows = stack.pop()
+            if isinstance(node, Split):
+                go_left = X[rows, node.feature_index] <= node.threshold
+                stack += [(node.right, rows[~go_left]), (node.left, rows[go_left])]
+            else:
+                seen = groups.get(node.leaf_id)  # a hand-edited model may repeat an id
+                groups[node.leaf_id] = rows if seen is None else np.union1d(seen, rows)
+        return groups
 
     def with_leaf_values(self, values: dict[int, float]) -> "RegressionTree":
         """New tree with leaf values replaced by the given id -> value map."""

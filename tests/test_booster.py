@@ -11,6 +11,7 @@ from gradboost import (
     Model,
     TrainConfig,
     leaf_loss,
+    newton_step,
     replay,
     sigmoid,
     total_loss,
@@ -249,6 +250,29 @@ def test_training_loss_never_increases_on_random_data():
         _, trace = train(ds, TrainConfig(n_trees=10, learning_rate=0.1, max_depth=2))
         losses = [n * math.log(2.0)] + [record.total_loss for record in trace.records]
         assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+
+
+def test_trace_leaf_values_are_the_newton_steps_the_model_stores():
+    runs = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        ds = Dataset(
+            rng.integers(0, 4, (n, 2)).astype(float), rng.integers(0, 2, n).astype(float), ("a", "b")
+        )
+        runs.append((ds, TrainConfig(n_trees=4, learning_rate=0.3, max_depth=1 + seed % 3)))
+    # the first forced stump leaves its left side empty
+    ds = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 1.0, 0.0]), ("x",))
+    runs.append((ds, TrainConfig(n_trees=2, forced_splits=((0, 0.5), (0, 1.5)))))
+    for ds, config in runs:
+        model, trace = train(ds, config)
+        for tree, record in zip(model.trees, trace.records):
+            stored = {leaf.leaf_id: leaf.value for leaf in tree.leaves()}
+            assert [leaf.leaf_id for leaf in record.leaves] == list(stored)
+            for leaf in record.leaves:
+                step = newton_step(leaf.numerator, leaf.denominator)
+                assert float.hex(leaf.value) == float.hex(step)  # bit for bit, sign of zero too
+                assert float.hex(leaf.value) == float.hex(stored[leaf.leaf_id])
 
 
 def test_row_order_does_not_change_the_model(six_points):

@@ -283,6 +283,16 @@ def _set_root(key, value):
     return lambda document: document["trees"][0].update({key: value})
 
 
+def _split_chain(depth):
+    """A one-feature model whose single tree nests depth splits down its left side."""
+    node = '{"leaf_id": 1, "gamma": 0.0}'
+    for _ in range(depth):
+        right = '{"leaf_id": 2, "gamma": 0.0}'
+        node = f'{{"feature_index": 0, "threshold": 0.5, "left": {node}, "right": {right}}}'
+    header = '"format_version": 1, "learning_rate": 0.1, "n_features": 1, "feature_names": ["x"]'
+    return f'{{{header}, "trees": [{node}]}}'.encode()
+
+
 class TestUnreadableInputs:
     """A bad input file ends the command with a one-line error and its documented code."""
 
@@ -324,6 +334,10 @@ class TestUnreadableInputs:
             pytest.param(
                 "predict", b'{"format_version": 1, "n_features": ' + b"1" * 5000 + b"}", None,
                 EXIT_IO, id="integer-past-digit-limit",
+            ),
+            pytest.param("predict", _split_chain(3000), None, EXIT_IO, id="deep-split-chain"),
+            pytest.param(
+                "predict", b"[" * 3000 + b"]" * 3000, None, EXIT_IO, id="deep-nested-arrays"
             ),
         ],
     )

@@ -1,11 +1,12 @@
 """Regression-tree split search and tree growth."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from gradboost import RegressionTree, best_split, fit_tree
+from gradboost import Leaf, RegressionTree, Split, best_split, fit_tree
 
 from conftest import REFERENCE_SPLITS
 
@@ -42,6 +43,19 @@ def _exhaustive_best(features, residuals, idx, min_count=1):
         return None
     node = _two_pass_sse([residuals[i] for i in idx])
     return best if best[2] < node else None
+
+
+def _assert_groups_match_apply(tree, rows, groups):
+    """groups equals routing each row through apply on its own: every leaf id
+    in left-to-right order, members ascending, an empty array for a leaf no
+    row reaches."""
+    expected = {leaf.leaf_id: [] for leaf in tree.leaves()}
+    for i, row in enumerate(rows):
+        expected[tree.apply(row)[0]].append(i)
+    assert list(groups) == list(expected)
+    for leaf_id, members in groups.items():
+        assert members.dtype == np.intp
+        np.testing.assert_array_equal(members, np.asarray(expected[leaf_id], dtype=np.intp))
 
 
 class TestBestSplit:
@@ -196,6 +210,53 @@ class TestFitTree:
         assert set(groups) == {leaf.leaf_id for leaf in tree.leaves()}
         combined = np.sort(np.concatenate(list(groups.values())))
         np.testing.assert_array_equal(combined, np.arange(25))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_leaf_assignment_matches_per_row_apply_on_tied_features(self, depth):
+        empty_leaves = 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 60))
+            x = rng.integers(0, 4, (n, 3)).astype(float)
+            tree = fit_tree(x, rng.uniform(-1, 1, n), max_depth=depth)
+            # a few unseen rows leave some leaves with no members
+            probe = rng.integers(0, 4, (int(rng.integers(0, 4)), 3)).astype(float)
+            for rows in (x, probe):
+                groups = tree.leaf_assignment(rows)
+                _assert_groups_match_apply(tree, rows, groups)
+                empty_leaves += sum(members.size == 0 for members in groups.values())
+        assert empty_leaves > 0
+
+    def test_leaf_assignment_sends_rows_at_the_threshold_left(self):
+        x = np.array([[3.0], [1.0], [2.0], [2.0], [5.0]])
+        tree = fit_tree(x, np.zeros(5), forced_split=(0, 2.0))
+        groups = tree.leaf_assignment(x)
+        _assert_groups_match_apply(tree, x, groups)
+        np.testing.assert_array_equal(groups[1], [1, 2, 3])
+        np.testing.assert_array_equal(groups[2], [0, 4])
+        below = tree.leaf_assignment(np.array([[0.5], [1.5]]))
+        np.testing.assert_array_equal(below[1], [0, 1])
+        assert below[2].size == 0 and below[2].dtype == np.intp
+
+    def test_leaf_assignment_merges_a_repeated_leaf_id(self):
+        # a hand-edited model file may reuse a leaf id; apply sends both leaves' rows to it
+        inner = Split(0, 1.5, Leaf(1, 0.0), Leaf(2, 0.0))
+        tree = RegressionTree(Split(0, 2.5, inner, Leaf(1, 0.0)), 1)
+        x = np.array([[3.0], [1.0], [2.0], [0.0]])
+        groups = tree.leaf_assignment(x)
+        _assert_groups_match_apply(tree, x, groups)
+        np.testing.assert_array_equal(groups[1], [0, 1, 3])
+
+    def test_leaf_assignment_routes_trees_deeper_than_the_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 100
+        node = Leaf(depth + 1, 0.0)
+        for leaf_id in range(depth, 0, -1):
+            node = Split(0, 0.5, node, Leaf(leaf_id, 0.0))
+        groups = RegressionTree(node, 1).leaf_assignment(np.array([[1.0], [0.0], [1.0]]))
+        assert list(groups) == list(range(depth + 1, 0, -1))  # left to right: deepest first
+        np.testing.assert_array_equal(groups[1], [0, 2])
+        np.testing.assert_array_equal(groups[depth + 1], [1])
+        assert sum(members.size for members in groups.values()) == 3
 
     def test_with_leaf_values_rewrites_only_values(self, six_points):
         r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])

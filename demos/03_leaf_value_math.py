@@ -31,7 +31,7 @@ from gradboost import (
 
 # ------------------------------------------------ a fresh two-vs-one leaf
 # Two positive instances, one negative, all starting at score 0 (p = 0.5).
-sample = LeafSample.from_scores(np.array([1.0, 1.0, 0.0]), np.zeros(3))
+sample = LeafSample(np.array([1.0, 1.0, 0.0]), np.zeros(3))
 newton = newton_leaf_value(sample)
 exact = exact_leaf_value(sample)
 
@@ -49,7 +49,7 @@ for value in (0.0, newton, exact, 1.5):
 # ------------------------------------------- where the raw step goes wrong
 # One hit and one miss whose scores are already far negative.  The curvature
 # p(1-p) is tiny there, so dividing by it produces a huge jump.
-bad = LeafSample.from_scores(np.array([1.0, 0.0]), np.array([-3.0, -3.0]))
+bad = LeafSample(np.array([1.0, 0.0]), np.array([-3.0, -3.0]))
 raw = newton_leaf_value(bad)
 best = exact_leaf_value(bad)
 

@@ -3,6 +3,7 @@ per-iteration bookkeeping trace, and the JSON model file format."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset
 from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid
-from .tree import Leaf, RegressionTree, Split, fit_tree
+from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, fit_tree, route
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,8 @@ class TrainConfig:
             raise ValueError("n_trees must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_TREE_DEPTH:
+            raise ValueError(f"max_depth must be in 1..{MAX_TREE_DEPTH}")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
         if self.forced_splits is not None:
@@ -51,14 +52,19 @@ class Model:
     n_features: int
     feature_names: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        for tree in self.trees:
+            if tree.n_features != self.n_features:
+                raise ValueError(f"tree of {tree.n_features} features, model of {self.n_features}")
+
     def predict_raw(self, x) -> float:
-        """Sum of learning-rate-scaled tree outputs for one instance."""
+        """Sum of learning-rate-scaled tree outputs for one instance, in tree order."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape[0] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {x.shape[0]}")
         score = 0.0
         for tree in self.trees:
-            score += self.learning_rate * tree.apply(x)[1]
+            score += self.learning_rate * route(tree.root, x).value
         return score
 
     def predict_proba(self, x) -> float:
@@ -109,42 +115,52 @@ def serialize_model(model: Model) -> str:
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
-# json.loads accepts Infinity and integers too large for a float, which
-# int() and float() reject with OverflowError rather than ValueError
-_BAD_NUMBER = (TypeError, ValueError, OverflowError)
-_TOO_DEEP = "model file is nested deeper than the recursion limit"
+def _integer(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # JSON true parses to bool, a subclass of int
+        raise ModelFormatError(f"{key!r} must be a JSON integer, got {type(value).__name__}")
+    return value
 
 
-def _node_from_dict(obj, n_features: int):
+def _number(obj: dict, key: str) -> float:
+    value = obj[key]
+    if type(value) not in (int, float):
+        raise ModelFormatError(f"{key!r} must be a JSON number, got {type(value).__name__}")
+    # json.loads accepts Infinity, NaN and integers too large for a float
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{key!r} must be finite")
+    return value
+
+
+def _node_from_dict(obj, n_features: int, leaf_ids, depth: int = 0):
+    """One tree node; leaf ids must be the successive values of leaf_ids,
+    left subtree first, as fit_tree numbers them."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf_id" in obj:
         if "gamma" not in obj:
             raise ModelFormatError("leaf node missing 'gamma'")
-        try:
-            leaf_id = int(obj["leaf_id"])
-            value = float(obj["gamma"])
-        except _BAD_NUMBER as exc:
-            raise ModelFormatError(f"bad leaf node: {exc}") from None
-        if not math.isfinite(value):
-            raise ModelFormatError("leaf gamma must be finite")
-        return Leaf(leaf_id, value)
+        leaf_id, expected = _integer(obj, "leaf_id"), next(leaf_ids)
+        if leaf_id != expected:
+            raise ModelFormatError(f"leaf_id {leaf_id} out of order, expected {expected}")
+        return Leaf(leaf_id, _number(obj, "gamma"))
     for key in ("feature_index", "threshold", "left", "right"):
         if key not in obj:
             raise ModelFormatError(f"internal node missing {key!r}")
-    try:
-        feature_index = int(obj["feature_index"])
-        threshold = float(obj["threshold"])
-    except _BAD_NUMBER as exc:
-        raise ModelFormatError(f"bad internal node: {exc}") from None
+    if depth == MAX_TREE_DEPTH:
+        raise ModelFormatError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
+    feature_index = _integer(obj, "feature_index")
     if not 0 <= feature_index < n_features:
         raise ModelFormatError(
             f"feature_index {feature_index} out of range for {n_features} features"
         )
-    if not math.isfinite(threshold):
-        raise ModelFormatError("threshold must be finite")
-    left = _node_from_dict(obj["left"], n_features)
-    right = _node_from_dict(obj["right"], n_features)
+    threshold = _number(obj, "threshold")
+    left = _node_from_dict(obj["left"], n_features, leaf_ids, depth + 1)
+    right = _node_from_dict(obj["right"], n_features, leaf_ids, depth + 1)
     return Split(feature_index, threshold, left, right)
 
 
@@ -164,37 +180,40 @@ def deserialize_model(text: str) -> Model:
     except ValueError as exc:  # an integer literal longer than int() accepts
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ModelFormatError(_TOO_DEEP) from None
+        raise ModelFormatError("model file is nested deeper than the recursion limit") from None
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = document.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
     for key in ("learning_rate", "n_features", "feature_names", "trees"):
         if key not in document:
             raise ModelFormatError(f"model document missing {key!r}")
-    try:
-        learning_rate = float(document["learning_rate"])
-        n_features = int(document["n_features"])
-    except _BAD_NUMBER as exc:
-        raise ModelFormatError(f"bad model header: {exc}") from None
+    learning_rate = _number(document, "learning_rate")
+    if not 0.0 < learning_rate <= 1.0:
+        raise ModelFormatError(f"'learning_rate' {learning_rate!r} is not in (0, 1]")
+    n_features = _integer(document, "n_features")
+    if n_features < 1:
+        raise ModelFormatError(f"'n_features' must be >= 1, got {n_features}")
     names = document["feature_names"]
     if not isinstance(names, list) or len(names) != n_features:
         raise ModelFormatError(f"'feature_names' must be a list of {n_features} names")
+    if not all(isinstance(name, str) for name in names):
+        raise ModelFormatError("'feature_names' must be JSON strings")
     trees_raw = document["trees"]
     if not isinstance(trees_raw, list):
         raise ModelFormatError("'trees' must be a list")
-    try:
-        trees = tuple(RegressionTree(_node_from_dict(t, n_features), n_features) for t in trees_raw)
-    except RecursionError:
-        raise ModelFormatError(_TOO_DEEP) from None
+    trees = tuple(
+        RegressionTree(_node_from_dict(t, n_features, itertools.count(1)), n_features)
+        for t in trees_raw
+    )
     return Model(
         trees=trees,
         learning_rate=learning_rate,
         n_features=n_features,
-        feature_names=tuple(str(s) for s in names),
+        feature_names=tuple(names),
     )
 
 
@@ -284,7 +303,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
         values = {}
         for leaf_id, members in tree.leaf_assignment(X).items():
             if members.size:
-                sample = LeafSample(y[members], scores[members], probs[members])
+                sample = LeafSample(y[members], scores[members])
                 values[leaf_id] = newton_step(*leaf_value_terms(sample))
                 scores[members] += config.learning_rate * values[leaf_id]
         trees.append(tree.with_leaf_values(values))
@@ -317,7 +336,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
         for leaf_id, members in sorted(tree.leaf_assignment(X).items()):
             numerator = denominator = 0.0
             if members.size:
-                sample = LeafSample(y[members], scores[members], prior_probs[members])
+                sample = LeafSample(y[members], scores[members])
                 numerator, denominator = leaf_value_terms(sample)
             scores[members] += model.learning_rate * stored[leaf_id]
             leaf_ids[members] = leaf_id

@@ -4,13 +4,11 @@ the second-order (Newton) leaf step, and an exact bisection minimizer."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 NEWTON_DENOMINATOR_FLOOR = 1e-12
-
-_PROB_SCORE_TOL = 1e-12
 
 
 def sigmoid(z):
@@ -49,41 +47,32 @@ def _softplus(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeafSample:
-    """The instances routed to one leaf: binary labels plus the scores and
-    probabilities the model assigned them before this leaf's update."""
+    """The instances routed to one leaf: binary labels, the scores the model
+    assigned them before this leaf's update, and those scores' sigmoid."""
 
     labels: np.ndarray
     prior_scores: np.ndarray
-    prior_probs: np.ndarray
+    prior_probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.float64).reshape(-1)
         scores = np.asarray(self.prior_scores, dtype=np.float64).reshape(-1)
-        probs = np.asarray(self.prior_probs, dtype=np.float64).reshape(-1)
-        if not (labels.size == scores.size == probs.size):
-            raise ValueError("labels, prior_scores, and prior_probs must have equal length")
+        if labels.size != scores.size:
+            raise ValueError("labels and prior_scores must have equal length")
         if labels.size == 0:
             raise ValueError("a leaf sample must hold at least one instance")
         if not np.all(np.isin(labels, (0.0, 1.0))):
             raise ValueError("labels must be exactly 0 or 1")
-        if np.max(np.abs(probs - sigmoid(scores))) > _PROB_SCORE_TOL:
-            raise ValueError("prior_probs must equal sigmoid(prior_scores)")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior_scores", scores)
-        object.__setattr__(self, "prior_probs", probs)
+        object.__setattr__(self, "prior_probs", sigmoid(scores))
 
     def __len__(self) -> int:
         return self.labels.size
 
     @classmethod
-    def from_scores(cls, labels, scores) -> "LeafSample":
-        scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        return cls(labels, scores, sigmoid(scores))
-
-    @classmethod
     def from_probs(cls, labels, probs) -> "LeafSample":
-        probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-        return cls(labels, log_odds(probs), probs)
+        return cls(labels, log_odds(probs))
 
 
 def leaf_value_terms(sample: LeafSample) -> tuple[float, float]:

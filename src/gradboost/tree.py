@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Deep enough for any practical tree, and shallow enough that growing,
+# serializing, loading and walking one stays under Python's default
+# recursion limit.
+MAX_TREE_DEPTH = 512
 
 
 @dataclass(frozen=True)
@@ -96,10 +102,8 @@ class RegressionTree:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape[0] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {x.shape[0]}")
-        node = self.root
-        while isinstance(node, Split):
-            node = node.left if x[node.feature_index] <= node.threshold else node.right
-        return node.leaf_id, node.value
+        leaf = route(self.root, x)
+        return leaf.leaf_id, leaf.value
 
     def leaves(self) -> list[Leaf]:
         """All leaves in left-to-right order."""
@@ -148,7 +152,7 @@ class RegressionTree:
                 go_left = X[rows, node.feature_index] <= node.threshold
                 stack += [(node.right, rows[~go_left]), (node.left, rows[go_left])]
             else:
-                seen = groups.get(node.leaf_id)  # a hand-edited model may repeat an id
+                seen = groups.get(node.leaf_id)  # a hand-built tree may repeat an id
                 groups[node.leaf_id] = rows if seen is None else np.union1d(seen, rows)
         return groups
 
@@ -163,26 +167,26 @@ class RegressionTree:
         return RegressionTree(rebuild(self.root), self.n_features)
 
 
-def _number_leaves(node, next_id: int):
-    if isinstance(node, Leaf):
-        return Leaf(next_id, node.value), next_id + 1
-    left, next_id = _number_leaves(node.left, next_id)
-    right, next_id = _number_leaves(node.right, next_id)
-    return Split(node.feature_index, node.threshold, left, right), next_id
+def route(node: Split | Leaf, x) -> Leaf:
+    """The leaf row x reaches from node; the caller has checked x's width."""
+    while isinstance(node, Split):
+        node = node.left if x[node.feature_index] <= node.threshold else node.right
+    return node
 
 
-def _grow(X, res, idx, depth, max_depth, min_leaf):
+def _grow(X, res, idx, depth, max_depth, min_leaf, leaf_ids):
+    """Grow one subtree; leaves take ids from leaf_ids, left subtree first."""
     if depth >= max_depth or idx.size < 2:
-        return Leaf(0, 0.0)
+        return Leaf(next(leaf_ids), 0.0)
     candidate = best_split(X, res, idx, min_count=min_leaf)
     if candidate is None:
-        return Leaf(0, 0.0)
+        return Leaf(next(leaf_ids), 0.0)
     go_left = X[idx, candidate.feature_index] <= candidate.threshold
     return Split(
         candidate.feature_index,
         candidate.threshold,
-        _grow(X, res, idx[go_left], depth + 1, max_depth, min_leaf),
-        _grow(X, res, idx[~go_left], depth + 1, max_depth, min_leaf),
+        _grow(X, res, idx[go_left], depth + 1, max_depth, min_leaf, leaf_ids),
+        _grow(X, res, idx[~go_left], depth + 1, max_depth, min_leaf, leaf_ids),
     )
 
 
@@ -204,8 +208,8 @@ def fit_tree(
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
     res = np.asarray(residuals, dtype=np.float64)
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    if not 1 <= max_depth <= MAX_TREE_DEPTH:
+        raise ValueError(f"max_depth must be in 1..{MAX_TREE_DEPTH}")
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
     idx = np.arange(X.shape[0], dtype=np.intp)
@@ -218,8 +222,7 @@ def fit_tree(
         feature_index = int(feature_index)
         if not 0 <= feature_index < X.shape[1]:
             raise ValueError(f"forced split feature index {feature_index} out of range")
-        root = Split(feature_index, float(threshold), Leaf(0, 0.0), Leaf(0, 0.0))
+        root = Split(feature_index, float(threshold), Leaf(1, 0.0), Leaf(2, 0.0))
     else:
-        root = _grow(X, res, idx, 0, max_depth, min_leaf)
-    root, _ = _number_leaves(root, 1)
+        root = _grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
     return RegressionTree(root=root, n_features=X.shape[1])

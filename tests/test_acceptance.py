@@ -135,7 +135,7 @@ def test_raw_newton_step_never_hurts_each_leaf():
     start = time.perf_counter()
     violations = []
     for case, (labels, scores) in enumerate(_random_mixed_leaves(1000)):
-        sample = LeafSample.from_scores(labels, scores)
+        sample = LeafSample(labels, scores)
         gamma = newton_leaf_value(sample)
         exact = exact_leaf_value(sample)
         at_zero = leaf_loss(0.0, sample)
@@ -165,7 +165,7 @@ def test_leaf_gradient_check():
     worst = 0.0
     violations = 0
     for labels, scores in _random_mixed_leaves(1000):
-        sample = LeafSample.from_scores(labels, scores)
+        sample = LeafSample(labels, scores)
         for value in probes:
             analytic = leaf_loss_derivative(value, sample)
             numeric = (leaf_loss(value + h, sample) - leaf_loss(value - h, sample)) / (2 * h)
@@ -185,7 +185,7 @@ def test_leaf_gradient_check():
 
 def test_bisection_and_newton_on_reference_leaf():
     """Two hits and a miss from even odds: exact value ln 2, one-step value 2/3."""
-    sample = LeafSample.from_scores(np.array([1.0, 1.0, 0.0]), np.zeros(3))
+    sample = LeafSample(np.array([1.0, 1.0, 0.0]), np.zeros(3))
     exact = exact_leaf_value(sample)
     newton = newton_leaf_value(sample)
     exact_err = abs(exact - math.log(2.0))

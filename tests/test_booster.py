@@ -9,6 +9,7 @@ from gradboost import (
     Dataset,
     LeafSample,
     Model,
+    RegressionTree,
     TrainConfig,
     leaf_loss,
     newton_step,
@@ -66,6 +67,7 @@ class TestTrainConfig:
             {"n_trees": -1},
             {"n_trees": 2, "forced_splits": ((0, 1.0),)},
             {"max_depth": 2, "n_trees": 1, "forced_splits": ((0, 1.0),)},
+            {"max_depth": 513},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -163,6 +165,29 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict_raw(np.array([1.0, 2.0]))
 
+    def test_predict_raw_is_the_in_order_sum_of_tree_outputs(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 40))
+            features = rng.integers(0, 5, (n, 3)).astype(float)
+            ds = Dataset(features, rng.integers(0, 2, n).astype(float), ("a", "b", "c"))
+            config = TrainConfig(n_trees=5, learning_rate=0.3, max_depth=1 + seed % 3)
+            model, _ = train(ds, config)
+            # integer features put every threshold on a half-integer, so many
+            # of these rows sit exactly on one
+            rows = rng.integers(-1, 11, (40, 3)) / 2.0
+            for x in rows:
+                expected = 0.0
+                for tree in model.trees:
+                    expected += model.learning_rate * tree.apply(x)[1]
+                assert float.hex(model.predict_raw(x)) == float.hex(expected)
+
+    def test_model_rejects_a_tree_of_another_width(self, reference_run):
+        model, _ = reference_run
+        wide = RegressionTree(model.trees[0].root, 2)
+        with pytest.raises(ValueError, match="features"):
+            Model(trees=(*model.trees, wide), learning_rate=0.1, n_features=1)
+
     def test_rejects_bad_threshold(self, reference_run):
         model, _ = reference_run
         for bad in (0.0, 1.0, -0.1):
@@ -229,7 +254,7 @@ def test_damped_step_improves_each_mixed_leaf(six_points, reference_run):
     for record in trace.records:
         for leaf in record.leaves:
             members = leaf.members
-            sample = LeafSample.from_scores(labels[members], prev_scores[members])
+            sample = LeafSample(labels[members], prev_scores[members])
             if len(set(labels[members])) < 2:
                 continue
             before = leaf_loss(0.0, sample)

@@ -196,12 +196,20 @@ class TestUsageErrors:
             ["--force-splits", "0:3.5;nope;0:5.25"],
             ["--force-splits", FORCED, "--max-depth", "2"],
             ["--trees", "1", "--force-splits", "5:1.0"],  # feature index out of range
+            ["--max-depth", "513"],
         ],
     )
     def test_bad_training_options(self, trained, capsys, extra):
         code = main(["train", "--data", str(trained.data), *extra])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err != ""
+
+    def test_max_depth_past_the_limit(self, tmp_path, capsys):
+        # deep enough to exhaust the recursion limit if training were attempted
+        rows = "".join(f"{x},{x % 2}\n" for x in range(3000))
+        data = _write(tmp_path, "x,label\n" + rows)
+        assert main(["train", "--data", str(data), "--max-depth", "1200"]) == EXIT_USAGE
+        assert "max_depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "-0.2"])
     def test_bad_prediction_threshold(self, trained, capsys, threshold):
@@ -283,11 +291,21 @@ def _set_root(key, value):
     return lambda document: document["trees"][0].update({key: value})
 
 
+def _set_leaf(side, key, value):
+    return lambda document: document["trees"][0][side].update({key: value})
+
+
+def _swap_leaf_ids(document):
+    root = document["trees"][0]
+    root["left"]["leaf_id"], root["right"]["leaf_id"] = 2, 1
+
+
 def _split_chain(depth):
-    """A one-feature model whose single tree nests depth splits down its left side."""
+    """A one-feature model whose single tree nests depth splits down its left
+    side, with leaf ids 1..depth+1 left to right."""
     node = '{"leaf_id": 1, "gamma": 0.0}'
-    for _ in range(depth):
-        right = '{"leaf_id": 2, "gamma": 0.0}'
+    for leaf_id in range(2, depth + 2):
+        right = f'{{"leaf_id": {leaf_id}, "gamma": 0.0}}'
         node = f'{{"feature_index": 0, "threshold": 0.5, "left": {node}, "right": {right}}}'
     header = '"format_version": 1, "learning_rate": 0.1, "n_features": 1, "feature_names": ["x"]'
     return f'{{{header}, "trees": [{node}]}}'.encode()
@@ -328,6 +346,9 @@ class TestUnreadableInputs:
                 "predict", _set("n_features", math.inf), None, EXIT_IO, id="infinite-n-features"
             ),
             pytest.param(
+                "predict", _set("feature_names", [1]), None, EXIT_IO, id="feature-name-not-a-string"
+            ),
+            pytest.param(
                 "predict", _set_root("threshold", 10**400), None, EXIT_IO,
                 id="threshold-beyond-float-range",
             ),
@@ -338,6 +359,66 @@ class TestUnreadableInputs:
             pytest.param("predict", _split_chain(3000), None, EXIT_IO, id="deep-split-chain"),
             pytest.param(
                 "predict", b"[" * 3000 + b"]" * 3000, None, EXIT_IO, id="deep-nested-arrays"
+            ),
+            # leaf ids must run 1..J left to right, as fit_tree numbers them
+            pytest.param(
+                "trace", _set_leaf("right", "leaf_id", 1), None, EXIT_IO, id="repeated-leaf-id"
+            ),
+            pytest.param(
+                "predict", _swap_leaf_ids, None, EXIT_IO, id="leaf-ids-right-to-left"
+            ),
+            pytest.param(
+                "predict", _set_leaf("left", "leaf_id", 0), None, EXIT_IO, id="leaf-ids-from-zero"
+            ),
+            pytest.param(
+                "predict", _set("learning_rate", -7), None, EXIT_IO, id="negative-learning-rate"
+            ),
+            pytest.param(
+                "predict", _set("learning_rate", 0), None, EXIT_IO, id="zero-learning-rate"
+            ),
+            pytest.param(
+                "predict", _set("learning_rate", 1.5), None, EXIT_IO, id="learning-rate-above-one"
+            ),
+            pytest.param(
+                "predict", lambda doc: doc.update(n_features=0, feature_names=[], trees=[]), None,
+                EXIT_IO, id="zero-n-features",
+            ),
+            # integers must be JSON integers and numbers JSON numbers
+            pytest.param("predict", _set("n_features", True), None, EXIT_IO, id="n-features-true"),
+            pytest.param("predict", _set("n_features", 1.7), None, EXIT_IO, id="n-features-float"),
+            pytest.param(
+                "predict", _set_root("feature_index", 0.5), None, EXIT_IO, id="feature-index-float"
+            ),
+            pytest.param(
+                "predict", _set_root("feature_index", False), None, EXIT_IO,
+                id="feature-index-false",
+            ),
+            pytest.param(
+                "predict", _set_leaf("left", "leaf_id", True), None, EXIT_IO, id="leaf-id-true"
+            ),
+            pytest.param(
+                "predict", _set_leaf("left", "leaf_id", 1.7), None, EXIT_IO, id="leaf-id-float"
+            ),
+            pytest.param(
+                "predict", _set("learning_rate", True), None, EXIT_IO, id="learning-rate-true"
+            ),
+            pytest.param(
+                "predict", _set("learning_rate", "0.5"), None, EXIT_IO, id="learning-rate-string"
+            ),
+            pytest.param(
+                "predict", _set_root("threshold", "3.5"), None, EXIT_IO, id="threshold-string"
+            ),
+            pytest.param(
+                "predict", _set_root("threshold", True), None, EXIT_IO, id="threshold-true"
+            ),
+            pytest.param(
+                "predict", _set_leaf("left", "gamma", "0.5"), None, EXIT_IO, id="gamma-string"
+            ),
+            pytest.param(
+                "predict", _set_leaf("left", "gamma", False), None, EXIT_IO, id="gamma-false"
+            ),
+            pytest.param(
+                "predict", _split_chain(600), None, EXIT_IO, id="split-chain-past-depth-limit"
             ),
         ],
     )
@@ -361,9 +442,27 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_depth_limit_is_named(self, trained, tmp_path, capsys):
+        model = tmp_path / "deep.json"
+        model.write_bytes(_split_chain(600))
+        assert main(["predict", "--model", str(model), "--data", str(trained.data)]) == EXIT_IO
+        assert "512" in capsys.readouterr().err
+
+    def test_deepest_allowed_tree_trains_saves_loads_and_traces(self, tmp_path, capsys):
+        # alternating labels on distinct x values grow a chain as deep as allowed
+        rows = "".join(f"{x},{x % 2}\n" for x in range(600))
+        data = _write(tmp_path, "x,label\n" + rows)
+        model = tmp_path / "model.json"
+        argv = ["train", "--data", str(data), "--trees", "1", "--max-depth", "512"]
+        assert main([*argv, "--out", str(model)]) == EXIT_OK
+        assert load_model(model).trees[0].depth() == 512
+        out = ["--out", str(tmp_path / "trace.csv")]
+        assert main(["trace", "--model", str(model), "--data", str(data), *out]) == EXIT_OK
+        capsys.readouterr()
+
 
 class TestModelVersion:
-    @pytest.mark.parametrize("version", [2, 0, "1", None])
+    @pytest.mark.parametrize("version", [2, 0, "1", None, True, 1.0])
     def test_unsupported_versions(self, trained, tmp_path, capsys, version):
         document = json.loads(trained.model.read_text(encoding="utf-8"))
         if version is None:

@@ -21,7 +21,7 @@ from gradboost import (
 
 
 def _sample(labels, scores):
-    return LeafSample.from_scores(np.asarray(labels, dtype=float), np.asarray(scores, dtype=float))
+    return LeafSample(np.asarray(labels, dtype=float), np.asarray(scores, dtype=float))
 
 
 class TestSigmoid:
@@ -80,25 +80,39 @@ class TestLeafSample:
     def test_from_scores_matches_from_probs(self):
         y = np.array([1.0, 0.0])
         s = np.array([0.3, -0.2])
-        a = LeafSample.from_scores(y, s)
+        a = LeafSample(y, s)
         b = LeafSample.from_probs(y, sigmoid(s))
         np.testing.assert_allclose(a.prior_probs, b.prior_probs, rtol=0, atol=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            LeafSample.from_scores(np.array([]), np.array([]))
+            LeafSample(np.array([]), np.array([]))
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(ValueError):
-            LeafSample.from_scores(np.array([0.5]), np.array([0.0]))
+            LeafSample(np.array([0.5]), np.array([0.0]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            LeafSample.from_scores(np.array([1.0]), np.array([0.0, 0.0]))
+            LeafSample(np.array([1.0]), np.array([0.0, 0.0]))
 
-    def test_rejects_inconsistent_probs(self):
-        with pytest.raises(ValueError):
-            LeafSample(np.array([1.0]), np.array([0.0]), np.array([0.7]))
+    def test_prior_probs_are_the_sigmoid_of_the_scores(self):
+        # bit for bit, also on any subset of the rows, as when the booster
+        # builds one sample per leaf from the round's score array
+        rng = np.random.default_rng(11)
+        scores = np.concatenate([rng.uniform(-40.0, 40.0, 200), [0.0, -0.0, 700.0, -700.0]])
+        labels = rng.integers(0, 2, scores.size).astype(float)
+        full = sigmoid(scores)
+        for _ in range(20):
+            members = np.flatnonzero(rng.random(scores.size) < rng.random())
+            if members.size:
+                sample = LeafSample(labels[members], scores[members])
+                got = [p.hex() for p in sample.prior_probs.tolist()]
+                assert got == [p.hex() for p in full[members].tolist()]
+
+    def test_prior_probs_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            LeafSample(np.array([1.0]), np.array([0.0]), np.array([0.5]))
 
 
 class TestNewtonStep:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gradboost import Leaf, RegressionTree, Split, best_split, fit_tree
+from gradboost.tree import MAX_TREE_DEPTH
 
 from conftest import REFERENCE_SPLITS
 
@@ -201,6 +202,12 @@ class TestFitTree:
         tree = fit_tree(x, r, max_depth=3)
         assert [leaf.leaf_id for leaf in tree.leaves()] == list(range(1, tree.n_leaves + 1))
 
+    def test_max_depth_is_limited(self):
+        x, r = np.array([[0.0], [1.0]]), np.array([-0.5, 0.5])
+        assert fit_tree(x, r, max_depth=MAX_TREE_DEPTH).depth() == 1
+        with pytest.raises(ValueError, match="max_depth"):
+            fit_tree(x, r, max_depth=MAX_TREE_DEPTH + 1)
+
     def test_leaf_assignment_partitions_instances(self):
         rng = np.random.default_rng(41)
         x = rng.uniform(0, 10, (25, 2))
@@ -239,7 +246,7 @@ class TestFitTree:
         assert below[2].size == 0 and below[2].dtype == np.intp
 
     def test_leaf_assignment_merges_a_repeated_leaf_id(self):
-        # a hand-edited model file may reuse a leaf id; apply sends both leaves' rows to it
+        # a hand-built tree may reuse a leaf id; apply sends both leaves' rows to it
         inner = Split(0, 1.5, Leaf(1, 0.0), Leaf(2, 0.0))
         tree = RegressionTree(Split(0, 2.5, inner, Leaf(1, 0.0)), 1)
         x = np.array([[3.0], [1.0], [2.0], [0.0]])

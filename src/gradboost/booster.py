@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset
 from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid
-from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, fit_tree, route
+from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, fit_tree
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,22 @@ class Model:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if x.shape[0] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {x.shape[0]}")
+        row = x.tolist()
         score = 0.0
         for tree in self.trees:
-            score += self.learning_rate * route(tree.root, x).value
+            score += self.learning_rate * tree._walk(row)[1]
         return score
+
+    def predict_raw_batch(self, features) -> np.ndarray:
+        """predict_raw of every row of a matrix, bit for bit: each tree routes
+        all rows at once, and each row's outputs are summed in tree order."""
+        X = np.ascontiguousarray(features, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
+        scores = np.zeros(X.shape[0])
+        for tree in self.trees:
+            scores += self.learning_rate * tree.apply_batch(X)[1]
+        return scores
 
     def predict_proba(self, x) -> float:
         return sigmoid(self.predict_raw(x))

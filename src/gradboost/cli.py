@@ -54,8 +54,9 @@ def write_predictions(fh, model: Model, dataset: Dataset | None, threshold: floa
     writer.writerow(["index", "raw_score", "probability", "label"])
     if dataset is None:
         return
-    raws = [model.predict_raw(row) for row in dataset.features]
-    for i, (raw, prob) in enumerate(zip(raws, sigmoid(raws)), start=1):
+    raws = model.predict_raw_batch(dataset.features)
+    probs = sigmoid(raws)
+    for i, (raw, prob) in enumerate(zip(raws.tolist(), probs.tolist()), start=1):
         writer.writerow([i, f"{raw:.6f}", f"{prob:.6f}", 1 if prob >= threshold else 0])
 
 

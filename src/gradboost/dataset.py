@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,37 +96,40 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
     """Read a header-first CSV; a trailing "label" column becomes the labels.
 
     expect_labels requires that column to exist.  Rows are reported 1-based,
-    counting from the first data row.  Raises EmptyDatasetError when the file
-    holds a header but no rows, and DataError for every other violation.
+    counting from the first data row.  Rows are parsed as they are read, so of
+    two faults the one earlier in the file is reported.  Raises
+    EmptyDatasetError when the file holds a header but no rows, and DataError
+    for every other violation.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            rows = list(csv.reader(fh))
+            return _read_rows(path, csv.reader(fh), expect_labels)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: file is not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
             raise DataError(f"{path}: {exc}") from None
-    if not rows or not rows[0]:
+
+
+def _read_rows(path, reader, expect_labels: bool) -> Dataset:
+    header = next(reader, None)
+    if not header:
         raise DataError(f"{path}: empty file, expected a header row")
-    header, data_rows = rows[0], rows[1:]
     has_labels = header[-1] == "label"
     if expect_labels and not has_labels:
         raise DataError(f'{path}: expected the last column to be named "label", got {header[-1]!r}')
     feature_names = header[:-1] if has_labels else header
     if not feature_names:
         raise DataError(f"{path}: no feature columns")
-    if not data_rows:
-        raise EmptyDatasetError(f"{path}: no data rows")
 
-    features = []
-    labels = []
-    for row_num, row in enumerate(data_rows, start=1):
+    d = len(feature_names)
+    features, labels = array("d"), array("d")
+    for row_num, row in enumerate(reader, start=1):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
             )
-        features.append(
-            [_parse_number(path, row_num, name, cell) for name, cell in zip(feature_names, row)]
+        features.extend(
+            _parse_number(path, row_num, name, cell) for name, cell in zip(feature_names, row)
         )
         if has_labels:
             value = _parse_number(path, row_num, "label", row[-1])
@@ -134,9 +138,11 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
                     f'{path}: row {row_num}, column "label": expected 0 or 1, got {row[-1]!r}'
                 )
             labels.append(value)
+    if not features:
+        raise EmptyDatasetError(f"{path}: no data rows")
     return Dataset(
-        features=np.asarray(features, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.float64) if has_labels else None,
+        features=np.frombuffer(features, dtype=np.float64).reshape(-1, d),
+        labels=np.frombuffer(labels, dtype=np.float64) if has_labels else None,
         feature_names=tuple(feature_names),
     )
 

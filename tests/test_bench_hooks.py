@@ -23,20 +23,30 @@ def _load_tracing():
     return module
 
 
-def test_traced_train_records_layer_spans(tmp_path, capsys):
-    data = tmp_path / "six.csv"
-    data.write_text(SIX_CSV, encoding="utf-8")
-    model = tmp_path / "model.json"
+def _traced(argv):
+    """(exit code, tracer) of one gradboost CLI call under the benchmark's tracer."""
     tracer = _load_tracing().Tracer()
     tracer.prepare(gradboost)
     tracer.install()
     try:
-        code = gradboost.cli.main(["train", "--data", str(data), "--out", str(model)])
+        code = gradboost.cli.main(argv)
     finally:
         tracer.uninstall()
+    return code, tracer
+
+
+def _span_names(tracer):
+    return {tracer.names[span[0]] for span in tracer.spans}
+
+
+def test_traced_train_records_layer_spans(tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV, encoding="utf-8")
+    model = tmp_path / "model.json"
+    code, tracer = _traced(["train", "--data", str(data), "--out", str(model)])
     assert code == 0
     capsys.readouterr()
-    spans = {tracer.names[span[0]] for span in tracer.spans}
+    spans = _span_names(tracer)
     assert {
         "dataset.load_csv",
         "booster.train",
@@ -47,3 +57,35 @@ def test_traced_train_records_layer_spans(tmp_path, capsys):
         "cli.save_model",
     } <= spans
     assert tracer.counts["model_bytes"] == model.stat().st_size
+
+
+def test_traced_predict_and_trace_record_layer_spans(tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV, encoding="utf-8")
+    model = tmp_path / "model.json"
+    assert gradboost.cli.main(["train", "--data", str(data), "--out", str(model)]) == 0
+    predictions, trace = tmp_path / "predictions.csv", tmp_path / "trace.csv"
+
+    code, tracer = _traced(
+        ["predict", "--model", str(model), "--data", str(data), "--out", str(predictions)]
+    )
+    assert code == 0
+    assert {"cli.load_model", "dataset.load_csv", "cli.write_predictions"} <= _span_names(tracer)
+    assert tracer.counts["model_bytes"] == model.stat().st_size
+    assert tracer.counts["output_bytes"] == predictions.stat().st_size
+    assert tracer.counts["predict_raw_calls"] == 0  # the batch path scores every row
+
+    code, tracer = _traced(
+        ["trace", "--model", str(model), "--data", str(data), "--out", str(trace)]
+    )
+    assert code == 0
+    assert {
+        "cli.load_model",
+        "dataset.load_csv",
+        "booster.replay",
+        "tree.leaf_assignment",
+        "cli.write_trace",
+    } <= _span_names(tracer)
+    assert tracer.counts["rows_routed"] == 6 * 3  # six rows through each of the default 3 trees
+    assert tracer.counts["output_bytes"] == trace.stat().st_size
+    capsys.readouterr()

@@ -1,7 +1,12 @@
 """Dataset loading, validation, and CSV round-trip behavior."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradboost import DataError, Dataset, EmptyDatasetError, load_csv, save_csv
 
@@ -74,6 +79,25 @@ class TestLoadCsv:
         # and the empty-file error is still a DataError for coarse handling
         assert issubclass(EmptyDatasetError, DataError)
 
+    def test_unlabeled_header_only_file(self, tmp_path):
+        with pytest.raises(EmptyDatasetError, match="no data rows"):
+            load_csv(_write(tmp_path, "a,b\r\n"))
+
+    def test_earlier_of_two_faults_is_reported(self, tmp_path):
+        # rows are parsed as they are read: a bad cell in row 1 is reported
+        # even though row 3 holds a cell over the csv module's field limit
+        text = "a,label\n1,oops\n2,1\n" + "3" * 200_000 + ",0\n"
+        with pytest.raises(DataError, match=r'row 1, column "label"'):
+            load_csv(_write(tmp_path, text), expect_labels=True)
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(_write(tmp_path, text.replace("oops", "1")), expect_labels=True)
+
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path):
+        with pytest.raises(DataError, match=r'row 2, column "b": non-finite'):
+            load_csv(_write(tmp_path, "a,b,c\n1,2,3\n4,inf,x\n"))
+        with pytest.raises(DataError, match=r'row 2, column "b": non-numeric'):
+            load_csv(_write(tmp_path, "a,b,c\n1,2,3\n4,x,inf\n"))
+
     def test_label_only_header(self, tmp_path):
         with pytest.raises(DataError, match="no feature columns"):
             load_csv(_write(tmp_path, "label\n1\n"), expect_labels=True)
@@ -107,6 +131,35 @@ class TestRoundTrip:
         ds = Dataset(np.array([[1.5, 2.5]]), None, ("a", "b"))
         save_csv(ds, tmp_path / "u.csv")
         assert load_csv(tmp_path / "u.csv") == ds
+
+
+_NAMES = st.text(alphabet="ab ,\"'x_1", min_size=1, max_size=4).filter(lambda name: name != "label")
+
+
+@st.composite
+def datasets(draw):
+    """A small data set of arbitrary finite floats, labeled or not."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(finite, min_size=n * d, max_size=n * d))
+    labels = draw(st.none() | st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    names = draw(st.lists(_NAMES, min_size=d, max_size=d))
+    return Dataset(np.array(cells).reshape(n, d), labels, tuple(names))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(datasets())
+def test_save_then_load_gives_back_an_equal_dataset(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(dataset, path)
+        again = load_csv(path, expect_labels=dataset.labels is not None)
+    assert again == dataset
+    assert (again.labels is None) == (dataset.labels is None)
+    assert [v.hex() for v in again.features.ravel().tolist()] == [
+        v.hex() for v in dataset.features.ravel().tolist()
+    ]
 
 
 class TestDatasetInvariants:

@@ -287,6 +287,13 @@ class TestFitTree:
         assert tree.n_leaves == 1
         assert tree.depth() == 0
 
+    @pytest.mark.parametrize("feature_index", [-1, 2, 0.5, True])
+    def test_rejects_a_split_on_a_feature_it_does_not_have(self, feature_index):
+        # feature -1 marks a leaf in the compiled arrays, so it must not pass as a
+        # split; a float or a bool would quietly route on feature int(feature_index)
+        with pytest.raises(ValueError, match="split on feature"):
+            RegressionTree(Split(feature_index, 0.5, Leaf(1, 0.0), Leaf(2, 0.0)), 2)
+
     def test_apply_rejects_wrong_width(self, six_points):
         tree = fit_tree(six_points.features, np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))
         with pytest.raises(ValueError):

@@ -37,10 +37,11 @@ for record in trace.records:
     # Residual table: r = y - p measures how far the current probability
     # sits from the observed label.
     print("  idx    x      y   p_before   r = y - p")
+    residuals = record.residuals
     for i in range(dataset.n_rows):
         print(
             f"  {i + 1:>3}  {dataset.features[i, 0]:>4}    "
-            f"{int(dataset.labels[i])}   {record.prior_probs[i]:.6f}   {record.residuals[i]:+.6f}"
+            f"{int(dataset.labels[i])}   {record.prior_probs[i]:.6f}   {residuals[i]:+.6f}"
         )
 
     # Leaf table: each leaf turns its residuals into one additive score move,

@@ -260,16 +260,34 @@ class LeafRecord:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Everything one boosting iteration computed, in the order it happened."""
+    """Everything one boosting iteration computed, in the order it happened.
+
+    labels is the data set's label array, the same object in every record.
+    residuals and leaf_ids are derived from the other fields on each read,
+    so a whole trace holds neither: a new array each time, bit-equal to what
+    the round computed.
+    """
 
     iteration: int
-    residuals: np.ndarray
-    leaf_ids: np.ndarray
+    labels: np.ndarray
     prior_probs: np.ndarray
     scores: np.ndarray
     probs: np.ndarray
     leaves: tuple[LeafRecord, ...]
     total_loss: float
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """labels - prior_probs: the targets this round's tree was fitted to."""
+        return self.labels - self.prior_probs
+
+    @property
+    def leaf_ids(self) -> np.ndarray:
+        """The id of the leaf each row reached."""
+        ids = np.zeros(self.labels.size, dtype=np.intp)
+        for leaf in self.leaves:
+            ids[leaf.members] = leaf.leaf_id
+        return ids
 
 
 @dataclass(frozen=True)
@@ -343,7 +361,6 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     for m, tree in enumerate(model.trees, start=1):
         stored = {leaf.leaf_id: leaf.value for leaf in tree.leaves()}
         prior_probs, scores = probs, scores.copy()
-        leaf_ids = np.zeros(dataset.n_rows, dtype=np.intp)
         leaves = []
         for leaf_id, members in sorted(tree.leaf_assignment(X).items()):
             numerator = denominator = 0.0
@@ -351,14 +368,12 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
                 sample = LeafSample(y[members], scores[members])
                 numerator, denominator = leaf_value_terms(sample)
             scores[members] += model.learning_rate * stored[leaf_id]
-            leaf_ids[members] = leaf_id
             leaves.append(LeafRecord(leaf_id, members, numerator, denominator, stored[leaf_id]))
         probs = sigmoid(scores)
         records.append(
             IterationRecord(
                 iteration=m,
-                residuals=y - prior_probs,
-                leaf_ids=leaf_ids,
+                labels=y,
                 prior_probs=prior_probs,
                 scores=scores,
                 probs=probs,

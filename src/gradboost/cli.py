@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import sys
 
 from .booster import (
@@ -67,24 +68,33 @@ def write_trace(fh, dataset: Dataset, trace: TrainingTrace) -> None:
     (index, one column per feature, y, p_prev, r), then a leaf table
     (iteration, leaf_id, members, numerator, denominator, gamma).  Instance
     indices and member lists are 1-based; members are space-separated.
+
+    Only the column header can need CSV quoting (feature names are free
+    text); every other cell is a number or a member list, so each round's
+    residual table is joined into one string and written at once.
     """
-    writer = csv.writer(fh, lineterminator="\n")
-    rows = [
-        [i, *(f"{v:.6f}" for v in features), int(label)]
-        for i, (features, label) in enumerate(zip(dataset.features, dataset.labels), start=1)
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(["index", *dataset.feature_names, "y", "p_prev", "r"])
+    header = buffer.getvalue()
+    # indices[i] is row i's 1-based index, shared by the tables and the member lists
+    indices = [str(i) for i in range(1, dataset.n_rows + 1)]
+    rows = zip(indices, dataset.features.tolist(), dataset.labels.tolist())
+    prefixes = [
+        ",".join([index, *map("{:.6f}".format, features), str(int(label))])
+        for index, features, label in rows
     ]
     for record in trace.records:
-        writer.writerow([f"iteration {record.iteration}"])
-        writer.writerow(["index", *dataset.feature_names, "y", "p_prev", "r"])
-        for row, prior, residual in zip(rows, record.prior_probs, record.residuals):
-            writer.writerow([*row, f"{prior:.6f}", f"{residual:.6f}"])
-        writer.writerow([])
-        writer.writerow(["iteration", "leaf_id", "members", "numerator", "denominator", "gamma"])
+        fh.write(f"iteration {record.iteration}\n{header}")
+        prior, residual = record.prior_probs.tolist(), record.residuals.tolist()
+        fh.write("".join(map("{},{:.6f},{:.6f}\n".format, prefixes, prior, residual)))
+        fh.write("\niteration,leaf_id,members,numerator,denominator,gamma\n")
         for leaf in record.leaves:
-            members = " ".join(str(int(i) + 1) for i in leaf.members)
-            sums = (f"{v:.6f}" for v in (leaf.numerator, leaf.denominator, leaf.value))
-            writer.writerow([record.iteration, leaf.leaf_id, members, *sums])
-        writer.writerow([])
+            members = " ".join(map(indices.__getitem__, leaf.members.tolist()))
+            fh.write(
+                f"{record.iteration},{leaf.leaf_id},{members},"
+                f"{leaf.numerator:.6f},{leaf.denominator:.6f},{leaf.value:.6f}\n"
+            )
+        fh.write("\n")
 
 
 def _parse_force_splits(text: str) -> tuple[tuple[int, float], ...]:

@@ -89,7 +89,11 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     return best
 
 
-@dataclass(frozen=True)
+# the compiled columns of a RegressionTree, in the order of its _lists
+_COLUMNS = ("feature", "threshold", "left", "right", "value", "leaf_id")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class RegressionTree:
     """Immutable fitted tree.  Routing uses x[feature] <= threshold for the
     left branch; leaf ids run 1..J in left-to-right order.
@@ -98,20 +102,22 @@ class RegressionTree:
     preorder, left subtree first, so node 0 is the root and the leaves come
     left to right: feature (-1 marks a leaf), threshold, left and right child
     indices (a leaf is its own child, so routing leaves a row there), value
-    (0.0 at a split) and leaf_id (-1 at a split).
+    (0.0 at a split) and leaf_id (-1 at a split).  Equality, hashing and
+    repr read these columns, never the nested root, so a tree of any depth
+    can be compared and printed.
     """
 
     root: Split | Leaf
     n_features: int
-    feature: np.ndarray = field(init=False, repr=False, compare=False)
-    threshold: np.ndarray = field(init=False, repr=False, compare=False)
-    left: np.ndarray = field(init=False, repr=False, compare=False)
-    right: np.ndarray = field(init=False, repr=False, compare=False)
-    value: np.ndarray = field(init=False, repr=False, compare=False)
-    leaf_id: np.ndarray = field(init=False, repr=False, compare=False)
-    _depth: int = field(init=False, repr=False, compare=False)
+    feature: np.ndarray = field(init=False)
+    threshold: np.ndarray = field(init=False)
+    left: np.ndarray = field(init=False)
+    right: np.ndarray = field(init=False)
+    value: np.ndarray = field(init=False)
+    leaf_id: np.ndarray = field(init=False)
+    _depth: int = field(init=False)
     # the same arrays as Python lists, for walking one row without numpy scalars
-    _lists: tuple = field(init=False, repr=False, compare=False)
+    _lists: tuple = field(init=False)
 
     def __post_init__(self):
         columns = ([], [], [], [], [], [])
@@ -135,14 +141,27 @@ class RegressionTree:
                 )
             for column, entry in zip(columns, entries):
                 column.append(entry)
-        names = ("feature", "threshold", "left", "right", "value", "leaf_id")
         dtypes = (np.intp, np.float64, np.intp, np.intp, np.float64, np.intp)
-        for name, column, dtype in zip(names, columns, dtypes):
+        for name, column, dtype in zip(_COLUMNS, columns, dtypes):
             array = np.array(column, dtype=dtype)
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "_depth", depth)
         object.__setattr__(self, "_lists", columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, RegressionTree):
+            return NotImplemented
+        return self.n_features == other.n_features and self._lists == other._lists
+
+    def __hash__(self):
+        # only the integer columns: thresholds and values compare as floats,
+        # where 0.0 == -0.0 although their bytes differ
+        return hash((self.n_features, self.feature.tobytes(), self.leaf_id.tobytes()))
+
+    def __repr__(self):
+        columns = ", ".join(f"{name}={column}" for name, column in zip(_COLUMNS, self._lists))
+        return f"RegressionTree(n_features={self.n_features}, {columns})"
 
     def _walk(self, row: list) -> tuple[int, float]:
         """(leaf_id, value) of the leaf one row reaches; row is a list of

@@ -1,0 +1,48 @@
+"""The audit-replay benchmark's seed-0 outputs keep their recorded fingerprints.
+
+bench/run.py compares every output with bench/fingerprints.json at the
+default seed; this test makes the same comparison for the trace workload in
+the plain test suite, so a byte change in the model file or the trace CSV
+fails here too.  It only reads bench/.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import gradboost.cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it puts src/ first
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_audit_replay_outputs_match_the_recorded_fingerprints(tmp_path, monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    recorded = json.loads((BENCH / "fingerprints.json").read_text(encoding="utf-8"))
+    assert recorded["seed"] == workloads.DEFAULT_SEED
+    workload = workloads.WORKLOADS["audit-replay"]
+    inputs, out = tmp_path / "inputs", tmp_path / workload.output
+    workloads.prepare(workload, workloads.DEFAULT_SEED, inputs)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gradboost.cli.main(workload.argv(inputs, out)) == 0
+    assert {
+        "model.json": _sha256(workload.model_path(inputs, out)),
+        workload.output: _sha256(out),
+    } == recorded[workload.name]

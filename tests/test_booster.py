@@ -317,6 +317,14 @@ def test_row_order_does_not_change_the_model(six_points):
 
 
 class TestReplay:
+    def test_every_record_derives_its_residuals_and_leaf_ids(self, six_points, reference_run):
+        model, trace = reference_run
+        labels, rows = six_points.labels.tolist(), six_points.features
+        for record, tree in zip(trace.records, model.trees):
+            residuals = [(y - p).hex() for y, p in zip(labels, record.prior_probs.tolist())]
+            assert [r.hex() for r in record.residuals.tolist()] == residuals
+            np.testing.assert_array_equal(record.leaf_ids, [tree.apply(x)[0] for x in rows])
+
     def test_replay_matches_training_trace(self, six_points, reference_run):
         model, trace = reference_run
         replayed = replay(model, six_points)

@@ -6,7 +6,18 @@ import sys
 import numpy as np
 import pytest
 
-from gradboost import Leaf, RegressionTree, Split, best_split, fit_tree
+from gradboost import (
+    Dataset,
+    Leaf,
+    RegressionTree,
+    Split,
+    TrainConfig,
+    best_split,
+    deserialize_model,
+    fit_tree,
+    serialize_model,
+    train,
+)
 from gradboost.tree import MAX_TREE_DEPTH
 
 from conftest import REFERENCE_SPLITS
@@ -304,3 +315,55 @@ class TestFitTree:
         for feature_index, threshold in REFERENCE_SPLITS:
             tree = fit_tree(six_points.features, r, forced_split=(feature_index, threshold))
             assert tree.root.threshold == threshold
+
+
+@pytest.fixture(scope="module")
+def deepest_model():
+    """One tree of the largest allowed depth: alternating labels on 600 sorted
+    rows leave a residual to split at every level."""
+    n = 600
+    rows = Dataset(np.arange(n, dtype=float).reshape(-1, 1), np.arange(n) % 2, ("x",))
+    model, _ = train(rows, TrainConfig(n_trees=1, max_depth=MAX_TREE_DEPTH))
+    assert model.trees[0].depth() == MAX_TREE_DEPTH
+    return model
+
+
+class TestTreeIdentity:
+    """==, hash and repr read the compiled arrays, not the nested root."""
+
+    def test_deepest_tree_compares_hashes_and_prints(self, deepest_model):
+        tree = deepest_model.trees[0]
+        copy = RegressionTree(tree.root, tree.n_features)
+        assert copy is not tree
+        assert copy == tree
+        assert hash(copy) == hash(tree)
+        assert repr(tree).startswith("RegressionTree(n_features=1, feature=[0, ")
+
+    def test_deepest_model_survives_a_round_trip(self, deepest_model):
+        assert deserialize_model(serialize_model(deepest_model)) == deepest_model
+
+    def test_repr_lists_every_column(self):
+        tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.25), Leaf(2, -0.5)), 1)
+        assert repr(tree) == (
+            "RegressionTree(n_features=1, feature=[0, -1, -1], threshold=[3.5, 0.0, 0.0],"
+            " left=[1, 1, 2], right=[2, 1, 2], value=[0.0, 0.25, -0.5], leaf_id=[-1, 1, 2])"
+        )
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Split(0, 2.5, Split(0, 1.0, Leaf(1, 0.5), Leaf(2, -0.5)), Leaf(3, 0.25)),
+            Split(0, 2.5, Split(0, 1.5, Leaf(1, 0.5), Leaf(2, -0.25)), Leaf(3, 0.25)),
+            Split(1, 2.5, Split(0, 1.5, Leaf(1, 0.5), Leaf(2, -0.5)), Leaf(3, 0.25)),
+            Split(0, 2.5, Leaf(1, 0.5), Split(0, 1.5, Leaf(2, -0.5), Leaf(3, 0.25))),
+        ],
+        ids=["one-threshold", "one-gamma", "one-feature", "mirrored-shape"],
+    )
+    def test_trees_that_differ_in_one_place_are_unequal(self, other):
+        tree = RegressionTree(
+            Split(0, 2.5, Split(0, 1.5, Leaf(1, 0.5), Leaf(2, -0.5)), Leaf(3, 0.25)), 2
+        )
+        assert RegressionTree(tree.root, 2) == tree
+        assert RegressionTree(other, 2) != tree
+        assert RegressionTree(tree.root, 3) != tree
+        assert tree != tree.root

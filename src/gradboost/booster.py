@@ -230,8 +230,9 @@ def deserialize_model(text: str) -> Model:
 
 
 def save_model(model: Model, path) -> None:
+    text = serialize_model(model)  # first, so a model it refuses leaves no file behind
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_model(model))
+        fh.write(text)
 
 
 def load_model(path) -> Model:
@@ -243,12 +244,13 @@ def load_model(path) -> Model:
     return deserialize_model(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafRecord:
     """Audit record for one leaf of one iteration.
 
     members holds ascending 0-based instance indices; denominator is the raw
-    p(1-p) sum before the division floor is applied.
+    p(1-p) sum before the division floor is applied.  Records compare and
+    hash by identity, as their array fields have no single truth value.
     """
 
     leaf_id: int
@@ -258,14 +260,14 @@ class LeafRecord:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationRecord:
     """Everything one boosting iteration computed, in the order it happened.
 
     labels is the data set's label array, the same object in every record.
     residuals and leaf_ids are derived from the other fields on each read,
     so a whole trace holds neither: a new array each time, bit-equal to what
-    the round computed.
+    the round computed.  Like LeafRecord it compares and hashes by identity.
     """
 
     iteration: int
@@ -290,8 +292,10 @@ class IterationRecord:
         return ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingTrace:
+    """Every round's record, in order; compared and hashed by identity."""
+
     records: tuple[IterationRecord, ...]
 
     def __len__(self) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,8 +41,10 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     """Exhaustive least-squares split search over one node's instances.
 
     Candidate thresholds are midpoints of adjacent distinct sorted feature
-    values within the node.  Returns the SplitCandidate minimizing the summed
-    children SSE, or None when no candidate strictly reduces the node's SSE.
+    values within the node, or the lower value where the midpoint is not in
+    [lower, upper) (huge or adjacent floats), so a threshold always separates
+    its pair.  Returns the SplitCandidate minimizing the summed children SSE,
+    or None when no candidate strictly reduces the node's SSE.
     Ties break toward the lowest feature index, then the lowest threshold.
     min_count restricts candidates to those leaving at least that many
     instances on each side.
@@ -84,46 +86,45 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
                 0.0, right_sq - right_sum * right_sum / (n - i)
             )
             if sse < node_sse and (best is None or sse < best.sse_after):
-                threshold = float((xs[i - 1] + xs[i]) / 2.0)
+                lower, upper = float(xs[i - 1]), float(xs[i])
+                threshold = (lower + upper) / 2.0
+                if not lower <= threshold < upper:
+                    threshold = lower  # the sum overflowed, or rounded up to upper
                 best = SplitCandidate(f, threshold, sse)
     return best
 
 
-# the compiled columns of a RegressionTree, in the order of its _lists
-_COLUMNS = ("feature", "threshold", "left", "right", "value", "leaf_id")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False)
 class RegressionTree:
     """Immutable fitted tree.  Routing uses x[feature] <= threshold for the
     left branch; leaf ids run 1..J in left-to-right order.
 
-    Construction compiles root once into parallel arrays over the nodes in
-    preorder, left subtree first, so node 0 is the root and the leaves come
-    left to right: feature (-1 marks a leaf), threshold, left and right child
-    indices (a leaf is its own child, so routing leaves a row there), value
-    (0.0 at a split) and leaf_id (-1 at a split).  Equality, hashing and
-    repr read these columns, never the nested root, so a tree of any depth
-    can be compared and printed.
+    The tree is stored only as parallel tuples over its nodes in preorder,
+    left subtree first, so node 0 is the root and the leaves come left to
+    right: feature (-1 marks a leaf), threshold, left and right child indices
+    (a leaf is its own child, so routing leaves a row there), value (0.0 at a
+    split) and leaf_id (-1 at a split).  The generated ==, hash and repr read
+    these flat tuples, so a tree of any depth compares and prints.
     """
 
-    root: Split | Leaf
     n_features: int
-    feature: np.ndarray = field(init=False)
-    threshold: np.ndarray = field(init=False)
-    left: np.ndarray = field(init=False)
-    right: np.ndarray = field(init=False)
-    value: np.ndarray = field(init=False)
-    leaf_id: np.ndarray = field(init=False)
-    _depth: int = field(init=False)
-    # the same arrays as Python lists, for walking one row without numpy scalars
-    _lists: tuple = field(init=False)
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    value: tuple[float, ...]
+    leaf_id: tuple[int, ...]
+    # the six columns above as one tuple, so a walk reads them in one lookup
+    _columns: tuple = field(repr=False, compare=False)
+    _depth: int = field(repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, root: Split | Leaf, n_features: int):
+        """Compile root into the columns in one pass, refusing a split whose
+        feature is not an integer in [0, n_features)."""
         columns = ([], [], [], [], [], [])
         feature, threshold, left, right, value, leaf_id = columns
         # (node, the split whose right child it is or -1, its depth)
-        depth, pending = 0, [(self.root, -1, 0)]
+        depth, pending = 0, [(root, -1, 0)]
         while pending:
             node, parent, d = pending.pop()
             i, depth = len(feature), max(depth, d)
@@ -131,42 +132,23 @@ class RegressionTree:
                 right[parent] = i
             if isinstance(node, Leaf):
                 entries = (-1, 0.0, i, i, float(node.value), int(node.leaf_id))
-            elif _is_index(node.feature_index) and 0 <= node.feature_index < self.n_features:
+            elif _is_index(node.feature_index) and 0 <= node.feature_index < n_features:
                 # the left child is popped next, as it is pushed last
                 entries = (int(node.feature_index), float(node.threshold), i + 1, -1, 0.0, -1)
                 pending += [(node.right, i, d + 1), (node.left, -1, d + 1)]
             else:
                 raise ValueError(
-                    f"split on feature {node.feature_index} of a {self.n_features}-feature tree"
+                    f"split on feature {node.feature_index} of a {n_features}-feature tree"
                 )
             for column, entry in zip(columns, entries):
                 column.append(entry)
-        dtypes = (np.intp, np.float64, np.intp, np.intp, np.float64, np.intp)
-        for name, column, dtype in zip(_COLUMNS, columns, dtypes):
-            array = np.array(column, dtype=dtype)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_lists", columns)
-
-    def __eq__(self, other):
-        if not isinstance(other, RegressionTree):
-            return NotImplemented
-        return self.n_features == other.n_features and self._lists == other._lists
-
-    def __hash__(self):
-        # only the integer columns: thresholds and values compare as floats,
-        # where 0.0 == -0.0 although their bytes differ
-        return hash((self.n_features, self.feature.tobytes(), self.leaf_id.tobytes()))
-
-    def __repr__(self):
-        columns = ", ".join(f"{name}={column}" for name, column in zip(_COLUMNS, self._lists))
-        return f"RegressionTree(n_features={self.n_features}, {columns})"
+        columns = tuple(map(tuple, columns))
+        for f, attribute in zip(fields(self), (n_features, *columns, columns, depth)):
+            object.__setattr__(self, f.name, attribute)
 
     def _walk(self, row: list) -> tuple[int, float]:
-        """(leaf_id, value) of the leaf one row reaches; row is a list of
-        Python floats of the tree's width, walked without numpy scalars."""
-        feature, threshold, left, right, value, leaf_id = self._lists
+        """(leaf_id, value) of the leaf a row, a list of Python floats, reaches."""
+        feature, threshold, left, right, value, leaf_id = self._columns
         i = 0
         while feature[i] >= 0:
             i = left[i] if row[feature[i]] <= threshold[i] else right[i]
@@ -190,23 +172,24 @@ class RegressionTree:
         # a row at node i moves to children[i + n_nodes] when it goes left and
         # to children[i] when it goes right; at a leaf it stays where it is
         # (feature -1 reads the previous cell, which decides nothing)
-        n_nodes = self.feature.size
-        children = np.concatenate([self.right, self.left])
+        n_nodes = len(self.feature)
+        feature = np.array(self.feature, dtype=np.intp)
+        threshold = np.array(self.threshold, dtype=np.float64)
+        children = np.array(self.right + self.left, dtype=np.intp)
         nodes = np.zeros(n_rows, dtype=np.intp)
         for _ in range(self._depth):
-            at = row_starts + self.feature.take(nodes)
-            go_left = cells.take(at) <= self.threshold.take(nodes)
+            at = row_starts + feature.take(nodes)
+            go_left = cells.take(at) <= threshold.take(nodes)
             nodes = children.take(nodes + go_left * n_nodes)
-        return self.leaf_id.take(nodes), self.value.take(nodes)
+        return np.array(self.leaf_id, dtype=np.intp).take(nodes), np.array(self.value).take(nodes)
 
     def leaves(self) -> list[Leaf]:
         """All leaves in left-to-right order."""
-        at_leaf = self.feature < 0
-        return list(map(Leaf, self.leaf_id[at_leaf].tolist(), self.value[at_leaf].tolist()))
+        return [Leaf(i, v) for f, i, v in zip(self.feature, self.leaf_id, self.value) if f < 0]
 
     @property
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
+        return self.feature.count(-1)
 
     def depth(self) -> int:
         return self._depth
@@ -223,23 +206,30 @@ class RegressionTree:
         ids, _ = self.apply_batch(features)
         # one scan of ids per leaf: faster than a stable sort for the few
         # leaves of a boosting tree (4 leaves: 87 vs 143 us on 1,500 rows)
-        return {
-            leaf_id: np.flatnonzero(ids == leaf_id)
-            for leaf_id in self.leaf_id[self.feature < 0].tolist()
-        }
+        leaf_ids = [leaf_id for f, leaf_id in zip(self.feature, self.leaf_id) if f < 0]
+        return {leaf_id: np.flatnonzero(ids == leaf_id) for leaf_id in leaf_ids}
+
+    @property
+    def root(self) -> Split | Leaf:
+        """The nested Split/Leaf form, rebuilt from the columns on each read."""
+        return self._nested({})
 
     def with_leaf_values(self, values: dict[int, float]) -> "RegressionTree":
         """New tree with leaf values replaced by the given id -> value map."""
-        feature, threshold, left, right, value, leaf_id = self._lists
-        # children follow their parent in preorder, so one backward pass
-        # builds every subtree before the split that holds it
+        return RegressionTree(self._nested(values), self.n_features)
+
+    def _nested(self, values: dict[int, float]) -> Split | Leaf:
+        """The Split/Leaf form, each leaf taking its value from values when
+        its id is there.  Children follow their parent in preorder, so one
+        backward pass builds every subtree before the split that holds it."""
+        feature, threshold, left, right, value, leaf_id = self._columns
         nodes: list = [None] * len(feature)
         for i in reversed(range(len(feature))):
             if feature[i] < 0:
                 nodes[i] = Leaf(leaf_id[i], float(values.get(leaf_id[i], value[i])))
             else:
                 nodes[i] = Split(feature[i], threshold[i], nodes[left[i]], nodes[right[i]])
-        return RegressionTree(nodes[0], self.n_features)
+        return nodes[0]
 
 
 def _is_index(value) -> bool:
@@ -298,4 +288,4 @@ def fit_tree(
         root = Split(feature_index, float(threshold), Leaf(1, 0.0), Leaf(2, 0.0))
     else:
         root = _grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
-    return RegressionTree(root=root, n_features=X.shape[1])
+    return RegressionTree(root, X.shape[1])

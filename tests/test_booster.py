@@ -343,6 +343,15 @@ class TestReplay:
                 assert g_leaf.denominator == w_leaf.denominator
                 assert g_leaf.value == w_leaf.value
 
+    def test_records_compare_and_hash_by_identity(self, six_points, reference_run):
+        model, trace = reference_run
+        again = replay(model, six_points)
+        assert trace == trace and trace != again
+        record, leaf = trace.records[0], trace.records[0].leaves[0]
+        assert record == record and record != again.records[0]
+        assert leaf == leaf and leaf != again.records[0].leaves[0]
+        assert len({hash(trace), hash(record), hash(leaf)}) == 3
+
     def test_replay_requires_labels(self, reference_run):
         model, _ = reference_run
         ds = Dataset(np.array([[1.0]]), None, ("x",))

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gradboost.booster import deserialize_model, load_model, serialize_model
+from gradboost import Leaf, Model, RegressionTree, Split
+from gradboost.booster import deserialize_model, load_model, save_model, serialize_model
 from gradboost.cli import EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, main
 
 from conftest import SIX_CSV
@@ -459,6 +460,24 @@ class TestUnreadableInputs:
         out = ["--out", str(tmp_path / "trace.csv")]
         assert main(["trace", "--model", str(model), "--data", str(data), *out]) == EXIT_OK
         capsys.readouterr()
+
+
+class TestExtremeThresholds:
+    def test_train_then_predict_on_values_whose_midpoint_overflows(self, tmp_path, capsys):
+        data = _write(tmp_path, "x,label\n1e308,1\n1.7e308,0\n")
+        model = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--out", str(model)]) == EXIT_OK
+        assert load_model(model).trees[0].root.threshold == 1e308
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "0"]
+
+    def test_a_model_that_cannot_be_written_leaves_no_file(self, tmp_path):
+        tree = RegressionTree(Split(0, math.inf, Leaf(1, 0.5), Leaf(2, -0.5)), 1)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(Model((tree,), 0.1, 1), path)
+        assert not path.exists()
 
 
 class TestModelVersion:

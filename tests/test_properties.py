@@ -4,7 +4,11 @@ Runs derandomized with a bounded number of examples, so every run checks the
 same cases and the suite stays fast.
 """
 
+import dataclasses
+import json
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,7 +99,11 @@ def test_batch_scores_equal_per_row_scores_on_trained_models(run, data):
     model, _ = train(dataset, config)
     # rows whose cells sit exactly on the model's thresholds, or between them
     thresholds = [
-        {t for tree in model.trees for t in tree.threshold[tree.feature == f].tolist()}
+        {
+            t
+            for tree in model.trees
+            for t in np.asarray(tree.threshold)[np.asarray(tree.feature) == f].tolist()
+        }
         for f in range(dataset.n_features)
     ]
     cells = [sorted({-1.0, 2.0, 5.0} | ts) for ts in thresholds]
@@ -141,3 +149,59 @@ def test_batch_scores_equal_per_row_scores_with_a_repeated_leaf_id(values, xs):
     tree = RegressionTree(Split(0, 2.5, inner, Leaf(1, values[2])), 1)
     X = np.array(xs).reshape(-1, 1)
     _assert_batch_matches_rows(Model((tree, _chain(values)), 0.1, 1), X)
+
+
+def _node_to_dict(node):
+    """The recursive Split/Leaf writer serialize_model's trees must match."""
+    if isinstance(node, Leaf):
+        return {"leaf_id": node.leaf_id, "gamma": node.value}
+    return {
+        "feature_index": node.feature_index,
+        "threshold": node.threshold,
+        "left": _node_to_dict(node.left),
+        "right": _node_to_dict(node.right),
+    }
+
+
+def _reference_text(model):
+    document = {
+        "format_version": 1,
+        "learning_rate": model.learning_rate,
+        "n_features": model.n_features,
+        "feature_names": list(model.feature_names),
+        "trees": [_node_to_dict(tree.root) for tree in model.trees],
+    }
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_one_stored_form(model):
+    """Each tree equals, and hashes as, the tree rebuilt from its root, and
+    with_leaf_values({}); the model file matches the recursive writer."""
+    for tree in model.trees:
+        for copy in (RegressionTree(tree.root, tree.n_features), tree.with_leaf_values({})):
+            assert copy is not tree
+            assert copy == tree and hash(copy) == hash(tree)
+    assert serialize_model(model) == _reference_text(model)
+
+
+@BOUNDED
+@given(training_runs(), st.booleans())
+def test_trees_rebuild_equal_from_their_root_on_trained_models(run, stumps):
+    dataset, config = run
+    if stumps:
+        thresholds = sorted(set(dataset.features[:, 0].tolist()))
+        forced = tuple((0, thresholds[m % len(thresholds)]) for m in range(config.n_trees))
+        config = dataclasses.replace(config, max_depth=1, forced_splits=forced)
+    model, _ = train(dataset, config)
+    _assert_one_stored_form(model)
+
+
+@pytest.mark.parametrize("shape", ["repeated-leaf-id", "depth-limit-chain"])
+def test_trees_rebuild_equal_from_their_root_on_hand_built_trees(shape):
+    values = np.random.default_rng(7).normal(size=MAX_TREE_DEPTH + 1).tolist()
+    if shape == "repeated-leaf-id":
+        inner = Split(0, 1.5, Leaf(1, values[0]), Leaf(2, values[1]))
+        tree = RegressionTree(Split(0, 2.5, inner, Leaf(1, values[2])), 1)
+    else:
+        tree = _chain(values)
+    _assert_one_stored_form(Model((tree,), 0.1, 1, ("x",)))

@@ -153,6 +153,21 @@ class TestBestSplit:
                 assert (found.feature_index, found.threshold) == ref[:2]
                 assert abs(found.sse_after - ref[2]) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(1e308, 1.7e308), (1.0000000000000002, 1.0000000000000004)],
+        ids=["sum-overflows", "adjacent-floats"],
+    )
+    def test_threshold_separates_the_pair_it_was_scored_on(self, lower, upper):
+        # the midpoint is inf for the first pair and rounds up to upper for
+        # the second; either way the threshold falls back to the lower value
+        x = np.array([[lower], [upper]])
+        r = np.array([1.0, -1.0])
+        found = best_split(x, r, np.arange(2))
+        assert (found.feature_index, found.threshold, found.sse_after) == (0, lower, 0.0)
+        groups = fit_tree(x, r).leaf_assignment(x)
+        assert [members.tolist() for members in groups.values()] == [[0], [1]]
+
 
 class TestFitTree:
     def test_learned_stump_on_first_round_residuals(self, six_points):
@@ -329,7 +344,7 @@ def deepest_model():
 
 
 class TestTreeIdentity:
-    """==, hash and repr read the compiled arrays, not the nested root."""
+    """==, hash and repr read the flat column tuples, not the nested root."""
 
     def test_deepest_tree_compares_hashes_and_prints(self, deepest_model):
         tree = deepest_model.trees[0]
@@ -337,7 +352,7 @@ class TestTreeIdentity:
         assert copy is not tree
         assert copy == tree
         assert hash(copy) == hash(tree)
-        assert repr(tree).startswith("RegressionTree(n_features=1, feature=[0, ")
+        assert repr(tree).startswith("RegressionTree(n_features=1, feature=(0, ")
 
     def test_deepest_model_survives_a_round_trip(self, deepest_model):
         assert deserialize_model(serialize_model(deepest_model)) == deepest_model
@@ -345,8 +360,8 @@ class TestTreeIdentity:
     def test_repr_lists_every_column(self):
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.25), Leaf(2, -0.5)), 1)
         assert repr(tree) == (
-            "RegressionTree(n_features=1, feature=[0, -1, -1], threshold=[3.5, 0.0, 0.0],"
-            " left=[1, 1, 2], right=[2, 1, 2], value=[0.0, 0.25, -0.5], leaf_id=[-1, 1, 2])"
+            "RegressionTree(n_features=1, feature=(0, -1, -1), threshold=(3.5, 0.0, 0.0),"
+            " left=(1, 1, 2), right=(2, 1, 2), value=(0.0, 0.25, -0.5), leaf_id=(-1, 1, 2))"
         )
 
     @pytest.mark.parametrize(

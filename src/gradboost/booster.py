@@ -3,7 +3,6 @@ per-iteration bookkeeping trace, and the JSON model file format."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset
 from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid
-from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, fit_tree
+from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, is_int
 
 
 @dataclass(frozen=True)
@@ -45,14 +44,26 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Model:
-    """Fitted additive ensemble.  Prediction starts from a raw score of 0."""
+    """Fitted additive ensemble.  Prediction starts from a raw score of 0.
+    Like RegressionTree, it refuses any value a model file could not hold."""
 
     trees: tuple[RegressionTree, ...]
     learning_rate: float
     n_features: int
-    feature_names: tuple[str, ...] = ()
+    feature_names: tuple[str, ...]
 
     def __post_init__(self):
+        learning_rate = finite_real(self.learning_rate, "learning_rate")
+        if not 0.0 < learning_rate <= 1.0:
+            raise ValueError(f"learning_rate {learning_rate!r} is not in (0, 1]")
+        if not is_int(self.n_features) or self.n_features < 1:
+            raise ValueError(f"n_features must be an integer >= 1, got {self.n_features!r}")
+        names = self.feature_names
+        strings = isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
+        if not strings or len(names) != self.n_features:
+            raise ValueError(f"feature_names must be a list of {self.n_features} strings")
+        object.__setattr__(self, "learning_rate", learning_rate)
+        object.__setattr__(self, "feature_names", tuple(names))
         for tree in self.trees:
             if tree.n_features != self.n_features:
                 raise ValueError(f"tree of {tree.n_features} features, model of {self.n_features}")
@@ -127,53 +138,23 @@ def serialize_model(model: Model) -> str:
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
-def _integer(obj: dict, key: str) -> int:
-    value = obj[key]
-    if type(value) is not int:  # JSON true parses to bool, a subclass of int
-        raise ModelFormatError(f"{key!r} must be a JSON integer, got {type(value).__name__}")
-    return value
-
-
-def _number(obj: dict, key: str) -> float:
-    value = obj[key]
-    if type(value) not in (int, float):
-        raise ModelFormatError(f"{key!r} must be a JSON number, got {type(value).__name__}")
-    # json.loads accepts Infinity, NaN and integers too large for a float
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ModelFormatError(f"{key!r} must be finite")
-    return value
-
-
-def _node_from_dict(obj, n_features: int, leaf_ids, depth: int = 0):
-    """One tree node; leaf ids must be the successive values of leaf_ids,
-    left subtree first, as fit_tree numbers them."""
+def _node_from_dict(obj, depth: int = 0) -> Split | Leaf:
+    """One tree node as Split/Leaf, holding the file's values as they are:
+    RegressionTree checks them."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf_id" in obj:
         if "gamma" not in obj:
             raise ModelFormatError("leaf node missing 'gamma'")
-        leaf_id, expected = _integer(obj, "leaf_id"), next(leaf_ids)
-        if leaf_id != expected:
-            raise ModelFormatError(f"leaf_id {leaf_id} out of order, expected {expected}")
-        return Leaf(leaf_id, _number(obj, "gamma"))
+        return Leaf(obj["leaf_id"], obj["gamma"])
     for key in ("feature_index", "threshold", "left", "right"):
         if key not in obj:
             raise ModelFormatError(f"internal node missing {key!r}")
-    if depth == MAX_TREE_DEPTH:
+    if depth == MAX_TREE_DEPTH:  # before recursing any further
         raise ModelFormatError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
-    feature_index = _integer(obj, "feature_index")
-    if not 0 <= feature_index < n_features:
-        raise ModelFormatError(
-            f"feature_index {feature_index} out of range for {n_features} features"
-        )
-    threshold = _number(obj, "threshold")
-    left = _node_from_dict(obj["left"], n_features, leaf_ids, depth + 1)
-    right = _node_from_dict(obj["right"], n_features, leaf_ids, depth + 1)
-    return Split(feature_index, threshold, left, right)
+    left = _node_from_dict(obj["left"], depth + 1)
+    right = _node_from_dict(obj["right"], depth + 1)
+    return Split(obj["feature_index"], obj["threshold"], left, right)
 
 
 def deserialize_model(text: str) -> Model:
@@ -181,7 +162,8 @@ def deserialize_model(text: str) -> Model:
 
     An unknown format_version is rejected before anything else is read; a
     malformed document raises ModelFormatError naming the problem (parse
-    failures include the byte offset).
+    failures include the byte offset).  The loader reads only the JSON
+    shape; RegressionTree and Model refuse values no model may hold.
     """
     try:
         document = json.loads(text)
@@ -203,30 +185,14 @@ def deserialize_model(text: str) -> Model:
     for key in ("learning_rate", "n_features", "feature_names", "trees"):
         if key not in document:
             raise ModelFormatError(f"model document missing {key!r}")
-    learning_rate = _number(document, "learning_rate")
-    if not 0.0 < learning_rate <= 1.0:
-        raise ModelFormatError(f"'learning_rate' {learning_rate!r} is not in (0, 1]")
-    n_features = _integer(document, "n_features")
-    if n_features < 1:
-        raise ModelFormatError(f"'n_features' must be >= 1, got {n_features}")
-    names = document["feature_names"]
-    if not isinstance(names, list) or len(names) != n_features:
-        raise ModelFormatError(f"'feature_names' must be a list of {n_features} names")
-    if not all(isinstance(name, str) for name in names):
-        raise ModelFormatError("'feature_names' must be JSON strings")
-    trees_raw = document["trees"]
-    if not isinstance(trees_raw, list):
+    if not isinstance(document["trees"], list):
         raise ModelFormatError("'trees' must be a list")
-    trees = tuple(
-        RegressionTree(_node_from_dict(t, n_features, itertools.count(1)), n_features)
-        for t in trees_raw
-    )
-    return Model(
-        trees=trees,
-        learning_rate=learning_rate,
-        n_features=n_features,
-        feature_names=tuple(names),
-    )
+    n_features = document["n_features"]
+    try:
+        trees = tuple(RegressionTree(_node_from_dict(t), n_features) for t in document["trees"])
+        return Model(trees, document["learning_rate"], n_features, document["feature_names"])
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
 
 
 def save_model(model: Model, path) -> None:
@@ -310,7 +276,11 @@ def total_loss(labels, probs) -> float:
     """Total cross-entropy of predicted probabilities against binary labels."""
     y = np.asarray(labels, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
-    terms = np.where(y == 1.0, -np.log(p), -np.log1p(-p))
+    # each row computes only its own term, so p = 1 at y = 1 never reaches log1p(-1)
+    positive = y == 1.0
+    terms = np.empty_like(p)
+    terms[positive] = -np.log(p[positive])
+    terms[~positive] = -np.log1p(-p[~positive])
     return math.fsum(terms.tolist())
 
 
@@ -363,16 +333,16 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []
     for m, tree in enumerate(model.trees, start=1):
-        stored = {leaf.leaf_id: leaf.value for leaf in tree.leaves()}
         prior_probs, scores = probs, scores.copy()
         leaves = []
-        for leaf_id, members in sorted(tree.leaf_assignment(X).items()):
+        # both run over the leaves left to right, so in leaf id order
+        for (leaf_id, members), leaf in zip(tree.leaf_assignment(X).items(), tree.leaves()):
             numerator = denominator = 0.0
             if members.size:
                 sample = LeafSample(y[members], scores[members])
                 numerator, denominator = leaf_value_terms(sample)
-            scores[members] += model.learning_rate * stored[leaf_id]
-            leaves.append(LeafRecord(leaf_id, members, numerator, denominator, stored[leaf_id]))
+            scores[members] += model.learning_rate * leaf.value
+            leaves.append(LeafRecord(leaf_id, members, numerator, denominator, leaf.value))
         probs = sigmoid(scores)
         records.append(
             IterationRecord(

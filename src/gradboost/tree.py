@@ -119,26 +119,38 @@ class RegressionTree:
     _depth: int = field(repr=False, compare=False)
 
     def __init__(self, root: Split | Leaf, n_features: int):
-        """Compile root into the columns in one pass, refusing a split whose
-        feature is not an integer in [0, n_features)."""
+        """Compile root into the columns in one pass, refusing what a model file
+        could not hold: n_features not an integer >= 1, a split feature not an
+        integer in [0, n_features), a threshold or leaf value not a finite
+        real, leaf ids other than 1, 2, ... left to right, or a path of more
+        than MAX_TREE_DEPTH splits."""
+        if not is_int(n_features) or n_features < 1:
+            raise ValueError(f"n_features must be an integer >= 1, got {n_features!r}")
         columns = ([], [], [], [], [], [])
         feature, threshold, left, right, value, leaf_id = columns
         # (node, the split whose right child it is or -1, its depth)
-        depth, pending = 0, [(root, -1, 0)]
+        depth, n_leaves, pending = 0, 0, [(root, -1, 0)]
         while pending:
             node, parent, d = pending.pop()
             i, depth = len(feature), max(depth, d)
             if parent >= 0:
                 right[parent] = i
             if isinstance(node, Leaf):
-                entries = (-1, 0.0, i, i, float(node.value), int(node.leaf_id))
-            elif _is_index(node.feature_index) and 0 <= node.feature_index < n_features:
+                # preorder, left subtree first, meets the leaves left to right
+                n_leaves += 1
+                if not (is_int(node.leaf_id) and node.leaf_id == n_leaves):
+                    raise ValueError(f"leaf id {node.leaf_id!r} out of order, expected {n_leaves}")
+                entries = (-1, 0.0, i, i, finite_real(node.value, "leaf value"), n_leaves)
+            elif d == MAX_TREE_DEPTH:
+                raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
+            elif is_int(node.feature_index) and 0 <= node.feature_index < n_features:
                 # the left child is popped next, as it is pushed last
-                entries = (int(node.feature_index), float(node.threshold), i + 1, -1, 0.0, -1)
+                split_at = finite_real(node.threshold, "threshold")
+                entries = (int(node.feature_index), split_at, i + 1, -1, 0.0, -1)
                 pending += [(node.right, i, d + 1), (node.left, -1, d + 1)]
             else:
                 raise ValueError(
-                    f"split on feature {node.feature_index} of a {n_features}-feature tree"
+                    f"split on feature {node.feature_index!r} of a {n_features}-feature tree"
                 )
             for column, entry in zip(columns, entries):
                 column.append(entry)
@@ -200,14 +212,12 @@ class RegressionTree:
         Every leaf id appears as a key, in left-to-right order, with an empty
         array when nothing reaches it; the member arrays partition the rows.
         Rows are routed with the same x[feature] <= threshold rule as apply,
-        in one apply_batch pass, then each leaf id takes the rows that reached
-        it, so a hand-built tree that repeats an id gets one merged group.
+        in one apply_batch pass, then each leaf id takes the rows that reached it.
         """
         ids, _ = self.apply_batch(features)
         # one scan of ids per leaf: faster than a stable sort for the few
         # leaves of a boosting tree (4 leaves: 87 vs 143 us on 1,500 rows)
-        leaf_ids = [leaf_id for f, leaf_id in zip(self.feature, self.leaf_id) if f < 0]
-        return {leaf_id: np.flatnonzero(ids == leaf_id) for leaf_id in leaf_ids}
+        return {leaf_id: np.flatnonzero(ids == leaf_id) for leaf_id in range(1, self.n_leaves + 1)}
 
     @property
     def root(self) -> Split | Leaf:
@@ -232,9 +242,25 @@ class RegressionTree:
         return nodes[0]
 
 
-def _is_index(value) -> bool:
-    # a bool or a float would quietly route on feature int(value)
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def is_int(value) -> bool:
+    # not a bool or a float, which would quietly route on feature int(value);
+    # the exact type comes first, as the common case and far cheaper than the ABC
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def finite_real(value, what: str) -> float:
+    """value as a float, refusing a bool, a string or any other non-real, NaN,
+    an infinity and an integer too large for a float."""
+    if type(value) is not float:  # the common case skips the ABC check
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{what} must be a real number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{what} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 def _grow(X, res, idx, depth, max_depth, min_leaf, leaf_ids):
@@ -281,11 +307,7 @@ def fit_tree(
     if forced_split is not None:
         if max_depth != 1:
             raise ValueError("forced_split is only valid with max_depth=1")
-        feature_index, threshold = forced_split
-        feature_index = int(feature_index)
-        if not 0 <= feature_index < X.shape[1]:
-            raise ValueError(f"forced split feature index {feature_index} out of range")
-        root = Split(feature_index, float(threshold), Leaf(1, 0.0), Leaf(2, 0.0))
+        root = Split(*forced_split, Leaf(1, 0.0), Leaf(2, 0.0))
     else:
         root = _grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
     return RegressionTree(root, X.shape[1])

@@ -182,11 +182,46 @@ class TestPredict:
                     expected += model.learning_rate * tree.apply(x)[1]
                 assert float.hex(model.predict_raw(x)) == float.hex(expected)
 
+    @pytest.mark.parametrize(
+        "learning_rate, n_features, names, message",
+        [
+            (0.0, 1, ("x",), "learning_rate"),
+            (1.5, 1, ("x",), "learning_rate"),
+            (math.nan, 1, ("x",), "learning_rate"),
+            (True, 1, ("x",), "learning_rate"),
+            ("0.5", 1, ("x",), "learning_rate"),
+            (0.1, 0, (), "n_features"),
+            (0.1, True, ("x",), "n_features"),
+            (0.1, 1.5, ("x",), "n_features"),
+            (0.1, "1", ("x",), "n_features"),
+            (0.1, 1, (), "feature_names"),
+            (0.1, 1, ("x", "y"), "feature_names"),
+            (0.1, 1, (1,), "feature_names"),
+            (0.1, 1, (None,), "feature_names"),
+            (0.1, 1, "x", "feature_names"),
+        ],
+        ids=[
+            "learning-rate-zero", "learning-rate-above-one", "learning-rate-nan",
+            "learning-rate-true", "learning-rate-string", "n-features-zero", "n-features-true",
+            "n-features-fraction", "n-features-string", "no-names", "too-many-names",
+            "integer-name", "null-name", "names-as-one-string",
+        ],
+    )
+    def test_model_refuses_what_a_model_file_cannot_hold(
+        self, learning_rate, n_features, names, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            Model((), learning_rate, n_features, names)
+
+    def test_model_stores_its_learning_rate_as_a_float_and_its_names_as_a_tuple(self):
+        model = Model((), 1, 2, ["a", "b"])
+        assert type(model.learning_rate) is float and model.feature_names == ("a", "b")
+
     def test_model_rejects_a_tree_of_another_width(self, reference_run):
         model, _ = reference_run
         wide = RegressionTree(model.trees[0].root, 2)
         with pytest.raises(ValueError, match="features"):
-            Model(trees=(*model.trees, wide), learning_rate=0.1, n_features=1)
+            Model(trees=(*model.trees, wide), learning_rate=0.1, n_features=1, feature_names=("x",))
 
     def test_rejects_bad_threshold(self, reference_run):
         model, _ = reference_run
@@ -363,6 +398,19 @@ class TestReplay:
         ds = Dataset(np.array([[1.0, 2.0]]), np.array([1.0]), ("a", "b"))
         with pytest.raises(ValueError):
             replay(model, ds)
+
+
+def test_total_loss_of_certain_correct_predictions_is_zero():
+    # each row computes only its own branch, so p = 1 at y = 1 never runs log1p(-1)
+    assert total_loss([1, 0], [1.0, 0.0]) == 0.0
+
+
+def test_total_loss_equals_the_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 2, 2000).astype(float)
+    probs = rng.uniform(1e-9, 1.0 - 1e-9, 2000)
+    terms = np.where(labels == 1.0, -np.log(probs), -np.log1p(-probs))
+    assert total_loss(labels, probs).hex() == math.fsum(terms.tolist()).hex()
 
 
 def test_total_loss_at_even_odds_is_n_log_two():

@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gradboost import Leaf, Model, RegressionTree, Split
+from gradboost import Leaf, Model, RegressionTree, Split, booster
 from gradboost.booster import deserialize_model, load_model, save_model, serialize_model
 from gradboost.cli import EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, main
 
@@ -122,6 +123,19 @@ class TestTraceOutput:
         )
         assert code == EXIT_OK
         assert out.read_bytes() == trained.trace.read_bytes()
+
+    def test_a_saturated_model_traces_without_warnings(self, tmp_path, capsys):
+        # sigmoid(50) rounds to 1.0, so each y = 1 row has p = 1 exactly
+        data = _write(tmp_path, "x,label\n" + "".join(f"{x},{int(x < 20)}\n" for x in range(40)))
+        stump = RegressionTree(Split(0, 19.5, Leaf(1, 50.0), Leaf(2, -50.0)), 1)
+        model = tmp_path / "model.json"
+        save_model(Model((stump,), 1.0, 1, ("x",)), model)
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["trace", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert code == EXIT_OK
+        assert caught == [] and capsys.readouterr().err == ""
 
     def test_trace_to_stdout(self, trained, capsys):
         code = main(["trace", "--model", str(trained.model), "--data", str(trained.data)])
@@ -386,6 +400,11 @@ class TestUnreadableInputs:
             ),
             # integers must be JSON integers and numbers JSON numbers
             pytest.param("predict", _set("n_features", True), None, EXIT_IO, id="n-features-true"),
+            pytest.param(
+                "predict", _set("n_features", "1"), None, EXIT_IO, id="n-features-string"
+            ),
+            pytest.param("predict", _set("n_features", None), None, EXIT_IO, id="n-features-null"),
+            pytest.param("predict", _set("n_features", [1]), None, EXIT_IO, id="n-features-list"),
             pytest.param("predict", _set("n_features", 1.7), None, EXIT_IO, id="n-features-float"),
             pytest.param(
                 "predict", _set_root("feature_index", 0.5), None, EXIT_IO, id="feature-index-float"
@@ -472,12 +491,84 @@ class TestExtremeThresholds:
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.rsplit(",", 1)[1] for row in rows] == ["1", "0"]
 
-    def test_a_model_that_cannot_be_written_leaves_no_file(self, tmp_path):
-        tree = RegressionTree(Split(0, math.inf, Leaf(1, 0.5), Leaf(2, -0.5)), 1)
+    def test_a_model_that_cannot_be_written_leaves_no_file(self, tmp_path, monkeypatch):
+        def refuse(model):
+            raise ValueError("cannot serialize")
+
+        monkeypatch.setattr(booster, "serialize_model", refuse)
+        tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.5), Leaf(2, -0.5)), 1)
         path = tmp_path / "model.json"
-        with pytest.raises(ValueError, match="JSON compliant"):
-            save_model(Model((tree,), 0.1, 1), path)
+        with pytest.raises(ValueError, match="cannot serialize"):
+            save_model(Model((tree,), 0.1, 1, ("x",)), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+    def test_a_forced_threshold_that_is_not_finite_is_refused(
+        self, trained, tmp_path, capsys, threshold, out
+    ):
+        model = tmp_path / "model.json"
+        argv = ["train", "--data", str(trained.data), "--trees", "1"]
+        argv += ["--force-splits", f"0:{threshold}"] + (["--out", str(model)] if out else [])
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "threshold" in captured.err
+        assert not model.exists()
+
+
+# one literal per JSON type and edge: null, booleans, zero, a negative, a
+# fraction, a number past the float range, an integer of 401 digits, strings,
+# empty containers and a one-element list
+SUBSTITUTES = {
+    "null": "null",
+    "true": "true",
+    "false": "false",
+    "zero": "0",
+    "minus-one": "-1",
+    "fraction": "1.5",
+    "past-float-range": "1e400",
+    "401-digits": "1" + "0" * 400,
+    "string": '"x"',
+    "numeric-string": '"1"',
+    "empty-list": "[]",
+    "empty-object": "{}",
+    "one-element-list": "[1]",
+}
+
+
+def _key_paths(value, path=()):
+    """The path of every value below a JSON document's root, parents first."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value))
+    for key in keys:
+        yield (*path, key)
+        if isinstance(value[key], (dict, list)):
+            yield from _key_paths(value[key], (*path, key))
+
+
+class TestModelFileSweep:
+    @pytest.mark.parametrize("literal", SUBSTITUTES.values(), ids=SUBSTITUTES.keys())
+    def test_every_single_edit_predicts_or_fails_cleanly(self, trained, tmp_path, capsys, literal):
+        document = json.loads(trained.model.read_text(encoding="utf-8"))
+        paths = list(_key_paths(document))
+        assert len(paths) == 33  # 5 top-level keys, 1 feature name, 3 stumps of 9 values
+        marker = "substitute-here"
+        edited = tmp_path / "edited.json"
+        for path in paths:
+            variant = json.loads(json.dumps(document))
+            *parents, last = path
+            target = variant
+            for key in parents:
+                target = target[key]
+            target[last] = marker
+            text = json.dumps(variant).replace(json.dumps(marker), literal)
+            edited.write_text(text, encoding="utf-8")
+            code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_IO, EXIT_MODEL_VERSION), (path, code)
+            if code != EXIT_OK:
+                assert err.startswith("error:") and err.count("\n") == 1, (path, err)
 
 
 class TestModelVersion:

@@ -5,6 +5,7 @@ same cases and the suite stays fast.
 """
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -135,20 +136,7 @@ def test_batch_scores_equal_per_row_scores_on_a_depth_limit_chain(seed, halves):
     assert tree.depth() == MAX_TREE_DEPTH
     # odd halves sit exactly on a threshold, even ones between two
     X = np.array(halves, dtype=float).reshape(-1, 1) / 2.0
-    _assert_batch_matches_rows(Model((tree, tree), 0.3, 1), X)
-
-
-@BOUNDED
-@given(
-    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
-    st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, 2.5, 3.0]), min_size=1, max_size=10),
-)
-def test_batch_scores_equal_per_row_scores_with_a_repeated_leaf_id(values, xs):
-    # a hand-built tree may reuse a leaf id; its rows form one merged group
-    inner = Split(0, 1.5, Leaf(1, values[0]), Leaf(2, values[1]))
-    tree = RegressionTree(Split(0, 2.5, inner, Leaf(1, values[2])), 1)
-    X = np.array(xs).reshape(-1, 1)
-    _assert_batch_matches_rows(Model((tree, _chain(values)), 0.1, 1), X)
+    _assert_batch_matches_rows(Model((tree, tree), 0.3, 1, ("x",)), X)
 
 
 def _node_to_dict(node):
@@ -196,12 +184,71 @@ def test_trees_rebuild_equal_from_their_root_on_trained_models(run, stumps):
     _assert_one_stored_form(model)
 
 
-@pytest.mark.parametrize("shape", ["repeated-leaf-id", "depth-limit-chain"])
+def _left_chain(values):
+    """A one-feature tree of len(values) - 1 splits down its left side."""
+    node = Leaf(1, values[0])
+    for k in range(1, len(values)):
+        node = Split(0, len(values) - k - 0.5, node, Leaf(k + 1, values[k]))
+    return RegressionTree(node, 1)
+
+
+@pytest.mark.parametrize("shape", ["left-chain", "depth-limit-chain"])
 def test_trees_rebuild_equal_from_their_root_on_hand_built_trees(shape):
     values = np.random.default_rng(7).normal(size=MAX_TREE_DEPTH + 1).tolist()
-    if shape == "repeated-leaf-id":
-        inner = Split(0, 1.5, Leaf(1, values[0]), Leaf(2, values[1]))
-        tree = RegressionTree(Split(0, 2.5, inner, Leaf(1, values[2])), 1)
-    else:
-        tree = _chain(values)
+    tree = _left_chain(values) if shape == "left-chain" else _chain(values)
+    assert tree.depth() == MAX_TREE_DEPTH
     _assert_one_stored_form(Model((tree,), 0.1, 1, ("x",)))
+
+
+@st.composite
+def hand_built_models(draw):
+    """A model of up to three hand-built trees at most four splits deep, with
+    finite thresholds and values, leaf ids numbered left to right, and any
+    learning rate in (0, 1] and feature names."""
+    n_features = draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    def node(depth, leaf_ids):
+        if depth == 4 or not draw(st.booleans()):
+            return Leaf(next(leaf_ids), draw(finite))
+        feature, threshold = draw(st.integers(0, n_features - 1)), draw(finite)
+        # the left subtree is built first, so it takes the lower leaf ids
+        return Split(feature, threshold, node(depth + 1, leaf_ids), node(depth + 1, leaf_ids))
+
+    n_trees = draw(st.integers(0, 3))
+    trees = tuple(RegressionTree(node(0, itertools.count(1)), n_features) for _ in range(n_trees))
+    learning_rate = draw(st.floats(0.0, 1.0, exclude_min=True))
+    names = draw(st.lists(st.text(max_size=4), min_size=n_features, max_size=n_features))
+    return Model(trees, learning_rate, n_features, tuple(names))
+
+
+@BOUNDED
+@given(hand_built_models())
+def test_every_model_that_can_be_built_round_trips(model):
+    text = serialize_model(model)
+    loaded = deserialize_model(text)
+    assert loaded == model
+    assert serialize_model(loaded) == text
+
+
+_STUMP = RegressionTree(Split(0, 0.5, Leaf(1, 1.0), Leaf(2, -1.0)), 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Model((_STUMP,), 0.1, 1, ()),
+        lambda: Model((_STUMP,), 0.0, 1, ("x",)),
+        lambda: Model((_STUMP,), 2.0, 1, ("x",)),
+        lambda: RegressionTree(Split(0, 0.5, Leaf(2, 1.0), Leaf(1, -1.0)), 1),
+        lambda: Model((_STUMP,), 0.1, 1, (1,)),
+        lambda: _chain([0.0] * 601),
+    ],
+    ids=[
+        "no-feature-names", "learning-rate-zero", "learning-rate-two", "leaf-ids-two-one",
+        "name-not-a-string", "600-splits-deep",
+    ],
+)
+def test_a_model_no_file_could_hold_cannot_be_built(build):
+    with pytest.raises(ValueError):
+        build()

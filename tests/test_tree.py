@@ -1,7 +1,6 @@
 """Regression-tree split search and tree growth."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -271,25 +270,18 @@ class TestFitTree:
         np.testing.assert_array_equal(below[1], [0, 1])
         assert below[2].size == 0 and below[2].dtype == np.intp
 
-    def test_leaf_assignment_merges_a_repeated_leaf_id(self):
-        # a hand-built tree may reuse a leaf id; apply sends both leaves' rows to it
-        inner = Split(0, 1.5, Leaf(1, 0.0), Leaf(2, 0.0))
-        tree = RegressionTree(Split(0, 2.5, inner, Leaf(1, 0.0)), 1)
-        x = np.array([[3.0], [1.0], [2.0], [0.0]])
-        groups = tree.leaf_assignment(x)
-        _assert_groups_match_apply(tree, x, groups)
-        np.testing.assert_array_equal(groups[1], [0, 1, 3])
+    def test_a_path_past_the_depth_limit_is_refused(self):
+        def chain(depth):  # depth splits down the right side, leaf ids 1..depth+1
+            node = Leaf(depth + 1, 0.0)
+            for leaf_id in range(depth, 0, -1):
+                node = Split(0, leaf_id - 0.5, Leaf(leaf_id, 0.0), node)
+            return node
 
-    def test_leaf_assignment_routes_trees_deeper_than_the_recursion_limit(self):
-        depth = sys.getrecursionlimit() + 100
-        node = Leaf(depth + 1, 0.0)
-        for leaf_id in range(depth, 0, -1):
-            node = Split(0, 0.5, node, Leaf(leaf_id, 0.0))
-        groups = RegressionTree(node, 1).leaf_assignment(np.array([[1.0], [0.0], [1.0]]))
-        assert list(groups) == list(range(depth + 1, 0, -1))  # left to right: deepest first
-        np.testing.assert_array_equal(groups[1], [0, 2])
-        np.testing.assert_array_equal(groups[depth + 1], [1])
-        assert sum(members.size for members in groups.values()) == 3
+        groups = RegressionTree(chain(MAX_TREE_DEPTH), 1).leaf_assignment(np.array([[0.0], [9e9]]))
+        assert list(groups) == list(range(1, MAX_TREE_DEPTH + 2))
+        assert groups[1].tolist() == [0] and groups[MAX_TREE_DEPTH + 1].tolist() == [1]
+        with pytest.raises(ValueError, match=f"limit of {MAX_TREE_DEPTH} splits"):
+            RegressionTree(chain(MAX_TREE_DEPTH + 1), 1)
 
     def test_with_leaf_values_rewrites_only_values(self, six_points):
         r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
@@ -319,6 +311,51 @@ class TestFitTree:
         # split; a float or a bool would quietly route on feature int(feature_index)
         with pytest.raises(ValueError, match="split on feature"):
             RegressionTree(Split(feature_index, 0.5, Leaf(1, 0.0), Leaf(2, 0.0)), 2)
+
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            (Leaf(1, 0.0), Leaf(1, 0.0), "leaf id"),
+            (Leaf(2, 0.0), Leaf(1, 0.0), "leaf id"),
+            (Leaf(0, 0.0), Leaf(1, 0.0), "leaf id"),
+            (Leaf(True, 0.0), Leaf(2, 0.0), "leaf id"),
+            (Leaf(1, math.nan), Leaf(2, 0.0), "leaf value"),
+            (Leaf(1, math.inf), Leaf(2, 0.0), "leaf value"),
+            (Leaf(1, 0.0), Leaf(2, -math.inf), "leaf value"),
+            (Leaf(1, True), Leaf(2, 0.0), "leaf value"),
+            (Leaf(1, "3.5"), Leaf(2, 0.0), "leaf value"),
+            (Leaf(1, 10**400), Leaf(2, 0.0), "leaf value"),
+        ],
+        ids=[
+            "repeated-ids", "right-to-left-ids", "zero-based-ids", "true-id", "nan-value",
+            "inf-value", "minus-inf-value", "true-value", "string-value", "huge-integer-value",
+        ],
+    )
+    def test_rejects_leaves_a_model_file_cannot_hold(self, left, right, message):
+        with pytest.raises(ValueError, match=message):
+            RegressionTree(Split(0, 0.5, left, right), 1)
+
+    @pytest.mark.parametrize(
+        "threshold", [math.nan, math.inf, -math.inf, True, "3.5", 10**400],
+        ids=["nan", "inf", "minus-inf", "true", "string", "huge-integer"],
+    )
+    def test_rejects_a_threshold_that_is_not_a_finite_real(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            RegressionTree(Split(0, threshold, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
+
+    @pytest.mark.parametrize(
+        "n_features", [0, -1, True, 1.5, "1", None, [1]],
+        ids=["zero", "negative", "true", "fraction", "string", "none", "list"],
+    )
+    def test_rejects_n_features_that_is_not_a_positive_integer(self, n_features):
+        with pytest.raises(ValueError, match="n_features"):
+            RegressionTree(Leaf(1, 0.0), n_features)
+
+    def test_stores_numpy_and_integer_numbers_as_python_ints_and_floats(self):
+        tree = RegressionTree(Split(np.int64(0), np.float32(0.5), Leaf(1, 2), Leaf(2, -1)), 1)
+        assert tree.feature == (0, -1, -1) and type(tree.feature[0]) is int
+        assert tree.threshold == (0.5, 0.0, 0.0) and type(tree.threshold[0]) is float
+        assert tree.value == (0.0, 2.0, -1.0) and type(tree.value[1]) is float
 
     def test_apply_rejects_wrong_width(self, six_points):
         tree = fit_tree(six_points.features, np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))

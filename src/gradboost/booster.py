@@ -11,7 +11,15 @@ import numpy as np
 
 from .dataset import DataError, Dataset
 from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid
-from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, is_int
+from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, positive_int
+
+
+def valid_learning_rate(value) -> float:
+    """value as a float in (0, 1], the shrinkage applied to every tree's output."""
+    learning_rate = finite_real(value, "learning_rate")
+    if not 0.0 < learning_rate <= 1.0:
+        raise ValueError(f"learning_rate {learning_rate!r} is not in (0, 1]")
+    return learning_rate
 
 
 @dataclass(frozen=True)
@@ -25,16 +33,12 @@ class TrainConfig:
     forced_splits: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 1 <= self.max_depth <= MAX_TREE_DEPTH:
-            raise ValueError(f"max_depth must be in 1..{MAX_TREE_DEPTH}")
-        if self.min_leaf < 1:
-            raise ValueError("min_leaf must be >= 1")
+        positive_int(self.n_trees, "n_trees")
+        object.__setattr__(self, "learning_rate", valid_learning_rate(self.learning_rate))
+        positive_int(self.max_depth, "max_depth", MAX_TREE_DEPTH)
+        positive_int(self.min_leaf, "min_leaf")
         if self.forced_splits is not None:
-            forced = tuple((int(f), float(t)) for f, t in self.forced_splits)
+            forced = tuple(map(tuple, self.forced_splits))
             object.__setattr__(self, "forced_splits", forced)
             if len(forced) != self.n_trees:
                 raise ValueError("forced_splits must supply one (feature, threshold) pair per tree")
@@ -53,11 +57,8 @@ class Model:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        learning_rate = finite_real(self.learning_rate, "learning_rate")
-        if not 0.0 < learning_rate <= 1.0:
-            raise ValueError(f"learning_rate {learning_rate!r} is not in (0, 1]")
-        if not is_int(self.n_features) or self.n_features < 1:
-            raise ValueError(f"n_features must be an integer >= 1, got {self.n_features!r}")
+        learning_rate = valid_learning_rate(self.learning_rate)
+        positive_int(self.n_features, "n_features")
         names = self.feature_names
         strings = isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
         if not strings or len(names) != self.n_features:
@@ -288,22 +289,27 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
     """Fit an additive ensemble of residual trees with second-order leaf values.
 
     Starts every instance at raw score 0 (probability 0.5).  Each iteration
-    fits a tree to the current residuals (or builds the configured forced
-    stump), sets each leaf to the Newton step over the rows it holds (an
-    empty leaf keeps 0), and advances the scores by learning_rate times the
-    leaf value.  The returned trace is replay(model, dataset).
+    fits a tree to the current residuals, or takes the configured forced
+    stump (all built, and so checked, before the first round), sets each
+    leaf to the Newton step over the rows it holds (an empty leaf keeps 0),
+    and advances the scores by learning_rate times the leaf value.  The
+    returned trace is replay(model, dataset).
     """
     if dataset.labels is None:
         raise ValueError("training requires a labeled dataset")
     X, y = dataset.features, dataset.labels
+    stumps = [
+        RegressionTree(Split(f, t, Leaf(1, 0.0), Leaf(2, 0.0)), dataset.n_features)
+        for f, t in config.forced_splits or ()
+    ]
     scores = np.zeros(dataset.n_rows)
     trees = []
     for m in range(config.n_trees):
-        probs = sigmoid(scores)
-        forced = config.forced_splits[m] if config.forced_splits is not None else None
-        tree = fit_tree(
-            X, y - probs, max_depth=config.max_depth, min_leaf=config.min_leaf, forced_split=forced
-        )
+        if stumps:
+            tree = stumps[m]
+        else:
+            residuals = y - sigmoid(scores)
+            tree = fit_tree(X, residuals, max_depth=config.max_depth, min_leaf=config.min_leaf)
         values = {}
         for leaf_id, members in tree.leaf_assignment(X).items():
             if members.size:

@@ -49,6 +49,7 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     min_count restricts candidates to those leaving at least that many
     instances on each side.
     """
+    positive_int(min_count, "min_count")
     X = np.asarray(features, dtype=np.float64)
     idx = np.asarray(instance_set, dtype=np.intp)
     node_res = np.asarray(residuals, dtype=np.float64)[idx]
@@ -124,8 +125,7 @@ class RegressionTree:
         integer in [0, n_features), a threshold or leaf value not a finite
         real, leaf ids other than 1, 2, ... left to right, or a path of more
         than MAX_TREE_DEPTH splits."""
-        if not is_int(n_features) or n_features < 1:
-            raise ValueError(f"n_features must be an integer >= 1, got {n_features!r}")
+        positive_int(n_features, "n_features")
         columns = ([], [], [], [], [], [])
         feature, threshold, left, right, value, leaf_id = columns
         # (node, the split whose right child it is or -1, its depth)
@@ -248,6 +248,15 @@ def is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def positive_int(value, what: str, limit: int | None = None) -> int:
+    """value when it is an integer >= 1, and <= limit when one is given;
+    a bool, a float (even 2.0) or a string is refused, not coerced."""
+    if is_int(value) and value >= 1 and (limit is None or value <= limit):
+        return value
+    bounds = ">= 1" if limit is None else f"in 1..{limit}"
+    raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
 def finite_real(value, what: str) -> float:
     """value as a float, refusing a bool, a string or any other non-real, NaN,
     an infinity and an integer too large for a float."""
@@ -279,35 +288,19 @@ def _grow(X, res, idx, depth, max_depth, min_leaf, leaf_ids):
     )
 
 
-def fit_tree(
-    features,
-    residuals,
-    *,
-    max_depth: int = 1,
-    min_leaf: int = 1,
-    forced_split: tuple[int, float] | None = None,
-) -> RegressionTree:
+def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1) -> RegressionTree:
     """Grow a depth-limited tree by greedy SSE splitting.
 
     Leaves start with value 0.0; the booster fills them in afterwards.
-    forced_split=(feature_index, threshold) skips the search and builds that
-    exact stump; it is only valid with max_depth=1.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
     res = np.asarray(residuals, dtype=np.float64)
-    if not 1 <= max_depth <= MAX_TREE_DEPTH:
-        raise ValueError(f"max_depth must be in 1..{MAX_TREE_DEPTH}")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
+    positive_int(max_depth, "max_depth", MAX_TREE_DEPTH)
+    positive_int(min_leaf, "min_leaf")
     idx = np.arange(X.shape[0], dtype=np.intp)
     if idx.size == 0:
         raise ValueError("features must hold at least one row")
-    if forced_split is not None:
-        if max_depth != 1:
-            raise ValueError("forced_split is only valid with max_depth=1")
-        root = Split(*forced_split, Leaf(1, 0.0), Leaf(2, 0.0))
-    else:
-        root = _grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
+    root = _grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
     return RegressionTree(root, X.shape[1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradboost import Dataset, TrainConfig, train
+from gradboost import Dataset, TrainConfig, booster, train
 
 SIX_CSV = """x,label
 1.3,1
@@ -30,6 +30,17 @@ def reference_run(six_points):
     """Three forced stumps at thresholds 3.5, 2.25, 5.25 with learning rate 0.1."""
     config = TrainConfig(n_trees=3, learning_rate=0.1, forced_splits=REFERENCE_SPLITS)
     return train(six_points, config)
+
+
+@pytest.fixture
+def no_round(monkeypatch):
+    """Makes any boosting round fail the test: a round sums its leaves'
+    Newton terms through booster.leaf_value_terms."""
+
+    def leaf_value_terms(sample):
+        raise AssertionError("a boosting round ran")
+
+    monkeypatch.setattr(booster, "leaf_value_terms", leaf_value_terms)
 
 
 @pytest.fixture

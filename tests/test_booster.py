@@ -68,11 +68,24 @@ class TestTrainConfig:
             {"n_trees": 2, "forced_splits": ((0, 1.0),)},
             {"max_depth": 2, "n_trees": 1, "forced_splits": ((0, 1.0),)},
             {"max_depth": 513},
+            # refused, not coerced: a bool, a fraction or a string is no count
+            {"n_trees": True},
+            {"n_trees": 2.5},
+            {"n_trees": "3"},
+            {"learning_rate": True},
+            {"learning_rate": "0.5"},
+            {"max_depth": 2.5},
+            {"max_depth": True},
+            {"min_leaf": 1.5},
+            {"min_leaf": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_stores_the_learning_rate_as_a_float(self):
+        assert type(TrainConfig(learning_rate=1).learning_rate) is float
 
     def test_normalizes_forced_splits(self):
         config = TrainConfig(n_trees=1, forced_splits=[[0, 3.5]])
@@ -239,6 +252,27 @@ class TestTrainValidation:
     def test_forced_feature_must_exist(self, six_points):
         config = TrainConfig(n_trees=1, forced_splits=((3, 1.0),))
         with pytest.raises(ValueError):
+            train(six_points, config)
+
+    @pytest.mark.parametrize(
+        "forced, message",
+        [
+            (((0.9, 1.0),), "feature 0.9"),
+            (((True, 2.5),), "feature True"),
+            (((0, "2.5"),), "threshold"),
+            (((0, 3.5), (1, 2.25)), "feature 1"),
+            (((0, 3.5), (0, math.inf)), "threshold"),
+        ],
+        ids=[
+            "fraction-feature", "bool-feature", "string-threshold", "second-pair-feature",
+            "second-pair-threshold",
+        ],
+    )
+    def test_refuses_a_bad_forced_pair_before_any_round(
+        self, six_points, no_round, forced, message
+    ):
+        config = TrainConfig(n_trees=len(forced), forced_splits=forced)
+        with pytest.raises(ValueError, match=message):
             train(six_points, config)
 
 

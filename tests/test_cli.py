@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, file formats, and exit codes."""
 
+import itertools
 import json
 import math
 import warnings
@@ -547,6 +548,20 @@ def _key_paths(value, path=()):
             yield from _key_paths(value[key], (*path, key))
 
 
+# an empty cell, the special floats, a float past the range, a word, labels
+# that are not 0 or 1, a cell holding the delimiter, an unclosed quote and NUL
+CELL_SUBSTITUTES = ("", "nan", "inf", "1e400", "x", "2", "0.5", "1,2", '"', "\0")
+
+
+def _assert_clean_exit(code, err, case):
+    """A documented exit code; nothing on stderr after success, else one error line."""
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION), (case, code)
+    if code == EXIT_OK:
+        assert err == "", (case, err)
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1, (case, err)
+
+
 class TestModelFileSweep:
     @pytest.mark.parametrize("literal", SUBSTITUTES.values(), ids=SUBSTITUTES.keys())
     def test_every_single_edit_predicts_or_fails_cleanly(self, trained, tmp_path, capsys, literal):
@@ -569,6 +584,35 @@ class TestModelFileSweep:
             assert code in (EXIT_OK, EXIT_IO, EXIT_MODEL_VERSION), (path, code)
             if code != EXIT_OK:
                 assert err.startswith("error:") and err.count("\n") == 1, (path, err)
+
+    def test_every_truncation_predicts_or_fails_cleanly(self, trained, tmp_path, capsys):
+        whole = trained.model.read_bytes()
+        edited = tmp_path / "truncated.json"
+        for size in range(len(whole)):
+            edited.write_bytes(whole[:size])
+            code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
+            _assert_clean_exit(code, capsys.readouterr().err, size)
+
+
+class TestDataFileSweep:
+    def test_every_single_cell_edit_runs_or_fails_cleanly(self, trained, tmp_path, capsys):
+        rows = [line.split(",") for line in SIX_CSV.splitlines()]
+        cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+        assert len(cells) == 14  # the header and six rows, two cells each
+        edited, model = tmp_path / "edited.csv", str(trained.model)
+        commands = (
+            ["train", "--data", str(edited)],
+            ["predict", "--model", model, "--data", str(edited)],
+            ["trace", "--model", model, "--data", str(edited)],
+        )
+        for (r, c), substitute in itertools.product(cells, CELL_SUBSTITUTES):
+            variant = [list(row) for row in rows]
+            variant[r][c] = substitute
+            text = "".join(",".join(row) + "\n" for row in variant)
+            edited.write_text(text, encoding="utf-8")
+            for argv in commands:
+                code = main(argv)
+                _assert_clean_exit(code, capsys.readouterr().err, (r, c, substitute, argv[0]))
 
 
 class TestModelVersion:

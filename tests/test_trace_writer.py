@@ -112,7 +112,8 @@ def test_every_trace_command_writes_the_reference_bytes(run):
         argv = ["train", "--data", data, "--trees", str(config.n_trees), "--max-depth",
                 str(config.max_depth), "--out", model, "--trace", str(root / "train.csv")]
         if config.forced_splits:
-            argv += ["--force-splits", ";".join(f"{f}:{t!r}" for f, t in config.forced_splits)]
+            pairs = ";".join(f"{f}:{float(t)!r}" for f, t in config.forced_splits)
+            argv += ["--force-splits", pairs]
         replay_argv = ["trace", "--model", model, "--data", data]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()):

@@ -123,6 +123,14 @@ class TestBestSplit:
         r = np.array([-1.0, 0.0, 1.0])
         assert best_split(x, r, np.arange(3), min_count=2) is None
 
+    @pytest.mark.parametrize(
+        "min_count", [0, -1, 1.5, True], ids=["zero", "negative", "fraction", "true"]
+    )
+    def test_min_count_must_be_a_positive_integer(self, min_count):
+        x, r = np.array([[1.0], [2.0]]), np.array([-1.0, 1.0])
+        with pytest.raises(ValueError, match="min_count"):
+            best_split(x, r, np.arange(2), min_count=min_count)
+
     def test_min_count_restricts_to_middle_cut(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         r = np.array([5.0, -1.0, -1.0, -1.0])
@@ -178,20 +186,15 @@ class TestFitTree:
         assert all(leaf.value == 0.0 for leaf in tree.leaves())
 
     def test_forced_stump_memberships(self, six_points):
-        r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
-        tree = fit_tree(six_points.features, r, forced_split=(0, 3.5))
+        tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
         groups = tree.leaf_assignment(six_points.features)
         np.testing.assert_array_equal(groups[1], [0, 1, 2])
         np.testing.assert_array_equal(groups[2], [3, 4, 5])
 
-    def test_forced_split_requires_stump_depth(self, six_points):
-        r = np.zeros(6)
-        with pytest.raises(ValueError):
-            fit_tree(six_points.features, r, max_depth=2, forced_split=(0, 3.5))
-
-    def test_forced_split_feature_must_exist(self, six_points):
-        with pytest.raises(ValueError):
-            fit_tree(six_points.features, np.zeros(6), forced_split=(1, 3.5))
+    def test_forced_split_feature_must_exist(self, six_points, no_round):
+        # train builds every forced stump before its first round
+        with pytest.raises(ValueError, match="split on feature 1 of a 1-feature tree"):
+            train(six_points, TrainConfig(n_trees=1, forced_splits=((1, 3.5),)))
 
     def test_depth_two_growth(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -233,6 +236,16 @@ class TestFitTree:
         with pytest.raises(ValueError, match="max_depth"):
             fit_tree(x, r, max_depth=MAX_TREE_DEPTH + 1)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("max_depth", 2.5), ("max_depth", True), ("max_depth", 0), ("min_leaf", 1.5),
+         ("min_leaf", True), ("min_leaf", 0)],
+    )
+    def test_rejects_options_that_are_not_positive_integers(self, option, value):
+        x, r = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([-0.5, 0.5, -0.5, 0.5])
+        with pytest.raises(ValueError, match=option):
+            fit_tree(x, r, **{option: value})
+
     def test_leaf_assignment_partitions_instances(self):
         rng = np.random.default_rng(41)
         x = rng.uniform(0, 10, (25, 2))
@@ -261,7 +274,7 @@ class TestFitTree:
 
     def test_leaf_assignment_sends_rows_at_the_threshold_left(self):
         x = np.array([[3.0], [1.0], [2.0], [2.0], [5.0]])
-        tree = fit_tree(x, np.zeros(5), forced_split=(0, 2.0))
+        tree = RegressionTree(Split(0, 2.0, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
         groups = tree.leaf_assignment(x)
         _assert_groups_match_apply(tree, x, groups)
         np.testing.assert_array_equal(groups[1], [1, 2, 3])
@@ -283,9 +296,8 @@ class TestFitTree:
         with pytest.raises(ValueError, match=f"limit of {MAX_TREE_DEPTH} splits"):
             RegressionTree(chain(MAX_TREE_DEPTH + 1), 1)
 
-    def test_with_leaf_values_rewrites_only_values(self, six_points):
-        r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
-        tree = fit_tree(six_points.features, r, forced_split=(0, 3.5))
+    def test_with_leaf_values_rewrites_only_values(self):
+        tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
         updated = tree.with_leaf_values({1: 2.0 / 3.0, 2: -2.0 / 3.0})
         assert updated.root.threshold == tree.root.threshold
         assert updated.apply(np.array([1.0]))[1] == pytest.approx(2.0 / 3.0)
@@ -362,11 +374,10 @@ class TestFitTree:
         with pytest.raises(ValueError):
             tree.apply(np.array([1.0, 2.0]))
 
-    def test_reference_thresholds_are_reachable_when_forced(self, six_points):
-        r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
-        for feature_index, threshold in REFERENCE_SPLITS:
-            tree = fit_tree(six_points.features, r, forced_split=(feature_index, threshold))
-            assert tree.root.threshold == threshold
+    def test_reference_thresholds_are_reachable_when_forced(self, reference_run):
+        model, _ = reference_run
+        roots = [(tree.root.feature_index, tree.root.threshold) for tree in model.trees]
+        assert tuple(roots) == REFERENCE_SPLITS
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from .booster import (
     replay,
     save_model,
     serialize_model,
-    total_loss,
     train,
 )
 from .dataset import DataError, Dataset, EmptyDatasetError, load_csv, save_csv
@@ -36,6 +35,7 @@ from .leaf_values import (
     newton_step,
     residuals,
     sigmoid,
+    total_loss,
 )
 from .tree import Leaf, RegressionTree, Split, SplitCandidate, best_split, fit_tree
 

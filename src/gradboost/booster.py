@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid
+from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid, total_loss
 from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, positive_int
 
 
@@ -38,7 +38,10 @@ class TrainConfig:
         positive_int(self.max_depth, "max_depth", MAX_TREE_DEPTH)
         positive_int(self.min_leaf, "min_leaf")
         if self.forced_splits is not None:
-            forced = tuple(map(tuple, self.forced_splits))
+            try:  # TypeError: not iterable; ValueError: an entry of another length
+                forced = tuple((feature, threshold) for feature, threshold in self.forced_splits)
+            except (TypeError, ValueError):
+                raise ValueError("forced_splits must hold (feature, threshold) pairs") from None
             object.__setattr__(self, "forced_splits", forced)
             if len(forced) != self.n_trees:
                 raise ValueError("forced_splits must supply one (feature, threshold) pair per tree")
@@ -49,7 +52,10 @@ class TrainConfig:
 @dataclass(frozen=True)
 class Model:
     """Fitted additive ensemble.  Prediction starts from a raw score of 0.
-    Like RegressionTree, it refuses any value a model file could not hold."""
+    Like RegressionTree, it refuses any value a model file could not hold,
+    and a model whose raw score can overflow: learning_rate * max |value|,
+    summed over the trees in order, must be finite.  Rounding is monotone,
+    so every row's score, summed in the same order, is then finite too."""
 
     trees: tuple[RegressionTree, ...]
     learning_rate: float
@@ -65,9 +71,20 @@ class Model:
             raise ValueError(f"feature_names must be a list of {self.n_features} strings")
         object.__setattr__(self, "learning_rate", learning_rate)
         object.__setattr__(self, "feature_names", tuple(names))
+        bound = 0.0
         for tree in self.trees:
             if tree.n_features != self.n_features:
                 raise ValueError(f"tree of {tree.n_features} features, model of {self.n_features}")
+            bound += learning_rate * max(map(abs, tree.value))
+        if not math.isfinite(bound):
+            raise ValueError("learning_rate * max |gamma| summed over the trees overflows a float")
+
+    def check_width(self, dataset: Dataset) -> None:
+        """Refuse, as a DataError, data whose feature columns are not the model's."""
+        if dataset.n_features != self.n_features:
+            raise DataError(
+                f"data has {dataset.n_features} feature columns, model expects {self.n_features}"
+            )
 
     def predict_raw(self, x) -> float:
         """Sum of learning-rate-scaled tree outputs for one instance, in tree order."""
@@ -273,18 +290,6 @@ class TrainingTrace:
         return self.records[-1].total_loss
 
 
-def total_loss(labels, probs) -> float:
-    """Total cross-entropy of predicted probabilities against binary labels."""
-    y = np.asarray(labels, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    # each row computes only its own term, so p = 1 at y = 1 never reaches log1p(-1)
-    positive = y == 1.0
-    terms = np.empty_like(p)
-    terms[positive] = -np.log(p[positive])
-    terms[~positive] = -np.log1p(-p[~positive])
-    return math.fsum(terms.tolist())
-
-
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
     """Fit an additive ensemble of residual trees with second-order leaf values.
 
@@ -331,10 +336,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     """
     if dataset.labels is None:
         raise ValueError("replay requires a labeled dataset")
-    if dataset.n_features != model.n_features:
-        raise DataError(
-            f"data has {dataset.n_features} feature columns, model expects {model.n_features}"
-        )
+    model.check_width(dataset)
     X, y = dataset.features, dataset.labels
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []
@@ -358,7 +360,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
                 scores=scores,
                 probs=probs,
                 leaves=tuple(leaves),
-                total_loss=total_loss(y, probs),
+                total_loss=total_loss(y, scores),
             )
         )
     return TrainingTrace(tuple(records))

@@ -145,10 +145,8 @@ def cmd_predict(args) -> None:
         dataset = load_csv(args.data, expect_labels=False)
     except EmptyDatasetError:
         dataset = None  # header-only input: vacuous success below
-    if dataset is not None and dataset.n_features != model.n_features:
-        raise DataError(
-            f"data has {dataset.n_features} feature columns, model expects {model.n_features}"
-        )
+    if dataset is not None:
+        model.check_width(dataset)
     with _open_output(args.out) as fh:
         write_predictions(fh, model, dataset, args.threshold)
 

@@ -1,5 +1,5 @@
-"""Scalar math behind leaf values: sigmoid, residuals, logistic leaf loss,
-the second-order (Newton) leaf step, and an exact bisection minimizer."""
+"""Scalar math behind leaf values: sigmoid, residuals, the logistic loss of
+scores, the second-order (Newton) leaf step, and an exact bisection minimizer."""
 
 from __future__ import annotations
 
@@ -40,9 +40,16 @@ def residuals(labels, probs):
     return np.asarray(labels, dtype=np.float64) - np.asarray(probs, dtype=np.float64)
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    # log(1 + e^t) without overflow: shift so the exponent is non-positive
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+def total_loss(labels, scores) -> float:
+    """Total cross-entropy of binary labels against raw scores (log-odds): the
+    exact sum of log(1 + e^s) - y*s, or inf when it passes the float range."""
+    s = np.asarray(scores, dtype=np.float64)
+    # log(1 + e^s) with the exponent shifted to be non-positive, so no term overflows
+    terms = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - np.asarray(labels) * s
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:  # fsum's "intermediate overflow"
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -101,9 +108,7 @@ def newton_leaf_value(sample: LeafSample) -> float:
 def leaf_loss(value: float, sample: LeafSample) -> float:
     """Exact negative log-likelihood of the leaf's instances after adding
     `value` to each prior score.  Always non-negative."""
-    shifted = sample.prior_scores + float(value)
-    terms = _softplus(shifted) - sample.labels * shifted
-    return math.fsum(terms.tolist())
+    return total_loss(sample.labels, sample.prior_scores + float(value))
 
 
 def leaf_loss_derivative(value: float, sample: LeafSample) -> float:

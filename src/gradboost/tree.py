@@ -122,9 +122,9 @@ class RegressionTree:
     def __init__(self, root: Split | Leaf, n_features: int):
         """Compile root into the columns in one pass, refusing what a model file
         could not hold: n_features not an integer >= 1, a split feature not an
-        integer in [0, n_features), a threshold or leaf value not a finite
-        real, leaf ids other than 1, 2, ... left to right, or a path of more
-        than MAX_TREE_DEPTH splits."""
+        integer in [0, n_features), a node that is not a Split or a Leaf, a
+        threshold or leaf value not a finite real, leaf ids other than 1, 2,
+        ... left to right, or a path of more than MAX_TREE_DEPTH splits."""
         positive_int(n_features, "n_features")
         columns = ([], [], [], [], [], [])
         feature, threshold, left, right, value, leaf_id = columns
@@ -141,6 +141,8 @@ class RegressionTree:
                 if not (is_int(node.leaf_id) and node.leaf_id == n_leaves):
                     raise ValueError(f"leaf id {node.leaf_id!r} out of order, expected {n_leaves}")
                 entries = (-1, 0.0, i, i, finite_real(node.value, "leaf value"), n_leaves)
+            elif not isinstance(node, Split):
+                raise ValueError(f"tree node must be a Split or a Leaf, got {type(node).__name__}")
             elif d == MAX_TREE_DEPTH:
                 raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
             elif is_int(node.feature_index) and 0 <= node.feature_index < n_features:

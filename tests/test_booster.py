@@ -1,15 +1,20 @@
 """End-to-end boosting: config validation, training trace, prediction, replay."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradboost import (
     Dataset,
+    Leaf,
     LeafSample,
     Model,
     RegressionTree,
+    Split,
     TrainConfig,
     leaf_loss,
     newton_step,
@@ -86,6 +91,15 @@ class TestTrainConfig:
 
     def test_stores_the_learning_rate_as_a_float(self):
         assert type(TrainConfig(learning_rate=1).learning_rate) is float
+
+    @pytest.mark.parametrize(
+        "n_trees, forced",
+        [(1, (0, 3.5)), (2, ((0, 3.5), 7)), (1, ((0, 3.5, 1),)), (1, 5)],
+        ids=["one-flat-pair", "an-integer-entry", "a-triple", "an-integer"],
+    )
+    def test_names_forced_splits_that_are_not_pairs(self, n_trees, forced):
+        with pytest.raises(ValueError, match="forced_splits"):
+            TrainConfig(n_trees=n_trees, forced_splits=forced)
 
     def test_normalizes_forced_splits(self):
         config = TrainConfig(n_trees=1, forced_splits=[[0, 3.5]])
@@ -235,6 +249,17 @@ class TestPredict:
         wide = RegressionTree(model.trees[0].root, 2)
         with pytest.raises(ValueError, match="features"):
             Model(trees=(*model.trees, wide), learning_rate=0.1, n_features=1, feature_names=("x",))
+
+    def test_model_refuses_trees_whose_outputs_can_sum_past_the_float_range(self):
+        big = RegressionTree(Split(0, 0.5, Leaf(1, -1.7e308), Leaf(2, 1.7e308)), 1)
+        with pytest.raises(ValueError, match="overflows a float"):
+            Model((big, big), 1.0, 1, ("x",))
+        # 0.5 * 1.7e308 twice sums to 1.7e308: every score stays finite
+        model = Model((big, big), 0.5, 1, ("x",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = model.predict_raw_batch(np.array([[0.0], [1.0]]))
+        assert scores.tolist() == [-1.7e308, 1.7e308]
 
     def test_rejects_bad_threshold(self, reference_run):
         model, _ = reference_run
@@ -434,19 +459,69 @@ class TestReplay:
             replay(model, ds)
 
 
-def test_total_loss_of_certain_correct_predictions_is_zero():
-    # each row computes only its own branch, so p = 1 at y = 1 never runs log1p(-1)
-    assert total_loss([1, 0], [1.0, 0.0]) == 0.0
+def _two_branch_loss(labels, scores) -> float:
+    """The loss taken from probabilities, -log p or -log(1 - p) by label: an
+    independent oracle, exact to ~1e-16 where p has not saturated."""
+    probs = sigmoid(np.asarray(scores, dtype=np.float64))
+    terms = np.where(np.asarray(labels) == 1.0, -np.log(probs), -np.log1p(-probs))
+    return math.fsum(terms.tolist())
 
 
-def test_total_loss_equals_the_two_branch_formula_bit_for_bit():
-    rng = np.random.default_rng(3)
-    labels = rng.integers(0, 2, 2000).astype(float)
-    probs = rng.uniform(1e-9, 1.0 - 1e-9, 2000)
-    terms = np.where(labels == 1.0, -np.log(probs), -np.log1p(-probs))
-    assert total_loss(labels, probs).hex() == math.fsum(terms.tolist()).hex()
+def _stump_replay(gamma, labels):
+    """replay of a learning-rate-1 stump at x <= 0.5 with leaf values -gamma
+    and +gamma, over the rows x = 0 and then x = 1 labeled as given."""
+    stump = RegressionTree(Split(0, 0.5, Leaf(1, -gamma), Leaf(2, gamma)), 1)
+    model = Model((stump,), 1.0, 1, ("x",))
+    x = np.repeat([0.0, 1.0], len(labels) // 2).reshape(-1, 1)
+    return replay(model, Dataset(x, np.array(labels, dtype=float), ("x",)))
 
 
-def test_total_loss_at_even_odds_is_n_log_two():
+def test_total_loss_at_zero_scores_is_n_log_two():
     labels = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    assert abs(total_loss(labels, np.full(6, 0.5)) - 6.0 * math.log(2.0)) < 1e-12
+    # both sides round the exact 6 * fl(log 2) once
+    assert total_loss(labels, np.zeros(6)) == 6.0 * math.log(2.0)
+
+
+def test_total_loss_of_scores_saturated_on_the_wrong_side_is_finite():
+    # sigmoid(-800) and sigmoid(800) round to 0 and 1, so a loss taken from
+    # the probabilities would be inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _stump_replay(800.0, [1, 0]).final_loss == 1600.0
+
+
+def test_total_loss_past_the_float_range_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert total_loss([1, 1, 0, 0], [-1e308, -1e308, 1e308, 1e308]) == math.inf
+        assert _stump_replay(1e308, [1, 1, 0, 0]).final_loss == math.inf
+
+
+moderate_rows = st.lists(
+    st.tuples(st.sampled_from((0.0, 1.0)), st.floats(-5.0, 5.0)), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(moderate_rows)
+def test_total_loss_matches_the_probability_form_on_moderate_scores(rows):
+    labels, scores = zip(*rows)
+    want = _two_branch_loss(labels, scores)
+    assert abs(total_loss(labels, scores) - want) <= 1e-12 * want
+
+
+finite_rows = st.lists(
+    st.tuples(st.sampled_from((0.0, 1.0)), st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(finite_rows)
+def test_total_loss_of_finite_scores_is_never_nan_and_never_warns(rows):
+    labels, scores = zip(*rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = total_loss(labels, scores)
+    assert loss >= 0.0  # False for NaN

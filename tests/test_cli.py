@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gradboost import Leaf, Model, RegressionTree, Split, booster
 from gradboost.booster import deserialize_model, load_model, save_model, serialize_model
@@ -592,6 +594,64 @@ class TestModelFileSweep:
             edited.write_bytes(whole[:size])
             code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
             _assert_clean_exit(code, capsys.readouterr().err, size)
+
+
+class TestScoreRange:
+    def test_a_model_whose_scores_can_overflow_is_refused(self, trained, tmp_path, capsys):
+        # every value is finite, but three stumps of 1.7e308 sum past the float range
+        document = json.loads(trained.model.read_text(encoding="utf-8"))
+        document["learning_rate"] = 1.0
+        for stump in document["trees"]:
+            stump["left"]["gamma"] = stump["right"]["gamma"] = 1.7e308
+        model = _write(tmp_path, json.dumps(document), "model.json")
+        for command in ("predict", "trace"):
+            code = main([command, "--model", str(model), "--data", str(trained.data)])
+            err = capsys.readouterr().err
+            assert code == EXIT_IO
+            assert err.startswith("error:") and err.count("\n") == 1 and "overflows" in err
+
+    def test_a_loss_past_the_float_range_traces_cleanly(self, tmp_path, capsys):
+        # every row is misclassified with |score| 1e308, so the exact loss is 4e308
+        data = _write(tmp_path, "x,label\n0,1\n0,1\n1,0\n1,0\n")
+        stump = RegressionTree(Split(0, 0.5, Leaf(1, -1e308), Leaf(2, 1e308)), 1)
+        model = tmp_path / "model.json"
+        save_model(Model((stump,), 1.0, 1, ("x",)), model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["trace", "--model", str(model), "--data", str(data)])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+
+
+class TestByteFlipSweep:
+    @settings(
+        max_examples=60, derandomize=True, deadline=None, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_every_byte_replacement_runs_or_fails_cleanly(self, trained, tmp_path, capsys, data):
+        """Each example replaces one byte of the model file, then one of the data
+        CSV.  The model's indentation is skipped, so that the draws land on its
+        keys, values and brackets."""
+        model, csv = trained.model.read_bytes(), trained.data.read_bytes()
+        structural = [i for i, byte in enumerate(model) if byte not in b" \n"]
+        edited_model, edited_csv = tmp_path / "edited.json", tmp_path / "edited.csv"
+        predict_model = [["predict", "--model", edited_model, "--data", trained.data]]
+        run_data = [
+            ["train", "--data", edited_csv],
+            ["predict", "--model", trained.model, "--data", edited_csv],
+            ["trace", "--model", trained.model, "--data", edited_csv],
+        ]
+        for original, offsets, edited, commands in (
+            (model, structural, edited_model, predict_model),
+            (csv, range(len(csv)), edited_csv, run_data),
+        ):
+            offset = data.draw(st.sampled_from(offsets), label="offset")
+            byte = data.draw(st.integers(0, 255).filter(original[offset].__ne__), label="byte")
+            edited.write_bytes(original[:offset] + bytes([byte]) + original[offset + 1:])
+            for argv in commands:
+                code = main(list(map(str, argv)))
+                case = (edited.name, offset, byte, argv[0])
+                _assert_clean_exit(code, capsys.readouterr().err, case)
 
 
 class TestDataFileSweep:

@@ -337,10 +337,15 @@ class TestFitTree:
             (Leaf(1, True), Leaf(2, 0.0), "leaf value"),
             (Leaf(1, "3.5"), Leaf(2, 0.0), "leaf value"),
             (Leaf(1, 10**400), Leaf(2, 0.0), "leaf value"),
+            (5, Leaf(2, 0.0), "Split or a Leaf, got int"),
+            (None, Leaf(2, 0.0), "Split or a Leaf, got NoneType"),
+            ({"leaf_id": 1, "gamma": 0.0}, Leaf(2, 0.0), "Split or a Leaf, got dict"),
+            (Leaf(1, 0.0), None, "Split or a Leaf, got NoneType"),
         ],
         ids=[
             "repeated-ids", "right-to-left-ids", "zero-based-ids", "true-id", "nan-value",
             "inf-value", "minus-inf-value", "true-value", "string-value", "huge-integer-value",
+            "integer-child", "none-child", "dict-child", "none-right-child",
         ],
     )
     def test_rejects_leaves_a_model_file_cannot_hold(self, left, right, message):

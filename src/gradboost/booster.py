@@ -11,7 +11,9 @@ import numpy as np
 
 from .dataset import DataError, Dataset
 from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid, total_loss
-from .tree import MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, positive_int
+from .tree import (
+    MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, positive_int, row_values
+)
 
 
 def valid_learning_rate(value) -> float:
@@ -87,14 +89,18 @@ class Model:
             )
 
     def predict_raw(self, x) -> float:
-        """Sum of learning-rate-scaled tree outputs for one instance, in tree order."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {x.shape[0]}")
-        row = x.tolist()
-        score = 0.0
+        """Sum of learning-rate-scaled tree outputs for one instance, in tree order.
+
+        Walks each tree's columns in place, as RegressionTree._walk does: the
+        same comparisons and the same sum, without a call per tree."""
+        row = row_values(x, self.n_features)
+        learning_rate, score = self.learning_rate, 0.0
         for tree in self.trees:
-            score += self.learning_rate * tree._walk(row)[1]
+            feature, threshold, left, right, value, _ = tree._columns
+            i = 0
+            while feature[i] >= 0:
+                i = left[i] if row[feature[i]] <= threshold[i] else right[i]
+            score += learning_rate * value[i]
         return score
 
     def predict_raw_batch(self, features) -> np.ndarray:

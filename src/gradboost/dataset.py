@@ -32,7 +32,21 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        features = np.array(self.features, dtype=np.float64, copy=True)
+        self._hold(self.features, self.labels, self.feature_names, copy=True)
+
+    @classmethod
+    def _adopt(cls, features, labels, feature_names) -> "Dataset":
+        """A Dataset holding these float64 arrays themselves, not copies, for
+        arrays over buffers no caller holds: they are checked as a caller's
+        copies are, then made read-only."""
+        dataset = object.__new__(cls)
+        dataset._hold(features, labels, feature_names, copy=False)
+        return dataset
+
+    def _hold(self, features, labels, feature_names, copy: bool):
+        """Check the fields and store them, the arrays as read-only float64
+        arrays: copies, or with copy False the arrays given."""
+        features = np.array(features, dtype=np.float64, copy=copy)
         if features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
         n, d = features.shape
@@ -43,9 +57,8 @@ class Dataset:
         features.setflags(write=False)
         object.__setattr__(self, "features", features)
 
-        labels = self.labels
         if labels is not None:
-            labels = np.array(labels, dtype=np.float64, copy=True)
+            labels = np.array(labels, dtype=np.float64, copy=copy)
             if labels.shape != (n,):
                 raise DataError("labels must be a length-n vector")
             if not np.all(np.isin(labels, (0.0, 1.0))):
@@ -53,7 +66,7 @@ class Dataset:
             labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
-        names = tuple(str(s) for s in self.feature_names)
+        names = tuple(str(s) for s in feature_names)
         if len(names) != d:
             raise DataError("feature_names must name every feature column")
         object.__setattr__(self, "feature_names", names)
@@ -140,11 +153,11 @@ def _read_rows(path, reader, expect_labels: bool) -> Dataset:
             labels.append(value)
     if not features:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return Dataset(
-        features=np.frombuffer(features, dtype=np.float64).reshape(-1, d),
-        labels=np.frombuffer(labels, dtype=np.float64) if has_labels else None,
-        feature_names=tuple(feature_names),
-    )
+    # read-only views of the arrays just filled, so the Dataset need not copy
+    # them and no writable array shares their memory
+    features = np.frombuffer(memoryview(features).toreadonly()).reshape(-1, d)
+    labels = np.frombuffer(memoryview(labels).toreadonly()) if has_labels else None
+    return Dataset._adopt(features, labels, tuple(feature_names))
 
 
 def save_csv(dataset: Dataset, path) -> None:

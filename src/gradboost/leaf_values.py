@@ -15,16 +15,24 @@ def sigmoid(z):
     """Logistic function, stable for |z| up to ~700.
 
     Branches so the exponentiated argument is never positive.  Accepts a
-    scalar or an array; returns a float for scalar input.
+    scalar or an array; returns a float for scalar input.  A scalar takes the
+    same two formulas on Python floats, bit for bit the array result: it
+    calls numpy's exp, not math.exp, which differs in the last bit on some
+    arguments.  NaN takes the second formula in both.
     """
-    scalar = np.ndim(z) == 0
-    arr = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    if np.ndim(z) == 0:
+        z = float(z)
+        if z >= 0.0:
+            return 1.0 / (1.0 + float(np.exp(-z)))
+        expz = float(np.exp(z))
+        return expz / (1.0 + expz)
+    arr = np.asarray(z, dtype=np.float64)
     out = np.empty_like(arr)
     pos = arr >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
     expz = np.exp(arr[~pos])
     out[~pos] = expz / (1.0 + expz)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def log_odds(p):

@@ -170,10 +170,7 @@ class RegressionTree:
 
     def apply(self, x) -> tuple[int, float]:
         """Route one instance to its leaf; returns (leaf_id, value)."""
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {x.shape[0]}")
-        return self._walk(x.tolist())
+        return self._walk(row_values(x, self.n_features))
 
     def apply_batch(self, features) -> tuple[np.ndarray, np.ndarray]:
         """apply of every row of a matrix, as (leaf ids, values) arrays: all
@@ -242,6 +239,18 @@ class RegressionTree:
             else:
                 nodes[i] = Split(feature[i], threshold[i], nodes[left[i]], nodes[right[i]])
         return nodes[0]
+
+
+def row_values(x, n_features: int) -> list[float]:
+    """One row, given as a 1-d array, list or tuple of n_features numbers, as a
+    list of Python floats.  Anything else, a bare number or a 2-d array of as
+    many cells included, is refused with a ValueError naming its shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"a row must be 1-d, got shape {x.shape}")
+    if x.shape[0] != n_features:
+        raise ValueError(f"expected {n_features} features, got {x.shape[0]}")
+    return x.tolist()
 
 
 def is_int(value) -> bool:

@@ -8,6 +8,8 @@ breaks the traced benchmark without breaking any other test.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import gradboost
 import gradboost.cli
 
@@ -25,14 +27,19 @@ def _load_tracing():
 
 def _traced(argv):
     """(exit code, tracer) of one gradboost CLI call under the benchmark's tracer."""
+    return _traced_call(gradboost.cli.main, argv)
+
+
+def _traced_call(fn, *args):
+    """(fn's result, tracer) of one call under the benchmark's tracer."""
     tracer = _load_tracing().Tracer()
     tracer.prepare(gradboost)
     tracer.install()
     try:
-        code = gradboost.cli.main(argv)
+        result = fn(*args)
     finally:
         tracer.uninstall()
-    return code, tracer
+    return result, tracer
 
 
 def _span_names(tracer):
@@ -89,3 +96,12 @@ def test_traced_predict_and_trace_record_layer_spans(tmp_path, capsys):
     assert tracer.counts["rows_routed"] == 6 * 3  # six rows through each of the default 3 trees
     assert tracer.counts["output_bytes"] == trace.stat().st_size
     capsys.readouterr()
+
+
+def test_traced_predict_proba_records_the_raw_score_and_sigmoid_spans(reference_run):
+    model, _ = reference_run
+    x = np.array([7.0])
+    p, tracer = _traced_call(model.predict_proba, x)
+    assert p == model.predict_proba(x)
+    assert {"booster.predict_raw", "leaf_values.sigmoid"} <= _span_names(tracer)
+    assert tracer.counts["predict_raw_calls"] == 1

@@ -192,6 +192,42 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict_raw(np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.arange(6.0).reshape(2, 3), r"a row must be 1-d, got shape \(2, 3\)"),
+            (np.arange(6.0).reshape(3, 2), r"a row must be 1-d, got shape \(3, 2\)"),
+            ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], r"a row must be 1-d, got shape \(2, 3\)"),
+            (np.arange(6.0).reshape(1, 6), r"a row must be 1-d, got shape \(1, 6\)"),
+            (3.0, r"a row must be 1-d, got shape \(\)"),
+            (np.array(3.0), r"a row must be 1-d, got shape \(\)"),
+            (np.arange(5.0), "expected 6 features, got 5"),
+        ],
+        ids=["2x3", "3x2", "nested-list", "1x6", "bare-number", "0-d-array", "five-features"],
+    )
+    def test_a_single_row_must_be_one_row_of_the_model_width(self, x, message):
+        rng = np.random.default_rng(0)
+        features = rng.integers(0, 5, (20, 6)).astype(float)
+        dataset = Dataset(features, rng.integers(0, 2, 20).astype(float), tuple("abcdef"))
+        model, _ = train(dataset, TrainConfig(n_trees=3, max_depth=2))
+        for call in (model.predict_raw, model.predict_proba, model.predict_label):
+            with pytest.raises(ValueError, match=message):
+                call(x)
+        for tree in model.trees:
+            with pytest.raises(ValueError, match=message):
+                tree.apply(x)
+
+    def test_a_single_row_may_be_an_array_a_list_or_a_tuple(self):
+        rng = np.random.default_rng(1)
+        features = rng.integers(0, 5, (20, 3)).astype(float)
+        dataset = Dataset(features, rng.integers(0, 2, 20).astype(float), ("a", "b", "c"))
+        model, _ = train(dataset, TrainConfig(n_trees=4, max_depth=2))
+        for x in features:
+            raw = model.predict_raw(x)
+            assert model.predict_raw(x.tolist()) == raw
+            assert model.predict_raw(tuple(x.tolist())) == raw
+            assert model.trees[0].apply(x.tolist()) == model.trees[0].apply(x)
+
     def test_predict_raw_is_the_in_order_sum_of_tree_outputs(self):
         for seed in range(6):
             rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Dataset loading, validation, and CSV round-trip behavior."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,34 @@ class TestDatasetInvariants:
             six_points.features[0, 0] = 9.0
         with pytest.raises(ValueError):
             six_points.labels[0] = 0.0
+
+    def test_a_callers_arrays_are_copied(self):
+        features, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0])
+        dataset = Dataset(features, labels, ("a", "b"))
+        features[0, 0], labels[0] = 9.0, 1.0
+        assert dataset.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert dataset.labels.tolist() == [0.0, 1.0]
+        assert features.flags.writeable and labels.flags.writeable
+
+    def test_loaded_arrays_are_read_only_and_no_array_can_write_them(self, six_csv):
+        dataset = load_csv(six_csv)
+        for array in (dataset.features, dataset.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+
+    def test_loading_keeps_one_copy_of_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = "".join(",".join(map(repr, row)) + "\n" for row in rng.normal(size=(4000, 6)).tolist())
+        path = _write(tmp_path, "a,b,c,d,e,f\n" + rows)
+        tracemalloc.start()
+        try:
+            dataset = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a second copy of the matrix would take the peak past twice its size
+        assert peak < 1.75 * dataset.features.nbytes
 
     def test_equality_is_field_for_field(self):
         a = Dataset(np.array([[1.0]]), np.array([1.0]), ("x",))

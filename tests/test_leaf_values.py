@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradboost import (
     NEWTON_DENOMINATOR_FLOOR,
@@ -17,6 +19,26 @@ from gradboost import (
     newton_step,
     residuals,
     sigmoid,
+)
+
+
+# zero of both signs, the smallest subnormal and normal, where exp(-|z|) leaves
+# the subnormals and where it reaches 0, and the non-finite values
+SPECIAL_SCORES = [0.0, 5e-324, 2.2250738585072014e-308, 708.5, 745.0, 745.2, math.inf, math.nan]
+SCORES = st.one_of(
+    st.sampled_from(SPECIAL_SCORES + [-z for z in SPECIAL_SCORES]),
+    # full-precision multiples of 2**-46 in [-128, 128]: hypothesis's bounded
+    # floats favour short mantissas, on which any exp is exact enough
+    st.integers(-(2**53), 2**53).map(lambda k: k * 2.0**-46),
+    st.floats(-800.0, 800.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# each score as a Python float, a numpy float64 and a 0-d array, and the
+# other scalars a caller may pass: Python ints and numpy float32s
+SCALARS = st.one_of(
+    SCORES.flatmap(lambda z: st.sampled_from([z, np.float64(z), np.array(z)])),
+    st.integers(-1000, 1000),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
 )
 
 
@@ -51,6 +73,14 @@ class TestSigmoid:
     def test_scalar_in_scalar_out(self):
         assert isinstance(sigmoid(1.0), float)
         assert isinstance(sigmoid(np.array([1.0])), np.ndarray)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.lists(SCALARS, min_size=1, max_size=40))
+    def test_a_scalar_scores_bit_for_bit_as_in_an_array(self, zs):
+        for z in zs:
+            p = sigmoid(z)
+            assert type(p) is float
+            assert p.hex() == float(sigmoid(np.array([z]))[0]).hex()
 
 
 class TestLogOdds:

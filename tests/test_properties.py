@@ -22,6 +22,7 @@ from gradboost import (
     TrainConfig,
     deserialize_model,
     serialize_model,
+    sigmoid,
     train,
 )
 from gradboost.tree import MAX_TREE_DEPTH
@@ -75,11 +76,14 @@ def _leaf_of(node, x):
 
 
 def _assert_batch_matches_rows(model, X):
-    """predict_raw_batch equals predict_raw row by row under float.hex, and each
+    """predict_raw_batch equals predict_raw row by row under float.hex, and its
+    sigmoid equals predict_proba, so scalar and array sigmoid agree; each
     tree's leaf_assignment equals grouping the rows by apply, which in turn
     agrees with walking the tree's Split/Leaf form."""
     batch = model.predict_raw_batch(X)
     assert [v.hex() for v in batch.tolist()] == [model.predict_raw(x).hex() for x in X]
+    probs = sigmoid(batch)
+    assert [p.hex() for p in probs.tolist()] == [model.predict_proba(x).hex() for x in X]
     for tree in model.trees:
         expected = {leaf.leaf_id: [] for leaf in tree.leaves()}
         for i, x in enumerate(X):

@@ -296,6 +296,29 @@ class TrainingTrace:
         return self.records[-1].total_loss
 
 
+def _leaf_terms(tree: RegressionTree, X, y, scores) -> list[tuple[int, np.ndarray, float, float]]:
+    """(leaf_id, members, numerator, denominator) for each leaf, left to right:
+    the Newton terms of its rows at these scores, 0.0 and 0.0 if it has none."""
+    terms = []
+    for leaf_id, members in tree.leaf_assignment(X).items():
+        numerator = denominator = 0.0
+        if members.size:
+            numerator, denominator = leaf_value_terms(LeafSample(y[members], scores[members]))
+        terms.append((leaf_id, members, numerator, denominator))
+    return terms
+
+
+def _round(iteration, tree, terms, y, scores, prior_probs, learning_rate) -> IterationRecord:
+    """One round's record: a copy of scores advanced by learning_rate times each
+    leaf's value over its members (terms and tree.leaves() run left to right)."""
+    scores, leaves = scores.copy(), []
+    for (leaf_id, members, numerator, denominator), leaf in zip(terms, tree.leaves()):
+        scores[members] += learning_rate * leaf.value
+        leaves.append(LeafRecord(leaf_id, members, numerator, denominator, leaf.value))
+    probs, loss = sigmoid(scores), total_loss(y, scores)
+    return IterationRecord(iteration, y, prior_probs, scores, probs, tuple(leaves), loss)
+
+
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
     """Fit an additive ensemble of residual trees with second-order leaf values.
 
@@ -303,8 +326,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
     fits a tree to the current residuals, or takes the configured forced
     stump (all built, and so checked, before the first round), sets each
     leaf to the Newton step over the rows it holds (an empty leaf keeps 0),
-    and advances the scores by learning_rate times the leaf value.  The
-    returned trace is replay(model, dataset).
+    and advances the scores by learning_rate times the leaf value, recording
+    each round with replay's helpers: the trace is replay(model, dataset).
     """
     if dataset.labels is None:
         raise ValueError("training requires a labeled dataset")
@@ -313,23 +336,19 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
         RegressionTree(Split(f, t, Leaf(1, 0.0), Leaf(2, 0.0)), dataset.n_features)
         for f, t in config.forced_splits or ()
     ]
-    scores = np.zeros(dataset.n_rows)
-    trees = []
+    scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
+    trees, records = [], []
     for m in range(config.n_trees):
-        if stumps:
-            tree = stumps[m]
-        else:
-            residuals = y - sigmoid(scores)
-            tree = fit_tree(X, residuals, max_depth=config.max_depth, min_leaf=config.min_leaf)
-        values = {}
-        for leaf_id, members in tree.leaf_assignment(X).items():
-            if members.size:
-                sample = LeafSample(y[members], scores[members])
-                values[leaf_id] = newton_step(*leaf_value_terms(sample))
-                scores[members] += config.learning_rate * values[leaf_id]
-        trees.append(tree.with_leaf_values(values))
+        tree = stumps[m] if stumps else fit_tree(
+            X, y - probs, max_depth=config.max_depth, min_leaf=config.min_leaf
+        )
+        terms = _leaf_terms(tree, X, y, scores)
+        tree = tree.with_leaf_values({i: newton_step(n, d) for i, rows, n, d in terms if rows.size})
+        records.append(_round(m + 1, tree, terms, y, scores, probs, config.learning_rate))
+        trees.append(tree)
+        scores, probs = records[-1].scores, records[-1].probs
     model = Model(tuple(trees), config.learning_rate, dataset.n_features, dataset.feature_names)
-    return model, replay(model, dataset)
+    return model, TrainingTrace(tuple(records))
 
 
 def replay(model: Model, dataset: Dataset) -> TrainingTrace:
@@ -347,26 +366,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []
     for m, tree in enumerate(model.trees, start=1):
-        prior_probs, scores = probs, scores.copy()
-        leaves = []
-        # both run over the leaves left to right, so in leaf id order
-        for (leaf_id, members), leaf in zip(tree.leaf_assignment(X).items(), tree.leaves()):
-            numerator = denominator = 0.0
-            if members.size:
-                sample = LeafSample(y[members], scores[members])
-                numerator, denominator = leaf_value_terms(sample)
-            scores[members] += model.learning_rate * leaf.value
-            leaves.append(LeafRecord(leaf_id, members, numerator, denominator, leaf.value))
-        probs = sigmoid(scores)
-        records.append(
-            IterationRecord(
-                iteration=m,
-                labels=y,
-                prior_probs=prior_probs,
-                scores=scores,
-                probs=probs,
-                leaves=tuple(leaves),
-                total_loss=total_loss(y, scores),
-            )
-        )
+        terms = _leaf_terms(tree, X, y, scores)
+        records.append(_round(m, tree, terms, y, scores, probs, model.learning_rate))
+        scores, probs = records[-1].scores, records[-1].probs
     return TrainingTrace(tuple(records))

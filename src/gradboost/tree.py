@@ -242,15 +242,21 @@ class RegressionTree:
 
 
 def row_values(x, n_features: int) -> list[float]:
-    """One row, given as a 1-d array, list or tuple of n_features numbers, as a
-    list of Python floats.  Anything else, a bare number or a 2-d array of as
-    many cells included, is refused with a ValueError naming its shape."""
+    """One row, given as a 1-d array, list or tuple of n_features finite
+    numbers, as a list of Python floats.  Anything else, a bare number or a
+    2-d array of as many cells included, is refused with a ValueError naming
+    its shape, or the position of its first NaN or infinity."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"a row must be 1-d, got shape {x.shape}")
     if x.shape[0] != n_features:
         raise ValueError(f"expected {n_features} features, got {x.shape[0]}")
-    return x.tolist()
+    row = x.tolist()
+    if not math.isfinite(sum(row)):  # one pass; finite values may still sum past the float range
+        for position, value in enumerate(row):
+            if not math.isfinite(value):
+                raise ValueError(f"row value at position {position} is {value!r}, not finite")
+    return row
 
 
 def is_int(value) -> bool:

@@ -66,6 +66,17 @@ def test_traced_train_records_layer_spans(tmp_path, capsys):
     assert tracer.counts["model_bytes"] == model.stat().st_size
 
 
+def test_traced_train_routes_each_row_once_per_round(tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV, encoding="utf-8")
+    code, tracer = _traced(["train", "--data", str(data)])
+    assert code == 0
+    capsys.readouterr()
+    # the default 3 stumps: six rows routed and two leaves summed per round, once each
+    assert tracer.counts["rows_routed"] == 6 * 3
+    assert tracer.counts["leaves_evaluated"] == 2 * 3
+
+
 def test_traced_predict_and_trace_record_layer_spans(tmp_path, capsys):
     data = tmp_path / "six.csv"
     data.write_text(SIX_CSV, encoding="utf-8")

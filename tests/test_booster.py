@@ -228,6 +228,38 @@ class TestPredict:
             assert model.predict_raw(tuple(x.tolist())) == raw
             assert model.trees[0].apply(x.tolist()) == model.trees[0].apply(x)
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([math.nan, 1.0, 1.0, 1.0, 1.0, 1.0], "position 0 is nan"),
+            ([1.0, 1.0, 1.0, math.inf, 1.0, 1.0], "position 3 is inf"),
+            ([1.0, 1.0, 1.0, 1.0, 1.0, -math.inf], "position 5 is -inf"),
+            ([1.0, 1.0, math.nan, 1.0, math.inf, 1.0], "position 2 is nan"),
+        ],
+        ids=["nan", "inf", "minus-inf", "first-of-two"],
+    )
+    def test_a_single_row_must_be_finite(self, x, message):
+        rng = np.random.default_rng(0)
+        features = rng.integers(0, 5, (20, 6)).astype(float)
+        dataset = Dataset(features, rng.integers(0, 2, 20).astype(float), tuple("abcdef"))
+        model, _ = train(dataset, TrainConfig(n_trees=3, max_depth=2))
+        for row in (x, tuple(x), np.array(x)):
+            for call in (model.predict_raw, model.predict_proba, model.predict_label):
+                with pytest.raises(ValueError, match=f"row value at {message}, not finite"):
+                    call(row)
+            with pytest.raises(ValueError, match=f"row value at {message}, not finite"):
+                model.trees[0].apply(row)
+
+    def test_a_single_row_of_huge_finite_values_is_scored(self):
+        # its sum overflows to inf, but every cell is finite
+        dataset = Dataset(np.array([[0.0, 1e308], [1e308, 0.0]]), np.array([1.0, 0.0]), ("a", "b"))
+        model, _ = train(dataset, TrainConfig(n_trees=2))
+        x = [1e308, 1e308]
+        raw = model.predict_raw(x)
+        assert math.isfinite(raw) and raw == model.predict_raw_batch(np.array([x]))[0]
+        assert model.predict_proba(x) == sigmoid(raw)
+        assert model.trees[0].apply(x) == model.trees[0].apply(np.array(x))
+
     def test_predict_raw_is_the_in_order_sum_of_tree_outputs(self):
         for seed in range(6):
             rng = np.random.default_rng(seed)

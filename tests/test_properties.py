@@ -21,8 +21,11 @@ from gradboost import (
     Split,
     TrainConfig,
     deserialize_model,
+    fit_tree,
+    replay,
     serialize_model,
     sigmoid,
+    total_loss,
     train,
 )
 from gradboost.tree import MAX_TREE_DEPTH
@@ -256,3 +259,85 @@ _STUMP = RegressionTree(Split(0, 0.5, Leaf(1, 1.0), Leaf(2, -1.0)), 1)
 def test_a_model_no_file_could_hold_cannot_be_built(build):
     with pytest.raises(ValueError):
         build()
+
+
+@st.composite
+def traced_runs(draw):
+    """A labeled data set of ties and spread-out values, and a config for it:
+    grown trees, or forced stumps whose thresholds may lie outside the data's
+    range, so that some leaves hold no row."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 3))
+    cell = st.integers(0, 4).map(float) | st.floats(-50.0, 50.0)
+    cells = draw(st.lists(cell, min_size=n * d, max_size=n * d))
+    labels = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+    n_trees = draw(st.integers(1, 5))
+    forced = None
+    if draw(st.booleans()):
+        threshold = st.sampled_from([-1e3, -50.5, 50.5, 1e3]) | st.floats(-60.0, 60.0)
+        pair = st.tuples(st.integers(0, d - 1), threshold)
+        forced = tuple(draw(st.lists(pair, min_size=n_trees, max_size=n_trees)))
+    config = TrainConfig(
+        n_trees=n_trees,
+        learning_rate=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        max_depth=1 if forced else draw(st.integers(1, 3)),
+        min_leaf=draw(st.integers(1, 3)),
+        forced_splits=forced,
+    )
+    features = np.array(cells, dtype=float).reshape(n, d)
+    return Dataset(features, np.array(labels), tuple(f"f{j}" for j in range(d))), config
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _assert_records_chain(trace, model, dataset):
+    """Each record starts from the one before it (zero scores, even odds in
+    round 1), advances by learning_rate times its leaves' values, and holds
+    the probabilities and loss of its own scores."""
+    n = dataset.n_rows
+    scores, probs = np.zeros(n), None
+    for m, (record, tree) in enumerate(zip(trace.records, model.trees), start=1):
+        assert record.iteration == m and record.labels is dataset.labels
+        if probs is None:
+            assert _hex(record.prior_probs) == [(0.5).hex()] * n
+        else:
+            assert record.prior_probs is probs
+        expected = scores.copy()
+        for leaf_record, leaf in zip(record.leaves, tree.leaves()):
+            assert float(leaf_record.value).hex() == float(leaf.value).hex()
+            expected[leaf_record.members] += model.learning_rate * leaf.value
+        assert _hex(record.scores) == _hex(expected)
+        assert _hex(record.probs) == _hex(sigmoid(record.scores))
+        assert record.total_loss.hex() == total_loss(dataset.labels, record.scores).hex()
+        scores, probs = record.scores, record.probs
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(traced_runs())
+def test_train_trace_is_the_replay_trace_bit_for_bit(run):
+    dataset, config = run
+    model, trained = train(dataset, config)
+    replayed = replay(model, dataset)
+    assert len(trained) == len(replayed) == config.n_trees
+    for trace in (trained, replayed):
+        _assert_records_chain(trace, model, dataset)
+    for got, want, tree in zip(replayed.records, trained.records, model.trees):
+        for name in ("prior_probs", "scores", "probs", "residuals"):
+            assert _hex(getattr(got, name)) == _hex(getattr(want, name))
+        assert np.array_equal(got.leaf_ids, want.leaf_ids)
+        assert got.total_loss.hex() == want.total_loss.hex()
+        assert len(got.leaves) == len(want.leaves) == tree.n_leaves
+        for g, w in zip(got.leaves, want.leaves):
+            assert g.leaf_id == w.leaf_id
+            assert g.members.dtype == w.members.dtype and np.array_equal(g.members, w.members)
+            assert _hex([g.numerator, g.denominator, g.value]) == _hex(
+                [w.numerator, w.denominator, w.value]
+            )
+        if config.forced_splits is None:  # each tree was grown on its round's residuals
+            grown = fit_tree(
+                dataset.features, want.residuals,
+                max_depth=config.max_depth, min_leaf=config.min_leaf,
+            )
+            assert grown.with_leaf_values({w.leaf_id: w.value for w in want.leaves}) == tree

@@ -91,7 +91,7 @@ class Model:
     def predict_raw(self, x) -> float:
         """Sum of learning-rate-scaled tree outputs for one instance, in tree order.
 
-        Walks each tree's columns in place, as RegressionTree._walk does: the
+        Walks each tree's columns in place, as RegressionTree.apply does: the
         same comparisons and the same sum, without a call per tree."""
         row = row_values(x, self.n_features)
         learning_rate, score = self.learning_rate, 0.0
@@ -135,17 +135,6 @@ class ModelVersionError(ModelFormatError):
     """Model file declares an unsupported format version."""
 
 
-def _node_to_dict(node):
-    if isinstance(node, Leaf):
-        return {"leaf_id": node.leaf_id, "gamma": node.value}
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
 def serialize_model(model: Model) -> str:
     """Render a model as a versioned JSON document.
 
@@ -157,14 +146,21 @@ def serialize_model(model: Model) -> str:
         "learning_rate": model.learning_rate,
         "n_features": model.n_features,
         "feature_names": list(model.feature_names),
-        "trees": [_node_to_dict(tree.root) for tree in model.trees],
+        "trees": [tree.fold(_leaf_dict, _split_dict) for tree in model.trees],
     }
     return json.dumps(document, indent=2, allow_nan=False) + "\n"
 
 
-def _node_from_dict(obj, depth: int = 0) -> Split | Leaf:
-    """One tree node as Split/Leaf, holding the file's values as they are:
-    RegressionTree checks them."""
+def _leaf_dict(leaf_id: int, gamma: float) -> dict:
+    return {"leaf_id": leaf_id, "gamma": gamma}
+
+
+def _split_dict(feature_index: int, threshold: float, left: dict, right: dict) -> dict:
+    return {"feature_index": feature_index, "threshold": threshold, "left": left, "right": right}
+
+
+def _read_node(obj) -> Split | Leaf:
+    """A model file's node as a Leaf, or a Split whose children are still to be read."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf_id" in obj:
@@ -174,11 +170,7 @@ def _node_from_dict(obj, depth: int = 0) -> Split | Leaf:
     for key in ("feature_index", "threshold", "left", "right"):
         if key not in obj:
             raise ModelFormatError(f"internal node missing {key!r}")
-    if depth == MAX_TREE_DEPTH:  # before recursing any further
-        raise ModelFormatError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
-    left = _node_from_dict(obj["left"], depth + 1)
-    right = _node_from_dict(obj["right"], depth + 1)
-    return Split(obj["feature_index"], obj["threshold"], left, right)
+    return Split(obj["feature_index"], obj["threshold"], obj["left"], obj["right"])
 
 
 def deserialize_model(text: str) -> Model:
@@ -213,7 +205,7 @@ def deserialize_model(text: str) -> Model:
         raise ModelFormatError("'trees' must be a list")
     n_features = document["n_features"]
     try:
-        trees = tuple(RegressionTree(_node_from_dict(t), n_features) for t in document["trees"])
+        trees = tuple(RegressionTree._read(t, n_features, _read_node) for t in document["trees"])
         return Model(trees, document["learning_rate"], n_features, document["feature_names"])
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None

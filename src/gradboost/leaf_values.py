@@ -50,10 +50,19 @@ def residuals(labels, probs):
 
 def total_loss(labels, scores) -> float:
     """Total cross-entropy of binary labels against raw scores (log-odds): the
-    exact sum of log(1 + e^s) - y*s, or inf when it passes the float range."""
+    exact sum of log(1 + e^s) - y*s, or inf when it passes the float range.
+    Labels other than exactly 0 or 1, a score that is not finite and arrays
+    of different shapes are refused with a ValueError."""
+    y = np.asarray(labels, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
+    if y.shape != s.shape:
+        raise ValueError(f"labels of shape {y.shape} and scores of shape {s.shape} differ")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("labels must be exactly 0 or 1")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     # log(1 + e^s) with the exponent shifted to be non-positive, so no term overflows
-    terms = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - np.asarray(labels) * s
+    terms = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - y * s
     try:
         return math.fsum(terms.tolist())
     except OverflowError:  # fsum's "intermediate overflow"

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-# Deep enough for any practical tree, and shallow enough that growing,
-# serializing and loading one stays under Python's default recursion limit.
+# Deep enough for any practical tree, and shallow enough that json, which recurses
+# once per split of a v1 model file, writes and reads one under the default limit.
 MAX_TREE_DEPTH = 512
 
 
@@ -120,19 +120,30 @@ class RegressionTree:
     _depth: int = field(repr=False, compare=False)
 
     def __init__(self, root: Split | Leaf, n_features: int):
-        """Compile root into the columns in one pass, refusing what a model file
-        could not hold: n_features not an integer >= 1, a split feature not an
-        integer in [0, n_features), a node that is not a Split or a Leaf, a
-        threshold or leaf value not a finite real, leaf ids other than 1, 2,
-        ... left to right, or a path of more than MAX_TREE_DEPTH splits."""
+        """Compile root, a Split or a Leaf, as _compile does."""
+        self._compile(root, n_features, lambda node: node)
+
+    @classmethod
+    def _read(cls, root, n_features: int, read) -> "RegressionTree":
+        (tree := cls.__new__(cls))._compile(root, n_features, read)
+        return tree
+
+    def _compile(self, root, n_features: int, read) -> None:
+        """Compile into the columns, in one preorder pass, the tree read builds
+        from root: read(node) gives a Leaf, or a Split whose children are still
+        to be read.  Refuses what a model file could not hold: n_features not an
+        integer >= 1, a split feature not an integer in [0, n_features), a node
+        neither a Split nor a Leaf, a threshold or leaf value not a finite real,
+        leaf ids other than 1, 2, ... left to right, or a path of more than
+        MAX_TREE_DEPTH splits."""
         positive_int(n_features, "n_features")
         columns = ([], [], [], [], [], [])
         feature, threshold, left, right, value, leaf_id = columns
-        # (node, the split whose right child it is or -1, its depth)
+        # (node still to be read, the split whose right child it is or -1, its depth)
         depth, n_leaves, pending = 0, 0, [(root, -1, 0)]
         while pending:
             node, parent, d = pending.pop()
-            i, depth = len(feature), max(depth, d)
+            node, i, depth = read(node), len(feature), max(depth, d)
             if parent >= 0:
                 right[parent] = i
             if isinstance(node, Leaf):
@@ -160,17 +171,14 @@ class RegressionTree:
         for f, attribute in zip(fields(self), (n_features, *columns, columns, depth)):
             object.__setattr__(self, f.name, attribute)
 
-    def _walk(self, row: list) -> tuple[int, float]:
-        """(leaf_id, value) of the leaf a row, a list of Python floats, reaches."""
+    def apply(self, x) -> tuple[int, float]:
+        """Route one instance to its leaf; returns (leaf_id, value)."""
+        row = row_values(x, self.n_features)
         feature, threshold, left, right, value, leaf_id = self._columns
         i = 0
         while feature[i] >= 0:
             i = left[i] if row[feature[i]] <= threshold[i] else right[i]
         return leaf_id[i], value[i]
-
-    def apply(self, x) -> tuple[int, float]:
-        """Route one instance to its leaf; returns (leaf_id, value)."""
-        return self._walk(row_values(x, self.n_features))
 
     def apply_batch(self, features) -> tuple[np.ndarray, np.ndarray]:
         """apply of every row of a matrix, as (leaf ids, values) arrays: all
@@ -221,37 +229,47 @@ class RegressionTree:
     @property
     def root(self) -> Split | Leaf:
         """The nested Split/Leaf form, rebuilt from the columns on each read."""
-        return self._nested({})
+        return self.fold(Leaf, Split)
 
     def with_leaf_values(self, values: dict[int, float]) -> "RegressionTree":
         """New tree with leaf values replaced by the given id -> value map."""
-        return RegressionTree(self._nested(values), self.n_features)
-
-    def _nested(self, values: dict[int, float]) -> Split | Leaf:
-        """The Split/Leaf form, each leaf taking its value from values when
-        its id is there.  Children follow their parent in preorder, so one
-        backward pass builds every subtree before the split that holds it."""
         feature, threshold, left, right, value, leaf_id = self._columns
-        nodes: list = [None] * len(feature)
+
+        def read(i: int) -> Split | Leaf:
+            if feature[i] < 0:
+                return Leaf(leaf_id[i], float(values.get(leaf_id[i], value[i])))
+            return Split(feature[i], threshold[i], left[i], right[i])
+
+        return RegressionTree._read(0, self.n_features, read)
+
+    def fold(self, leaf, split):
+        """leaf(leaf_id, value) at each leaf, split(feature, threshold, left, right)
+        of its children's results at each split: one backward pass over the
+        preorder, which puts children after their parent.  Returns the root's."""
+        feature, threshold, left, right, value, leaf_id = self._columns
+        folded: list = [None] * len(feature)
         for i in reversed(range(len(feature))):
             if feature[i] < 0:
-                nodes[i] = Leaf(leaf_id[i], float(values.get(leaf_id[i], value[i])))
+                folded[i] = leaf(leaf_id[i], value[i])
             else:
-                nodes[i] = Split(feature[i], threshold[i], nodes[left[i]], nodes[right[i]])
-        return nodes[0]
+                folded[i] = split(feature[i], threshold[i], folded[left[i]], folded[right[i]])
+        return folded[0]
 
 
 def row_values(x, n_features: int) -> list[float]:
     """One row, given as a 1-d array, list or tuple of n_features finite
-    numbers, as a list of Python floats.  Anything else, a bare number or a
-    2-d array of as many cells included, is refused with a ValueError naming
-    its shape, or the position of its first NaN or infinity."""
-    x = np.asarray(x, dtype=np.float64)
+    numbers, as a list of Python floats.  Anything else, a bare number, a
+    2-d array of as many cells, strings or bools included, is refused with a
+    ValueError naming its dtype or shape, or the position of its first NaN
+    or infinity."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":  # signed, unsigned or floating numbers
+        raise ValueError(f"a row must hold numbers, got dtype {x.dtype}")
     if x.ndim != 1:
         raise ValueError(f"a row must be 1-d, got shape {x.shape}")
     if x.shape[0] != n_features:
         raise ValueError(f"expected {n_features} features, got {x.shape[0]}")
-    row = x.tolist()
+    row = x.astype(float, copy=False).tolist()  # float64; no copy when x already is
     if not math.isfinite(sum(row)):  # one pass; finite values may still sum past the float range
         for position, value in enumerate(row):
             if not math.isfinite(value):
@@ -289,35 +307,27 @@ def finite_real(value, what: str) -> float:
     return value
 
 
-def _grow(X, res, idx, depth, max_depth, min_leaf, leaf_ids):
-    """Grow one subtree; leaves take ids from leaf_ids, left subtree first."""
-    if depth >= max_depth or idx.size < 2:
-        return Leaf(next(leaf_ids), 0.0)
-    candidate = best_split(X, res, idx, min_count=min_leaf)
-    if candidate is None:
-        return Leaf(next(leaf_ids), 0.0)
-    go_left = X[idx, candidate.feature_index] <= candidate.threshold
-    return Split(
-        candidate.feature_index,
-        candidate.threshold,
-        _grow(X, res, idx[go_left], depth + 1, max_depth, min_leaf, leaf_ids),
-        _grow(X, res, idx[~go_left], depth + 1, max_depth, min_leaf, leaf_ids),
-    )
-
-
 def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1) -> RegressionTree:
-    """Grow a depth-limited tree by greedy SSE splitting.
-
-    Leaves start with value 0.0; the booster fills them in afterwards.
-    """
+    """Grow a depth-limited tree by greedy SSE splitting, in preorder.
+    Leaves start with value 0.0; the booster fills them in afterwards."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
     res = np.asarray(residuals, dtype=np.float64)
     positive_int(max_depth, "max_depth", MAX_TREE_DEPTH)
     positive_int(min_leaf, "min_leaf")
-    idx = np.arange(X.shape[0], dtype=np.intp)
-    if idx.size == 0:
+    if X.shape[0] == 0:
         raise ValueError("features must hold at least one row")
-    root = _grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
-    return RegressionTree(root, X.shape[1])
+    leaf_ids = itertools.count(1)
+
+    def grow(node: tuple[np.ndarray, int]) -> Split | Leaf:
+        """Rows and depth as a leaf, or as their best split into two sides still to grow."""
+        idx, depth = node
+        best = depth < max_depth and idx.size >= 2 and best_split(X, res, idx, min_count=min_leaf)
+        if not best:
+            return Leaf(next(leaf_ids), 0.0)
+        go_left = X[idx, best.feature_index] <= best.threshold
+        sides = (idx[go_left], depth + 1), (idx[~go_left], depth + 1)
+        return Split(best.feature_index, best.threshold, *sides)
+
+    return RegressionTree._read((np.arange(X.shape[0], dtype=np.intp), 0), X.shape[1], grow)

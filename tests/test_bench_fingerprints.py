@@ -1,9 +1,9 @@
-"""The audit-replay benchmark's seed-0 outputs keep their recorded fingerprints.
+"""Every benchmark workload's seed-0 outputs keep their recorded fingerprints.
 
 bench/run.py compares every output with bench/fingerprints.json at the
-default seed; this test makes the same comparison for the trace workload in
-the plain test suite, so a byte change in the model file or the trace CSV
-fails here too.  It only reads bench/.
+default seed; this test makes the same comparison for each workload in the
+plain test suite, so a byte change in a model file, the predictions or the
+trace CSV fails here too.  It only reads bench/.
 """
 
 import contextlib
@@ -13,6 +13,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import gradboost.cli
 
@@ -33,15 +35,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_audit_replay_outputs_match_the_recorded_fingerprints(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["fit-wide", "score-batch", "audit-replay"])
+def test_outputs_match_the_recorded_fingerprints(name, tmp_path, monkeypatch):
     workloads = _load_workloads(monkeypatch)
     recorded = json.loads((BENCH / "fingerprints.json").read_text(encoding="utf-8"))
     assert recorded["seed"] == workloads.DEFAULT_SEED
-    workload = workloads.WORKLOADS["audit-replay"]
+    assert set(recorded) == {"seed", *workloads.WORKLOADS}
+    workload = workloads.WORKLOADS[name]
     inputs, out = tmp_path / "inputs", tmp_path / workload.output
     workloads.prepare(workload, workloads.DEFAULT_SEED, inputs)
     with contextlib.redirect_stdout(io.StringIO()):
         assert gradboost.cli.main(workload.argv(inputs, out)) == 0
+    # a train call's model is its output, so fit-wide has one fingerprint
     assert {
         "model.json": _sha256(workload.model_path(inputs, out)),
         workload.output: _sha256(out),

@@ -202,8 +202,16 @@ class TestPredict:
             (3.0, r"a row must be 1-d, got shape \(\)"),
             (np.array(3.0), r"a row must be 1-d, got shape \(\)"),
             (np.arange(5.0), "expected 6 features, got 5"),
+            (list("123456"), "a row must hold numbers, got dtype <U1"),
+            ([True, False] * 3, "a row must hold numbers, got dtype bool"),
+            ([1.0, None, 3.0, 4.0, 5.0, 6.0], "a row must hold numbers, got dtype object"),
+            ([1.0, 2.0, 3.0, 4.0, 5.0, 6j], "a row must hold numbers, got dtype complex128"),
+            (np.arange(6.0).astype(object), "a row must hold numbers, got dtype object"),
         ],
-        ids=["2x3", "3x2", "nested-list", "1x6", "bare-number", "0-d-array", "five-features"],
+        ids=[
+            "2x3", "3x2", "nested-list", "1x6", "bare-number", "0-d-array", "five-features",
+            "strings", "bools", "none", "complex", "object-array",
+        ],
     )
     def test_a_single_row_must_be_one_row_of_the_model_width(self, x, message):
         rng = np.random.default_rng(0)
@@ -227,6 +235,10 @@ class TestPredict:
             assert model.predict_raw(x.tolist()) == raw
             assert model.predict_raw(tuple(x.tolist())) == raw
             assert model.trees[0].apply(x.tolist()) == model.trees[0].apply(x)
+            # integer and narrower float rows are numbers too
+            for dtype in (np.int64, np.uint8, np.float32):
+                assert model.predict_raw(x.astype(dtype)) == raw
+            assert model.predict_raw([int(v) for v in x]) == raw
 
     @pytest.mark.parametrize(
         "x, message",
@@ -563,6 +575,30 @@ def test_total_loss_past_the_float_range_is_inf_without_a_warning():
         warnings.simplefilter("error")
         assert total_loss([1, 1, 0, 0], [-1e308, -1e308, 1e308, 1e308]) == math.inf
         assert _stump_replay(1e308, [1, 1, 0, 0]).final_loss == math.inf
+
+
+@pytest.mark.parametrize(
+    "labels, scores, message",
+    [
+        ([1], [math.inf], "scores must be finite"),
+        ([0], [-math.inf], "scores must be finite"),
+        ([0, 1], [0.5, math.nan], "scores must be finite"),
+        ([2], [1e308], "labels must be exactly 0 or 1"),
+        ([0.5], [0.0], "labels must be exactly 0 or 1"),
+        ([math.nan], [0.0], "labels must be exactly 0 or 1"),
+        ([0, 1], [0.5], r"labels of shape \(2,\) and scores of shape \(1,\) differ"),
+        ([[0], [1]], [0.5, 0.5], r"labels of shape \(2, 1\) and scores of shape \(2,\) differ"),
+    ],
+    ids=[
+        "inf-score", "minus-inf-score", "nan-score", "label-two", "label-half", "nan-label",
+        "shorter-scores", "column-of-labels",
+    ],
+)
+def test_total_loss_refuses_bad_inputs_before_any_arithmetic(labels, scores, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            total_loss(labels, scores)
 
 
 moderate_rows = st.lists(

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gradboost import Leaf, Model, RegressionTree, Split, booster
-from gradboost.booster import deserialize_model, load_model, save_model, serialize_model
+from gradboost.booster import (
+    ModelFormatError, deserialize_model, load_model, save_model, serialize_model
+)
 from gradboost.cli import EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, main
 
 from conftest import SIX_CSV
@@ -699,3 +701,42 @@ class TestSerialization:
         for g in np.linspace(0.0, 10.0, 100):
             x = np.array([g])
             assert second.predict_raw(x) == first.predict_raw(x)
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ([], "tree node must be a JSON object, got list"),
+            ({"leaf_id": 1}, "leaf node missing 'gamma'"),
+            (
+                {"feature_index": 0, "threshold": 0.5, "left": {"leaf_id": 1, "gamma": 0.0}},
+                "internal node missing 'right'",
+            ),
+            # two faults: the loader reads the tree in preorder, left subtree
+            # first, and names the first fault it meets
+            (
+                {"feature_index": 0, "threshold": 0.5, "left": {"leaf_id": 2, "gamma": 0.0},
+                 "right": 7},
+                "leaf id 2 out of order, expected 1",
+            ),
+            (
+                {"feature_index": 0, "threshold": 0.5, "left": {"leaf_id": 1},
+                 "right": {"leaf_id": 2, "gamma": "0.5"}},
+                "leaf node missing 'gamma'",
+            ),
+            (
+                {"feature_index": 3, "threshold": 0.5, "left": [],
+                 "right": {"leaf_id": 2, "gamma": 0.0}},
+                "split on feature 3 of a 1-feature tree",
+            ),
+        ],
+        ids=["not-an-object", "leaf-without-gamma", "split-without-right", "id-then-not-an-object",
+             "no-gamma-then-string-gamma", "feature-then-not-an-object"],
+    )
+    def test_a_bad_tree_names_its_first_fault_in_preorder(self, tree, message):
+        document = {
+            "format_version": 1, "learning_rate": 0.1, "n_features": 1, "feature_names": ["x"],
+            "trees": [{"leaf_id": 1, "gamma": 0.0}, tree],
+        }
+        with pytest.raises(ModelFormatError) as caught:
+            deserialize_model(json.dumps(document))
+        assert str(caught.value) == message

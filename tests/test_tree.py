@@ -1,9 +1,13 @@
 """Regression-tree split search and tree growth."""
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradboost import (
     Dataset,
@@ -54,6 +58,53 @@ def _exhaustive_best(features, residuals, idx, min_count=1):
         return None
     node = _two_pass_sse([residuals[i] for i in idx])
     return best if best[2] < node else None
+
+
+def _recursive_grow(X, res, idx, depth, max_depth, min_leaf, leaf_ids):
+    """Reference grower: one recursive call per node, building nested
+    Split/Leaf nodes; leaves take ids from leaf_ids, left subtree first."""
+    if depth >= max_depth or idx.size < 2:
+        return Leaf(next(leaf_ids), 0.0)
+    candidate = best_split(X, res, idx, min_count=min_leaf)
+    if candidate is None:
+        return Leaf(next(leaf_ids), 0.0)
+    go_left = X[idx, candidate.feature_index] <= candidate.threshold
+    return Split(
+        candidate.feature_index,
+        candidate.threshold,
+        _recursive_grow(X, res, idx[go_left], depth + 1, max_depth, min_leaf, leaf_ids),
+        _recursive_grow(X, res, idx[~go_left], depth + 1, max_depth, min_leaf, leaf_ids),
+    )
+
+
+def _recursive_fit_root(features, residuals, max_depth, min_leaf):
+    """The root fit_tree's tree must compile from."""
+    X = np.asarray(features, dtype=np.float64)
+    res = np.asarray(residuals, dtype=np.float64)
+    idx = np.arange(X.shape[0], dtype=np.intp)
+    return _recursive_grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
+
+
+@st.composite
+def growth_cases(draw):
+    """Up to 30 rows of one to three columns, each continuous or integers
+    0..3 with many ties; residuals continuous or tied at +-0.5; depth 1..4
+    and min_leaf 1..3."""
+    n = draw(st.integers(1, 30))
+    continuous, tied = st.floats(-10.0, 10.0), st.integers(0, 3).map(float)
+    kinds = draw(st.lists(st.sampled_from((continuous, tied)), min_size=1, max_size=3))
+    X = np.array([draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]).T
+    residual = draw(st.sampled_from((st.floats(-1.0, 1.0), st.sampled_from((-0.5, 0.5)))))
+    r = np.array(draw(st.lists(residual, min_size=n, max_size=n)))
+    return X, r, draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+def _frame_depth():
+    """How many frames the caller's call stack holds."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 def _assert_groups_match_apply(tree, rows, groups):
@@ -295,6 +346,39 @@ class TestFitTree:
         assert groups[1].tolist() == [0] and groups[MAX_TREE_DEPTH + 1].tolist() == [1]
         with pytest.raises(ValueError, match=f"limit of {MAX_TREE_DEPTH} splits"):
             RegressionTree(chain(MAX_TREE_DEPTH + 1), 1)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(growth_cases())
+    def test_grows_the_tree_the_recursive_reference_grows(self, case):
+        X, r, max_depth, min_leaf = case
+        tree = fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)
+        assert tree == RegressionTree(_recursive_fit_root(X, r, max_depth, min_leaf), X.shape[1])
+
+    def test_growing_and_rewriting_the_deepest_tree_need_no_call_stack(self):
+        # alternating residuals over sorted distinct x leave a cut at every level
+        x = np.arange(600, dtype=float).reshape(-1, 1)
+        r = np.arange(600) % 2 - 0.5
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + 60)
+        try:
+            tree = fit_tree(x, r, max_depth=MAX_TREE_DEPTH)
+            rewritten = tree.with_leaf_values({1: 0.5})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree.depth() == rewritten.depth() == MAX_TREE_DEPTH
+        assert rewritten.leaves()[0] == Leaf(1, 0.5)
+        assert rewritten.leaves()[1:] == tree.leaves()[1:]
+
+    def test_fold_combines_children_before_their_split(self):
+        tree = RegressionTree(
+            Split(1, 2.5, Split(0, 1.5, Leaf(1, 0.5), Leaf(2, -0.5)), Leaf(3, 0.25)), 2
+        )
+        text = tree.fold(
+            lambda leaf_id, value: f"{leaf_id}:{value}",
+            lambda feature, threshold, left, right: f"(x{feature}<={threshold} {left} {right})",
+        )
+        assert text == "(x1<=2.5 (x0<=1.5 1:0.5 2:-0.5) 3:0.25)"
+        assert tree.fold(Leaf, Split) == tree.root
 
     def test_with_leaf_values_rewrites_only_values(self):
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)

@@ -12,7 +12,8 @@ import numpy as np
 from .dataset import DataError, Dataset
 from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid, total_loss
 from .tree import (
-    MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, positive_int, row_values
+    MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, matrix_cells,
+    positive_int, row_values,
 )
 
 
@@ -96,22 +97,20 @@ class Model:
         row = row_values(x, self.n_features)
         learning_rate, score = self.learning_rate, 0.0
         for tree in self.trees:
-            feature, threshold, left, right, value, _ = tree._columns
+            feature, threshold, _, right, value, _ = tree._columns
             i = 0
-            while feature[i] >= 0:
-                i = left[i] if row[feature[i]] <= threshold[i] else right[i]
+            while (f := feature[i]) >= 0:  # a split's left child is the next node
+                i = i + 1 if row[f] <= threshold[i] else right[i]
             score += learning_rate * value[i]
         return score
 
     def predict_raw_batch(self, features) -> np.ndarray:
         """predict_raw of every row of a matrix, bit for bit: each tree routes
         all rows at once, and each row's outputs are summed in tree order."""
-        X = np.ascontiguousarray(features, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
-        scores = np.zeros(X.shape[0])
+        cells, row_starts = matrix_cells(features, self.n_features)
+        scores = np.zeros(len(row_starts))
         for tree in self.trees:
-            scores += self.learning_rate * tree.apply_batch(X)[1]
+            scores += self.learning_rate * np.array(tree.value).take(tree._route(cells, row_starts))
         return scores
 
     def predict_proba(self, x) -> float:

@@ -34,6 +34,9 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_MODEL_VERSION = 5
 
+# rows of the prediction CSV joined into one string per write
+PREDICTION_BLOCK_ROWS = 1024
+
 # The first class an error is an instance of decides the exit code, so every
 # subclass comes before its base: DataError is a ValueError, and the only
 # other ValueErrors that reach main are bad command-line values.
@@ -49,16 +52,20 @@ EXIT_CODES = (
 def write_predictions(fh, model: Model, dataset: Dataset | None, threshold: float) -> None:
     """Prediction CSV: index,raw_score,probability,label (indices 1-based).
 
-    dataset=None writes the header alone, for header-only input files.
+    dataset=None writes the header alone, for header-only input files.  No
+    cell needs CSV quoting, so the rows are joined and written in blocks of
+    PREDICTION_BLOCK_ROWS.
     """
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["index", "raw_score", "probability", "label"])
+    fh.write("index,raw_score,probability,label\n")
     if dataset is None:
         return
     raws = model.predict_raw_batch(dataset.features)
     probs = sigmoid(raws)
-    for i, (raw, prob) in enumerate(zip(raws.tolist(), probs.tolist()), start=1):
-        writer.writerow([i, f"{raw:.6f}", f"{prob:.6f}", 1 if prob >= threshold else 0])
+    labels = probs >= threshold
+    for start in range(0, len(raws), PREDICTION_BLOCK_ROWS):
+        stop = min(start + PREDICTION_BLOCK_ROWS, len(raws))
+        cells = raws[start:stop].tolist(), probs[start:stop].tolist(), labels[start:stop].tolist()
+        fh.write("".join(map("{},{:.6f},{:.6f},{:d}\n".format, range(start + 1, stop + 1), *cells)))
 
 
 def write_trace(fh, dataset: Dataset, trace: TrainingTrace) -> None:

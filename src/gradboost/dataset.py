@@ -134,23 +134,28 @@ def _read_rows(path, reader, expect_labels: bool) -> Dataset:
     if not feature_names:
         raise DataError(f"{path}: no feature columns")
 
-    d = len(feature_names)
+    d, width = len(feature_names), len(header)
     features, labels = array("d"), array("d")
     for row_num, row in enumerate(reader, start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-            )
-        features.extend(
-            _parse_number(path, row_num, name, cell) for name, cell in zip(feature_names, row)
-        )
+        if len(row) != width:
+            raise DataError(f"{path}: row {row_num} has {len(row)} cells, expected {width}")
+        # one parse per row; only a row this refuses, or whose sum is not
+        # finite, is parsed again cell by cell to name its first bad cell (a
+        # row of finite cells whose sum overflows passes that parse and is read)
+        try:
+            values = list(map(float, row))
+        except ValueError:
+            values = None
+        if values is None or not math.isfinite(sum(values)):
+            values = [_parse_number(path, row_num, name, cell) for name, cell in zip(header, row)]
         if has_labels:
-            value = _parse_number(path, row_num, "label", row[-1])
-            if value not in (0.0, 1.0):
+            label = values.pop()
+            if label not in (0.0, 1.0):
                 raise DataError(
                     f'{path}: row {row_num}, column "label": expected 0 or 1, got {row[-1]!r}'
                 )
-            labels.append(value)
+            labels.append(label)
+        features.extend(values)
     if not features:
         raise EmptyDatasetError(f"{path}: no data rows")
     # read-only views of the arrays just filled, so the Dataset need not copy

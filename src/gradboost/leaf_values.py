@@ -20,7 +20,7 @@ def sigmoid(z):
     calls numpy's exp, not math.exp, which differs in the last bit on some
     arguments.  NaN takes the second formula in both.
     """
-    if np.ndim(z) == 0:
+    if type(z) is float or np.ndim(z) == 0:  # the exact type first: np.ndim costs ~1 us
         z = float(z)
         if z >= 0.0:
             return 1.0 / (1.0 + float(np.exp(-z)))
@@ -64,7 +64,7 @@ def total_loss(labels, scores) -> float:
     # log(1 + e^s) with the exponent shifted to be non-positive, so no term overflows
     terms = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - y * s
     try:
-        return math.fsum(terms.tolist())
+        return math.fsum(terms.ravel().tolist())  # ravel: a 0-d array's tolist is a float
     except OverflowError:  # fsum's "intermediate overflow"
         return math.inf
 

@@ -174,20 +174,20 @@ class RegressionTree:
     def apply(self, x) -> tuple[int, float]:
         """Route one instance to its leaf; returns (leaf_id, value)."""
         row = row_values(x, self.n_features)
-        feature, threshold, left, right, value, leaf_id = self._columns
+        feature, threshold, _, right, value, leaf_id = self._columns
         i = 0
-        while feature[i] >= 0:
-            i = left[i] if row[feature[i]] <= threshold[i] else right[i]
+        while (f := feature[i]) >= 0:  # a split's left child is the next node
+            i = i + 1 if row[f] <= threshold[i] else right[i]
         return leaf_id[i], value[i]
 
     def apply_batch(self, features) -> tuple[np.ndarray, np.ndarray]:
         """apply of every row of a matrix, as (leaf ids, values) arrays: all
         rows are routed together, one level at a time."""
-        X = np.ascontiguousarray(features, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected rows of {self.n_features} features, got shape {X.shape}")
-        n_rows, width = X.shape
-        cells, row_starts = X.ravel(), np.arange(n_rows) * width
+        nodes = self._route(*matrix_cells(features, self.n_features))
+        return np.array(self.leaf_id, dtype=np.intp).take(nodes), np.array(self.value).take(nodes)
+
+    def _route(self, cells: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
+        """The preorder node each row of a matrix_cells matrix ends at."""
         # a row at node i moves to children[i + n_nodes] when it goes left and
         # to children[i] when it goes right; at a leaf it stays where it is
         # (feature -1 reads the previous cell, which decides nothing)
@@ -195,12 +195,12 @@ class RegressionTree:
         feature = np.array(self.feature, dtype=np.intp)
         threshold = np.array(self.threshold, dtype=np.float64)
         children = np.array(self.right + self.left, dtype=np.intp)
-        nodes = np.zeros(n_rows, dtype=np.intp)
+        nodes = np.zeros(len(row_starts), dtype=np.intp)
         for _ in range(self._depth):
             at = row_starts + feature.take(nodes)
             go_left = cells.take(at) <= threshold.take(nodes)
             nodes = children.take(nodes + go_left * n_nodes)
-        return np.array(self.leaf_id, dtype=np.intp).take(nodes), np.array(self.value).take(nodes)
+        return nodes
 
     def leaves(self) -> list[Leaf]:
         """All leaves in left-to-right order."""
@@ -237,7 +237,7 @@ class RegressionTree:
 
         def read(i: int) -> Split | Leaf:
             if feature[i] < 0:
-                return Leaf(leaf_id[i], float(values.get(leaf_id[i], value[i])))
+                return Leaf(leaf_id[i], values.get(leaf_id[i], value[i]))
             return Split(feature[i], threshold[i], left[i], right[i])
 
         return RegressionTree._read(0, self.n_features, read)
@@ -275,6 +275,16 @@ def row_values(x, n_features: int) -> list[float]:
             if not math.isfinite(value):
                 raise ValueError(f"row value at position {position} is {value!r}, not finite")
     return row
+
+
+def matrix_cells(features, n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix of rows of n_features features as (its float64 cells in row
+    order, the index of each row's first cell), the form RegressionTree routes
+    a batch in.  Refuses any other shape with a ValueError."""
+    X = np.ascontiguousarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"expected rows of {n_features} features, got shape {X.shape}")
+    return X.ravel(), np.arange(X.shape[0]) * n_features
 
 
 def is_int(value) -> bool:

@@ -92,6 +92,7 @@ def test_traced_predict_and_trace_record_layer_spans(tmp_path, capsys):
     assert tracer.counts["model_bytes"] == model.stat().st_size
     assert tracer.counts["output_bytes"] == predictions.stat().st_size
     assert tracer.counts["predict_raw_calls"] == 0  # the batch path scores every row
+    assert tracer.counts["rows_parsed"] == len(SIX_CSV.splitlines()) - 1  # every data row
 
     code, tracer = _traced(
         ["trace", "--model", str(model), "--data", str(data), "--out", str(trace)]

@@ -570,6 +570,11 @@ def test_total_loss_of_scores_saturated_on_the_wrong_side_is_finite():
         assert _stump_replay(800.0, [1, 0]).final_loss == 1600.0
 
 
+def test_total_loss_of_a_scalar_label_and_score_is_that_of_one_row():
+    assert total_loss(1, 0.0) == total_loss([1], [0.0]) == math.log(2.0)
+    assert total_loss(0.0, np.float64(3.0)) == total_loss([0.0], [3.0])
+
+
 def test_total_loss_past_the_float_range_is_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,5 +1,7 @@
 """Command-line behavior: subcommands, file formats, and exit codes."""
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -11,11 +13,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gradboost import Leaf, Model, RegressionTree, Split, booster
+from gradboost import Dataset, Leaf, Model, RegressionTree, Split, TrainConfig, booster, train
 from gradboost.booster import (
     ModelFormatError, deserialize_model, load_model, save_model, serialize_model
 )
-from gradboost.cli import EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, main
+from gradboost.cli import (
+    EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, main, write_predictions
+)
+from gradboost.leaf_values import sigmoid
 
 from conftest import SIX_CSV
 
@@ -189,6 +194,53 @@ class TestPredict:
         code = main(["predict", "--model", str(trained.model), "--data", str(data)])
         assert code == EXIT_OK
         assert capsys.readouterr().out == "index,raw_score,probability,label\n"
+
+
+def _reference_write_predictions(fh, model, dataset, threshold):
+    """The row-at-a-time csv.writer output that write_predictions must match byte for byte."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["index", "raw_score", "probability", "label"])
+    if dataset is None:
+        return
+    for i, x in enumerate(dataset.features, start=1):
+        raw = model.predict_raw(x)
+        prob = sigmoid(raw)
+        writer.writerow([i, f"{raw:.6f}", f"{prob:.6f}", 1 if prob >= threshold else 0])
+
+
+class TestPredictionBlocks:
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(7)
+        features = rng.normal(size=(300, 3))
+        labels = (features[:, 0] + rng.normal(size=300) > 0).astype(float)
+        config = TrainConfig(n_trees=6, learning_rate=0.5, max_depth=3)
+        return train(Dataset(features, labels, ("a", "b", "c")), config)[0]
+
+    @staticmethod
+    def _both(model, dataset, threshold):
+        written, expected = io.StringIO(), io.StringIO()
+        write_predictions(written, model, dataset, threshold)
+        _reference_write_predictions(expected, model, dataset, threshold)
+        return written.getvalue(), expected.getvalue()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2049])
+    def test_blocks_write_the_bytes_of_one_csv_row_per_write(self, model, n_rows):
+        features = np.random.default_rng(n_rows).normal(size=(max(n_rows, 1), 3))
+        dataset = Dataset(features, None, ("a", "b", "c")) if n_rows else None
+        written, expected = self._both(model, dataset, 0.5)
+        assert written == expected
+        assert written.count("\n") == n_rows + 1
+
+    def test_a_probability_exactly_at_the_threshold_is_labeled_1(self, model):
+        dataset = Dataset(np.random.default_rng(1).normal(size=(50, 3)), None, ("a", "b", "c"))
+        probs = sigmoid(model.predict_raw_batch(dataset.features)).tolist()
+        threshold = sorted(set(probs))[len(set(probs)) // 2]
+        written, expected = self._both(model, dataset, threshold)
+        assert written == expected
+        rows = [line.split(",") for line in written.splitlines()[1:]]
+        assert [row[3] for row in rows] == ["1" if p >= threshold else "0" for p in probs]
+        assert rows[probs.index(threshold)][3] == "1"
 
 
 class TestUsageErrors:

@@ -1,8 +1,11 @@
 """Dataset loading, validation, and CSV round-trip behavior."""
 
+import math
 import tempfile
 import tracemalloc
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradboost import DataError, Dataset, EmptyDatasetError, load_csv, save_csv
+from gradboost import dataset as dataset_module
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -226,3 +230,121 @@ class TestDatasetInvariants:
         assert a == b
         assert a != c
         assert a != d
+
+
+def _reference_parse_number(path, row_num, column, cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(
+            f'{path}: row {row_num}, column "{column}": non-numeric value {cell!r}'
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(
+            f'{path}: row {row_num}, column "{column}": non-finite value {cell!r}'
+        )
+    return value
+
+
+def _reference_read_rows(path, reader, expect_labels):
+    """The cell-by-cell reader that load_csv's one-parse-per-row reader must
+    match, field for field and message for message."""
+    header = next(reader, None)
+    if not header:
+        raise DataError(f"{path}: empty file, expected a header row")
+    has_labels = header[-1] == "label"
+    if expect_labels and not has_labels:
+        raise DataError(f'{path}: expected the last column to be named "label", got {header[-1]!r}')
+    feature_names = header[:-1] if has_labels else header
+    if not feature_names:
+        raise DataError(f"{path}: no feature columns")
+    features, labels = array("d"), array("d")
+    for row_num, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
+            )
+        features.extend(
+            _reference_parse_number(path, row_num, name, cell)
+            for name, cell in zip(feature_names, row)
+        )
+        if has_labels:
+            value = _reference_parse_number(path, row_num, "label", row[-1])
+            if value not in (0.0, 1.0):
+                raise DataError(
+                    f'{path}: row {row_num}, column "label": expected 0 or 1, got {row[-1]!r}'
+                )
+            labels.append(value)
+    if not features:
+        raise EmptyDatasetError(f"{path}: no data rows")
+    return Dataset(
+        np.array(features).reshape(-1, len(feature_names)),
+        np.array(labels) if has_labels else None,
+        tuple(feature_names),
+    )
+
+
+def _outcome(path, expect_labels):
+    """load_csv's dataset as (names, feature bits, label bits), or its error as (type, text)."""
+    try:
+        loaded = load_csv(path, expect_labels=expect_labels)
+    except DataError as exc:
+        return type(exc), str(exc)
+    labels = None if loaded.labels is None else [v.hex() for v in loaded.labels.tolist()]
+    return loaded.feature_names, [v.hex() for v in loaded.features.ravel().tolist()], labels
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.integers(1_000, 10**9).map("{:_}".format),  # 1_000-style cells
+    st.floats(-1e3, 1e3).map(lambda v: f" {v!r}\t"),  # padded cells
+    st.sampled_from(["1e308", "-1e308", "1.7e308", "0", "-0.0", "+1", ".5", "1E-320"]),
+)
+_FAULTS = ("oops", "nan", "inf", "-inf", "NaN", "", "2", "label", "drop", "extra")
+
+
+@st.composite
+def csv_texts(draw):
+    """(CSV text, expect_labels): a labeled or unlabeled file of 1 to 6 rows,
+    with up to two cells replaced by a fault or a row cut short or made long."""
+    d = draw(st.integers(1, 3))
+    has_labels = draw(st.booleans())
+    header = [f"f{j}" for j in range(d)] + (["label"] if has_labels else [])
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(_CELLS, min_size=d, max_size=d))
+        if d > 1 and draw(st.integers(0, 3)) == 0:  # finite cells whose sum overflows
+            row = ["1e308"] * d
+        rows.append(row + ([draw(st.sampled_from(["0", "1", "1.0", "0e5", " 1"]))] if has_labels else []))
+    for _ in range(draw(st.integers(0, 2))):
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, len(header) - 1))
+        fault = draw(st.sampled_from(_FAULTS))
+        if fault == "drop":
+            del rows[r][c]
+        elif fault == "extra":
+            rows[r].append("1")
+        elif c < len(rows[r]):
+            rows[r][c] = fault
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    return text, has_labels and draw(st.booleans())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(csv_texts())
+def test_one_parse_per_row_matches_the_cell_by_cell_reader(case):
+    text, expect_labels = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        loaded = _outcome(path, expect_labels)
+        with mock.patch.object(dataset_module, "_read_rows", _reference_read_rows):
+            reference = _outcome(path, expect_labels)
+    assert loaded == reference
+
+
+def test_a_row_of_finite_cells_whose_sum_overflows_is_read(tmp_path):
+    ds = load_csv(_write(tmp_path, "a,b,label\n1e308,1e308,1\n-1.7e308,-1e308,0\n"))
+    assert ds.features.tolist() == [[1e308, 1e308], [-1.7e308, -1e308]]
+    assert ds.labels.tolist() == [1.0, 0.0]

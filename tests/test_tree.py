@@ -389,6 +389,15 @@ class TestFitTree:
         # original untouched
         assert tree.apply(np.array([1.0]))[1] == 0.0
 
+    @pytest.mark.parametrize("values", [{1: "0.5"}, {2: True}], ids=["string", "bool"])
+    def test_with_leaf_values_refuses_what_the_constructor_refuses(self, values):
+        tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
+        with pytest.raises(ValueError, match="leaf value must be a real number"):
+            tree.with_leaf_values(values)
+        leaves = [Leaf(i, values.get(i, 0.0)) for i in (1, 2)]
+        with pytest.raises(ValueError, match="leaf value must be a real number"):
+            RegressionTree(Split(0, 3.5, *leaves), 1)
+
     def test_apply_sends_boundary_point_left(self):
         x = np.array([[1.0], [3.0]])
         tree = fit_tree(x, np.array([1.0, -1.0]))

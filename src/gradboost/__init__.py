@@ -30,10 +30,8 @@ from .leaf_values import (
     leaf_loss,
     leaf_loss_derivative,
     leaf_value_terms,
-    log_odds,
     newton_leaf_value,
     newton_step,
-    residuals,
     sigmoid,
     total_loss,
 )
@@ -68,11 +66,9 @@ __all__ = [
     "leaf_value_terms",
     "load_csv",
     "load_model",
-    "log_odds",
     "newton_leaf_value",
     "newton_step",
     "replay",
-    "residuals",
     "save_csv",
     "save_model",
     "serialize_model",

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .leaf_values import LeafSample, leaf_value_terms, newton_step, sigmoid, total_loss
+from .leaf_values import LeafSample  # not called here; bench/tracing.py wraps booster.LeafSample
+from .leaf_values import leaf_value_terms, newton_step, sigmoid, total_loss
 from .tree import (
     MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, matrix_cells,
     positive_int, row_values,
@@ -287,14 +288,15 @@ class TrainingTrace:
         return self.records[-1].total_loss
 
 
-def _leaf_terms(tree: RegressionTree, X, y, scores) -> list[tuple[int, np.ndarray, float, float]]:
+def _leaf_terms(tree: RegressionTree, X, y, probs) -> list[tuple[int, np.ndarray, float, float]]:
     """(leaf_id, members, numerator, denominator) for each leaf, left to right:
-    the Newton terms of its rows at these scores, 0.0 and 0.0 if it has none."""
+    the Newton terms of its rows at the round's probs, 0.0 and 0.0 if it has
+    none.  Gathering probs[members] gives bit for bit sigmoid(scores[members])."""
     terms = []
     for leaf_id, members in tree.leaf_assignment(X).items():
         numerator = denominator = 0.0
         if members.size:
-            numerator, denominator = leaf_value_terms(LeafSample(y[members], scores[members]))
+            numerator, denominator = leaf_value_terms(y[members], probs[members])
         terms.append((leaf_id, members, numerator, denominator))
     return terms
 
@@ -333,7 +335,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
         tree = stumps[m] if stumps else fit_tree(
             X, y - probs, max_depth=config.max_depth, min_leaf=config.min_leaf
         )
-        terms = _leaf_terms(tree, X, y, scores)
+        terms = _leaf_terms(tree, X, y, probs)
         tree = tree.with_leaf_values({i: newton_step(n, d) for i, rows, n, d in terms if rows.size})
         records.append(_round(m + 1, tree, terms, y, scores, probs, config.learning_rate))
         trees.append(tree)
@@ -357,7 +359,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []
     for m, tree in enumerate(model.trees, start=1):
-        terms = _leaf_terms(tree, X, y, scores)
+        terms = _leaf_terms(tree, X, y, probs)
         records.append(_round(m, tree, terms, y, scores, probs, model.learning_rate))
         scores, probs = records[-1].scores, records[-1].probs
     return TrainingTrace(tuple(records))

@@ -1,5 +1,5 @@
-"""Scalar math behind leaf values: sigmoid, residuals, the logistic loss of
-scores, the second-order (Newton) leaf step, and an exact bisection minimizer."""
+"""Scalar math behind leaf values: sigmoid, the logistic loss of scores, the
+second-order (Newton) leaf step, and an exact bisection minimizer."""
 
 from __future__ import annotations
 
@@ -33,19 +33,6 @@ def sigmoid(z):
     expz = np.exp(arr[~pos])
     out[~pos] = expz / (1.0 + expz)
     return out
-
-
-def log_odds(p):
-    """Inverse of sigmoid: log(p / (1 - p)) for p in (0, 1)."""
-    scalar = np.ndim(p) == 0
-    arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    out = np.log(arr) - np.log1p(-arr)
-    return float(out[0]) if scalar else out
-
-
-def residuals(labels, probs):
-    """Per-instance pseudo-residuals: label minus current probability."""
-    return np.asarray(labels, dtype=np.float64) - np.asarray(probs, dtype=np.float64)
 
 
 def total_loss(labels, scores) -> float:
@@ -91,22 +78,21 @@ class LeafSample:
         object.__setattr__(self, "prior_scores", scores)
         object.__setattr__(self, "prior_probs", sigmoid(scores))
 
-    def __len__(self) -> int:
-        return self.labels.size
 
-    @classmethod
-    def from_probs(cls, labels, probs) -> "LeafSample":
-        return cls(labels, log_odds(probs))
-
-
-def leaf_value_terms(sample: LeafSample) -> tuple[float, float]:
-    """Sums feeding the second-order step: (sum of residuals, sum of p(1-p)).
+def leaf_value_terms(labels: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """Sums feeding the second-order step over a leaf's rows: (sum of
+    labels - probs, sum of probs * (1 - probs)).
 
     Both use exact (order-independent) summation so row order never changes
-    the result.
+    the result.  Lists and scalars are read as arrays, which must be of one
+    size: numpy would otherwise broadcast a single label over every prob.
     """
-    numerator = math.fsum((sample.labels - sample.prior_probs).tolist())
-    denominator = math.fsum((sample.prior_probs * (1.0 - sample.prior_probs)).tolist())
+    labels = np.asarray(labels, dtype=np.float64).ravel()
+    probs = np.asarray(probs, dtype=np.float64).ravel()
+    if labels.size != probs.size:
+        raise ValueError(f"{labels.size} labels and {probs.size} probs differ in number")
+    numerator = math.fsum((labels - probs).tolist())
+    denominator = math.fsum((probs * (1.0 - probs)).tolist())
     return numerator, denominator
 
 
@@ -118,7 +104,7 @@ def newton_step(residual_sum: float, hessian_sum: float) -> float:
 
 def newton_leaf_value(sample: LeafSample) -> float:
     """Closed-form leaf value: summed residuals over summed p(1-p)."""
-    numerator, denominator = leaf_value_terms(sample)
+    numerator, denominator = leaf_value_terms(sample.labels, sample.prior_probs)
     return newton_step(numerator, denominator)
 
 
@@ -147,10 +133,10 @@ def exact_leaf_value(sample: LeafSample, bound: float = 30.0, tol: float = 1e-10
     interval, so the bound endpoint with the smaller |derivative| is
     returned instead.
     """
-    if bound <= 0.0:
-        raise ValueError("bound must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < bound < math.inf:  # also false for nan
+        raise ValueError("bound must be a finite positive number")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a finite positive number")
     lo, hi = -float(bound), float(bound)
     d_lo = leaf_loss_derivative(lo, sample)
     d_hi = leaf_loss_derivative(hi, sample)

@@ -58,12 +58,13 @@ def test_traced_train_records_layer_spans(tmp_path, capsys):
         "dataset.load_csv",
         "booster.train",
         "tree.fit_tree",
-        "leaf_values.leaf_sample",
         "leaf_values.leaf_value_terms",
         "booster.total_loss",
         "cli.save_model",
     } <= spans
     assert tracer.counts["model_bytes"] == model.stat().st_size
+    # a round sums its leaves over the round's probs, building no LeafSample
+    assert "leaf_values.leaf_sample" not in spans
 
 
 def test_traced_train_routes_each_row_once_per_round(tmp_path, capsys):
@@ -105,6 +106,7 @@ def test_traced_predict_and_trace_record_layer_spans(tmp_path, capsys):
         "tree.leaf_assignment",
         "cli.write_trace",
     } <= _span_names(tracer)
+    assert "leaf_values.leaf_sample" not in _span_names(tracer)
     assert tracer.counts["rows_routed"] == 6 * 3  # six rows through each of the default 3 trees
     assert tracer.counts["output_bytes"] == trace.stat().st_size
     capsys.readouterr()

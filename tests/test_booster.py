@@ -17,6 +17,7 @@ from gradboost import (
     Split,
     TrainConfig,
     leaf_loss,
+    leaf_value_terms,
     newton_step,
     replay,
     sigmoid,
@@ -465,6 +466,7 @@ def test_trace_leaf_values_are_the_newton_steps_the_model_stores():
     runs.append((ds, TrainConfig(n_trees=2, forced_splits=((0, 0.5), (0, 1.5)))))
     for ds, config in runs:
         model, trace = train(ds, config)
+        prior_scores = np.zeros(ds.n_rows)
         for tree, record in zip(model.trees, trace.records):
             stored = {leaf.leaf_id: leaf.value for leaf in tree.leaves()}
             assert [leaf.leaf_id for leaf in record.leaves] == list(stored)
@@ -472,6 +474,16 @@ def test_trace_leaf_values_are_the_newton_steps_the_model_stores():
                 step = newton_step(leaf.numerator, leaf.denominator)
                 assert float.hex(leaf.value) == float.hex(step)  # bit for bit, sign of zero too
                 assert float.hex(leaf.value) == float.hex(stored[leaf.leaf_id])
+                terms = (leaf.numerator, leaf.denominator)
+                if leaf.members.size:
+                    # the engine gathers the round's probs; the audit API takes
+                    # each leaf's sigmoid afresh from its scores: the same sums
+                    s = LeafSample(ds.labels[leaf.members], prior_scores[leaf.members])
+                    expected = leaf_value_terms(s.labels, s.prior_probs)
+                else:
+                    expected = (0.0, 0.0)
+                assert list(map(float.hex, terms)) == list(map(float.hex, expected))
+            prior_scores = record.scores
 
 
 def test_row_order_does_not_change_the_model(six_points):

@@ -1,4 +1,4 @@
-"""Leaf-value math: sigmoid, residuals, Newton step, leaf loss, bisection solver."""
+"""Leaf-value math: sigmoid, Newton step, leaf loss, bisection solver."""
 
 import math
 
@@ -14,10 +14,8 @@ from gradboost import (
     leaf_loss,
     leaf_loss_derivative,
     leaf_value_terms,
-    log_odds,
     newton_leaf_value,
     newton_step,
-    residuals,
     sigmoid,
 )
 
@@ -83,37 +81,7 @@ class TestSigmoid:
             assert p.hex() == float(sigmoid(np.array([z]))[0]).hex()
 
 
-class TestLogOdds:
-    def test_round_trip(self):
-        ps = np.array([1e-12, 0.01, 0.3, 0.5, 0.9, 1 - 1e-12])
-        np.testing.assert_allclose(sigmoid(log_odds(ps)), ps, rtol=1e-12, atol=0)
-
-    def test_half_maps_to_zero(self):
-        assert log_odds(0.5) == 0.0
-
-
-class TestResiduals:
-    def test_example(self):
-        np.testing.assert_allclose(
-            residuals(np.array([1.0]), np.array([0.5167])), [0.4833], rtol=0, atol=1e-15
-        )
-
-    def test_range_is_open_unit_interval(self):
-        rng = np.random.default_rng(7)
-        y = rng.integers(0, 2, 100).astype(float)
-        p = sigmoid(rng.uniform(-5, 5, 100))
-        r = residuals(y, p)
-        assert (r > -1).all() and (r < 1).all()
-
-
 class TestLeafSample:
-    def test_from_scores_matches_from_probs(self):
-        y = np.array([1.0, 0.0])
-        s = np.array([0.3, -0.2])
-        a = LeafSample(y, s)
-        b = LeafSample.from_probs(y, sigmoid(s))
-        np.testing.assert_allclose(a.prior_probs, b.prior_probs, rtol=0, atol=1e-12)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             LeafSample(np.array([]), np.array([]))
@@ -127,8 +95,9 @@ class TestLeafSample:
             LeafSample(np.array([1.0]), np.array([0.0, 0.0]))
 
     def test_prior_probs_are_the_sigmoid_of_the_scores(self):
-        # bit for bit, also on any subset of the rows, as when the booster
-        # builds one sample per leaf from the round's score array
+        # bit for bit, also on any subset of the rows: the booster sums each
+        # leaf's Newton terms over probs[members], gathered from the round's
+        # one sigmoid of every row's score
         rng = np.random.default_rng(11)
         scores = np.concatenate([rng.uniform(-40.0, 40.0, 200), [0.0, -0.0, 700.0, -700.0]])
         labels = rng.integers(0, 2, scores.size).astype(float)
@@ -154,7 +123,7 @@ class TestNewtonStep:
     def test_negative_step_after_one_round(self):
         y = np.array([1.0, 0.0])
         p = np.array([0.5167, 0.5167])
-        value = newton_leaf_value(LeafSample.from_probs(y, p))
+        value = newton_leaf_value(LeafSample(y, np.log(p) - np.log1p(-p)))
         assert abs(value - (-0.0669)) < 5e-5
 
     def test_zero_residual_sum_gives_zero(self):
@@ -163,7 +132,7 @@ class TestNewtonStep:
     def test_denominator_floor(self):
         # a single confident-miss instance has hessian ~4e-18, far below the floor
         sample = _sample([1], [-40.0])
-        num, den = leaf_value_terms(sample)
+        num, den = leaf_value_terms(sample.labels, sample.prior_probs)
         assert den < NEWTON_DENOMINATOR_FLOOR
         assert newton_leaf_value(sample) == num / NEWTON_DENOMINATOR_FLOOR
 
@@ -174,15 +143,23 @@ class TestNewtonStep:
             y = rng.integers(0, 2, n).astype(float)
             y[0] = 1.0 - y[1] if n > 1 else y[0]
             sample = _sample(y, rng.uniform(-3, 3, n))
-            num, den = leaf_value_terms(sample)
+            num, den = leaf_value_terms(sample.labels, sample.prior_probs)
             # Newton step == -(slope at zero) / curvature
             assert abs(newton_leaf_value(sample) - (-leaf_loss_derivative(0.0, sample) / den)) < 1e-12
 
     def test_even_odds_leaf_is_four_times_mean_residual(self):
         y = np.array([1.0, 1.0, 0.0, 1.0])
         sample = _sample(y, np.zeros(4))
-        r = residuals(y, sample.prior_probs)
+        r = y - sample.prior_probs
         assert abs(newton_leaf_value(sample) - 4.0 * r.mean()) < 1e-12
+
+    def test_terms_read_lists_and_scalars_as_arrays(self):
+        expected = leaf_value_terms(np.array([1.0, 0.0]), np.array([0.25, 0.5]))
+        assert leaf_value_terms([1, 0], [0.25, 0.5]) == expected
+        assert leaf_value_terms(1.0, 0.25) == leaf_value_terms(np.array([1.0]), np.array([0.25]))
+        assert leaf_value_terms(np.float64(1.0), np.array(0.25)) == (0.75, 0.1875)
+        with pytest.raises(ValueError, match="1 labels and 3 probs differ in number"):
+            leaf_value_terms([1.0], [0.25, 0.5, 0.75])
 
     def test_raw_step_helper(self):
         assert newton_step(0.5, 0.75) == 0.5 / 0.75
@@ -251,10 +228,11 @@ class TestExactLeafValue:
 
     def test_rejects_bad_bound_and_tol(self):
         sample = _sample([1, 0], [0, 0])
-        with pytest.raises(ValueError):
-            exact_leaf_value(sample, bound=0.0)
-        with pytest.raises(ValueError):
-            exact_leaf_value(sample, tol=0.0)
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="bound must be a finite positive number"):
+                exact_leaf_value(sample, bound=bad)
+            with pytest.raises(ValueError, match="tol must be a finite positive number"):
+                exact_leaf_value(sample, tol=bad)
 
     def test_derivative_at_result_is_small(self):
         rng = np.random.default_rng(17)

@@ -63,8 +63,11 @@ print(
     "\nthe guided walkthrough instead forces x <= 3.5 (SSE 1.333...) to keep"
     "\nits arithmetic tidy; a freely fitted stump prefers the outer gap:"
 )
-tree = fit_tree(dataset.features, residuals, max_depth=1)
+tree, leaf_rows = fit_tree(dataset.features, residuals, max_depth=1)
 print(f"  freely fitted stump splits at x <= {tree.root.threshold}")
+# the grower hands back each leaf's rows, so the booster never routes them again
+for leaf_id, rows in enumerate(leaf_rows, start=1):
+    print(f"  leaf {leaf_id} holds points {{{' '.join(str(i + 1) for i in rows)}}}")
 
 # ------------------------------------------------- a constraint worth knowing
 print("\nminimum-leaf-size constraint (min_count) on the same residuals:")

@@ -288,12 +288,12 @@ class TrainingTrace:
         return self.records[-1].total_loss
 
 
-def _leaf_terms(tree: RegressionTree, X, y, probs) -> list[tuple[int, np.ndarray, float, float]]:
-    """(leaf_id, members, numerator, denominator) for each leaf, left to right:
-    the Newton terms of its rows at the round's probs, 0.0 and 0.0 if it has
-    none.  Gathering probs[members] gives bit for bit sigmoid(scores[members])."""
+def _leaf_terms(leaf_rows, y, probs) -> list[tuple[int, np.ndarray, float, float]]:
+    """(leaf_id, members, numerator, denominator) for each leaf's rows, left to
+    right: the Newton terms of its rows at the round's probs, 0.0 and 0.0 if it
+    has none.  Gathering probs[members] gives bit for bit sigmoid(scores[members])."""
     terms = []
-    for leaf_id, members in tree.leaf_assignment(X).items():
+    for leaf_id, members in enumerate(leaf_rows, start=1):
         numerator = denominator = 0.0
         if members.size:
             numerator, denominator = leaf_value_terms(y[members], probs[members])
@@ -316,26 +316,27 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
     """Fit an additive ensemble of residual trees with second-order leaf values.
 
     Starts every instance at raw score 0 (probability 0.5).  Each iteration
-    fits a tree to the current residuals, or takes the configured forced
-    stump (all built, and so checked, before the first round), sets each
-    leaf to the Newton step over the rows it holds (an empty leaf keeps 0),
-    and advances the scores by learning_rate times the leaf value, recording
-    each round with replay's helpers: the trace is replay(model, dataset).
+    fits a tree to the current residuals, with the grower's rows per leaf, or
+    takes the configured forced stump (all built, checked and routed before
+    round 1), sets each leaf to the Newton step over its rows (an empty leaf
+    keeps 0) and advances the scores by learning_rate times the leaf value,
+    recording each round with replay's helpers: the trace is replay(model, dataset).
     """
     if dataset.labels is None:
         raise ValueError("training requires a labeled dataset")
     X, y = dataset.features, dataset.labels
     stumps = [
-        RegressionTree(Split(f, t, Leaf(1, 0.0), Leaf(2, 0.0)), dataset.n_features)
+        (stump, stump.leaf_assignment(X).values())
         for f, t in config.forced_splits or ()
+        for stump in [RegressionTree(Split(f, t, Leaf(1, 0.0), Leaf(2, 0.0)), dataset.n_features)]
     ]
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     trees, records = [], []
     for m in range(config.n_trees):
-        tree = stumps[m] if stumps else fit_tree(
+        tree, leaf_rows = stumps[m] if stumps else fit_tree(
             X, y - probs, max_depth=config.max_depth, min_leaf=config.min_leaf
         )
-        terms = _leaf_terms(tree, X, y, probs)
+        terms = _leaf_terms(leaf_rows, y, probs)
         tree = tree.with_leaf_values({i: newton_step(n, d) for i, rows, n, d in terms if rows.size})
         records.append(_round(m + 1, tree, terms, y, scores, probs, config.learning_rate))
         trees.append(tree)
@@ -359,7 +360,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []
     for m, tree in enumerate(model.trees, start=1):
-        terms = _leaf_terms(tree, X, y, probs)
+        terms = _leaf_terms(tree.leaf_assignment(X).values(), y, probs)
         records.append(_round(m, tree, terms, y, scores, probs, model.learning_rate))
         scores, probs = records[-1].scores, records[-1].probs
     return TrainingTrace(tuple(records))

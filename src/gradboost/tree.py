@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -52,7 +51,7 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     positive_int(min_count, "min_count")
     X = np.asarray(features, dtype=np.float64)
     idx = np.asarray(instance_set, dtype=np.intp)
-    node_res = np.asarray(residuals, dtype=np.float64)[idx]
+    node_res = residual_column(residuals, X.shape[0])[idx]
     n = idx.size
     if n < 2 or n < 2 * min_count:
         return None
@@ -317,27 +316,39 @@ def finite_real(value, what: str) -> float:
     return value
 
 
-def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1) -> RegressionTree:
-    """Grow a depth-limited tree by greedy SSE splitting, in preorder.
-    Leaves start with value 0.0; the booster fills them in afterwards."""
+def residual_column(residuals, n_rows: int) -> np.ndarray:
+    """residuals as float64, refused with a ValueError naming its shape unless it is (n_rows,)."""
+    res = np.asarray(residuals, dtype=np.float64)
+    if res.shape != (n_rows,):
+        raise ValueError(f"residuals must have shape ({n_rows},), one per row, got {res.shape}")
+    return res
+
+
+def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1):
+    """Grow a depth-limited tree by greedy SSE splitting, in preorder, with leaf values 0.0.
+    Returns (tree, leaf_rows): leaf_rows[j] holds leaf j + 1's ascending row indices."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
-    res = np.asarray(residuals, dtype=np.float64)
+    res = residual_column(residuals, X.shape[0])
     positive_int(max_depth, "max_depth", MAX_TREE_DEPTH)
     positive_int(min_leaf, "min_leaf")
     if X.shape[0] == 0:
         raise ValueError("features must hold at least one row")
-    leaf_ids = itertools.count(1)
+    for name, values in (("features", X), ("residuals", res)):
+        if not np.isfinite(values).all():  # once per tree: best_split trusts its nodes
+            raise ValueError(f"{name} must be finite, got a NaN or an infinity")
+    leaf_rows: list[np.ndarray] = []
 
     def grow(node: tuple[np.ndarray, int]) -> Split | Leaf:
         """Rows and depth as a leaf, or as their best split into two sides still to grow."""
         idx, depth = node
         best = depth < max_depth and idx.size >= 2 and best_split(X, res, idx, min_count=min_leaf)
         if not best:
-            return Leaf(next(leaf_ids), 0.0)
+            leaf_rows.append(idx)
+            return Leaf(len(leaf_rows), 0.0)
         go_left = X[idx, best.feature_index] <= best.threshold
         sides = (idx[go_left], depth + 1), (idx[~go_left], depth + 1)
         return Split(best.feature_index, best.threshold, *sides)
 
-    return RegressionTree._read((np.arange(X.shape[0], dtype=np.intp), 0), X.shape[1], grow)
+    return RegressionTree._read((np.arange(X.shape[0], dtype=np.intp), 0), X.shape[1], grow), leaf_rows

@@ -73,7 +73,19 @@ def test_traced_train_routes_each_row_once_per_round(tmp_path, capsys):
     code, tracer = _traced(["train", "--data", str(data)])
     assert code == 0
     capsys.readouterr()
-    # the default 3 stumps: six rows routed and two leaves summed per round, once each
+    # the default 3 grown stumps: each round sums its two leaves once, over the
+    # rows the grower hands back, so no row is routed through a tree
+    assert tracer.counts["rows_routed"] == 0
+    assert tracer.counts["leaves_evaluated"] == 2 * 3
+
+
+def test_traced_train_routes_each_forced_stumps_rows_once(tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV, encoding="utf-8")
+    code, tracer = _traced(["train", "--data", str(data), "--force-splits", "0:3.5;0:2.25;0:5.25"])
+    assert code == 0
+    capsys.readouterr()
+    # three forced stumps: each routes the six rows once, and sums its two leaves once
     assert tracer.counts["rows_routed"] == 6 * 3
     assert tracer.counts["leaves_evaluated"] == 2 * 3
 

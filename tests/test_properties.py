@@ -71,6 +71,37 @@ def test_model_file_round_trip_is_byte_stable(run):
     assert serialize_model(deserialize_model(text)) == text
 
 
+@st.composite
+def growth_inputs(draw):
+    """Up to 40 rows of one to three columns, each continuous or integers 0..3
+    with many ties; residuals continuous or tied at +-0.5; depth 1..4 and
+    min_leaf 1..3."""
+    n = draw(st.integers(1, 40))
+    continuous, tied = st.floats(-10.0, 10.0), st.integers(0, 3).map(float)
+    kinds = draw(st.lists(st.sampled_from((continuous, tied)), min_size=1, max_size=3))
+    X = np.array([draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]).T
+    residual = draw(st.sampled_from((st.floats(-1.0, 1.0), st.sampled_from((-0.5, 0.5)))))
+    r = np.array(draw(st.lists(residual, min_size=n, max_size=n)))
+    return X, r, draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(growth_inputs())
+def test_fit_tree_returns_the_rows_leaf_assignment_routes(case):
+    """The rows the grower hands back for each leaf are the rows routing the
+    data through the grown tree sends there: same order, dtype and values,
+    none empty, together every row once."""
+    X, r, max_depth, min_leaf = case
+    tree, leaf_rows = fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)
+    routed = list(tree.leaf_assignment(X).values())
+    assert len(leaf_rows) == len(routed) == tree.n_leaves
+    for rows, members in zip(leaf_rows, routed):
+        assert rows.dtype == members.dtype == np.intp
+        assert np.array_equal(rows, members)
+        assert rows.size > 0
+    assert np.array_equal(np.sort(np.concatenate(leaf_rows)), np.arange(len(X)))
+
+
 def _leaf_of(node, x):
     """The leaf row x reaches in the hand-built form of a tree."""
     while isinstance(node, Split):
@@ -336,7 +367,7 @@ def test_train_trace_is_the_replay_trace_bit_for_bit(run):
                 [w.numerator, w.denominator, w.value]
             )
         if config.forced_splits is None:  # each tree was grown on its round's residuals
-            grown = fit_tree(
+            grown, _ = fit_tree(
                 dataset.features, want.residuals,
                 max_depth=config.max_depth, min_leaf=config.min_leaf,
             )

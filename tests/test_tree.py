@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -223,14 +224,15 @@ class TestBestSplit:
         r = np.array([1.0, -1.0])
         found = best_split(x, r, np.arange(2))
         assert (found.feature_index, found.threshold, found.sse_after) == (0, lower, 0.0)
-        groups = fit_tree(x, r).leaf_assignment(x)
-        assert [members.tolist() for members in groups.values()] == [[0], [1]]
+        tree, leaf_rows = fit_tree(x, r)
+        assert [rows.tolist() for rows in leaf_rows] == [[0], [1]]
+        assert [members.tolist() for members in tree.leaf_assignment(x).values()] == [[0], [1]]
 
 
 class TestFitTree:
     def test_learned_stump_on_first_round_residuals(self, six_points):
         r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
-        tree = fit_tree(six_points.features, r)
+        tree, _ = fit_tree(six_points.features, r)
         assert tree.root.feature_index == 0
         assert tree.root.threshold == pytest.approx(1.4, abs=1e-12)
         assert [leaf.leaf_id for leaf in tree.leaves()] == [1, 2]
@@ -250,7 +252,7 @@ class TestFitTree:
     def test_depth_two_growth(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         r = np.array([1.0, -1.0, -1.0, 1.0])
-        tree = fit_tree(x, r, max_depth=2)
+        tree, _ = fit_tree(x, r, max_depth=2)
         assert tree.root.threshold == 1.5
         assert tree.n_leaves == 3
         assert [leaf.leaf_id for leaf in tree.leaves()] == [1, 2, 3]
@@ -261,7 +263,7 @@ class TestFitTree:
     def test_min_leaf_stops_growth(self):
         x = np.array([[1.0], [2.0], [3.0]])
         r = np.array([-1.0, 0.0, 1.0])
-        tree = fit_tree(x, r, min_leaf=2)
+        tree, _ = fit_tree(x, r, min_leaf=2)
         assert tree.n_leaves == 1  # no legal cut keeps both children at >= 2
 
     def test_depth_never_exceeds_cap(self):
@@ -271,19 +273,19 @@ class TestFitTree:
             x = rng.uniform(0, 10, (n, 2))
             r = rng.uniform(-1, 1, n)
             cap = int(rng.integers(1, 4))
-            tree = fit_tree(x, r, max_depth=cap)
+            tree, _ = fit_tree(x, r, max_depth=cap)
             assert tree.depth() <= cap
 
     def test_leaf_ids_are_consecutive_left_to_right(self):
         rng = np.random.default_rng(37)
         x = rng.uniform(0, 10, (40, 2))
         r = rng.uniform(-1, 1, 40)
-        tree = fit_tree(x, r, max_depth=3)
+        tree, _ = fit_tree(x, r, max_depth=3)
         assert [leaf.leaf_id for leaf in tree.leaves()] == list(range(1, tree.n_leaves + 1))
 
     def test_max_depth_is_limited(self):
         x, r = np.array([[0.0], [1.0]]), np.array([-0.5, 0.5])
-        assert fit_tree(x, r, max_depth=MAX_TREE_DEPTH).depth() == 1
+        assert fit_tree(x, r, max_depth=MAX_TREE_DEPTH)[0].depth() == 1
         with pytest.raises(ValueError, match="max_depth"):
             fit_tree(x, r, max_depth=MAX_TREE_DEPTH + 1)
 
@@ -297,11 +299,46 @@ class TestFitTree:
         with pytest.raises(ValueError, match=option):
             fit_tree(x, r, **{option: value})
 
+    def test_refuses_more_residuals_than_rows(self, six_points):
+        # not cut to the first six, which would still find a split
+        r = np.resize([0.5, -0.5], 9)
+        message = re.escape("residuals must have shape (6,), one per row, got (9,)")
+        with pytest.raises(ValueError, match=message):
+            fit_tree(six_points.features, r)
+        with pytest.raises(ValueError, match=message):
+            best_split(six_points.features, r, np.arange(6))
+
+    @pytest.mark.parametrize(
+        "shape", [(6, 1), (1, 6), (5,), ()], ids=["column", "row", "too-few", "scalar"]
+    )
+    def test_refuses_residuals_of_another_shape(self, six_points, shape):
+        r = np.resize([0.5, -0.5], shape)
+        message = "residuals must have shape " + re.escape(f"(6,), one per row, got {shape}")
+        with pytest.raises(ValueError, match=message):
+            fit_tree(six_points.features, r)
+        with pytest.raises(ValueError, match=message):
+            best_split(six_points.features, r, np.arange(6))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_residuals(self, six_points, bad):
+        # not a one-leaf tree: no candidate's SSE compares below a NaN node SSE
+        r = np.array([0.5, -0.5, 0.5, bad, 0.5, -0.5])
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            fit_tree(six_points.features, r)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_features(self, six_points, bad):
+        # not routed: a NaN cell fails every x <= threshold test, so it would go right
+        x = six_points.features.copy()
+        x[2, 0] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            fit_tree(x, np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))
+
     def test_leaf_assignment_partitions_instances(self):
         rng = np.random.default_rng(41)
         x = rng.uniform(0, 10, (25, 2))
         r = rng.uniform(-1, 1, 25)
-        tree = fit_tree(x, r, max_depth=2)
+        tree, _ = fit_tree(x, r, max_depth=2)
         groups = tree.leaf_assignment(x)
         assert set(groups) == {leaf.leaf_id for leaf in tree.leaves()}
         combined = np.sort(np.concatenate(list(groups.values())))
@@ -314,7 +351,7 @@ class TestFitTree:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(2, 60))
             x = rng.integers(0, 4, (n, 3)).astype(float)
-            tree = fit_tree(x, rng.uniform(-1, 1, n), max_depth=depth)
+            tree, _ = fit_tree(x, rng.uniform(-1, 1, n), max_depth=depth)
             # a few unseen rows leave some leaves with no members
             probe = rng.integers(0, 4, (int(rng.integers(0, 4)), 3)).astype(float)
             for rows in (x, probe):
@@ -351,7 +388,7 @@ class TestFitTree:
     @given(growth_cases())
     def test_grows_the_tree_the_recursive_reference_grows(self, case):
         X, r, max_depth, min_leaf = case
-        tree = fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)
+        tree, _ = fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)
         assert tree == RegressionTree(_recursive_fit_root(X, r, max_depth, min_leaf), X.shape[1])
 
     def test_growing_and_rewriting_the_deepest_tree_need_no_call_stack(self):
@@ -361,11 +398,14 @@ class TestFitTree:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_frame_depth() + 60)
         try:
-            tree = fit_tree(x, r, max_depth=MAX_TREE_DEPTH)
+            tree, leaf_rows = fit_tree(x, r, max_depth=MAX_TREE_DEPTH)
             rewritten = tree.with_leaf_values({1: 0.5})
         finally:
             sys.setrecursionlimit(limit)
         assert tree.depth() == rewritten.depth() == MAX_TREE_DEPTH
+        assert len(leaf_rows) == tree.n_leaves == MAX_TREE_DEPTH + 1
+        routed = tree.leaf_assignment(x).values()
+        assert all(np.array_equal(rows, members) for rows, members in zip(leaf_rows, routed))
         assert rewritten.leaves()[0] == Leaf(1, 0.5)
         assert rewritten.leaves()[1:] == tree.leaves()[1:]
 
@@ -400,13 +440,13 @@ class TestFitTree:
 
     def test_apply_sends_boundary_point_left(self):
         x = np.array([[1.0], [3.0]])
-        tree = fit_tree(x, np.array([1.0, -1.0]))
+        tree, _ = fit_tree(x, np.array([1.0, -1.0]))
         threshold = tree.root.threshold
         leaf_id, _ = tree.apply(np.array([threshold]))
         assert leaf_id == 1
 
     def test_single_instance_tree_is_one_leaf(self):
-        tree = fit_tree(np.array([[5.0]]), np.array([0.3]))
+        tree, _ = fit_tree(np.array([[5.0]]), np.array([0.3]))
         assert tree.n_leaves == 1
         assert tree.depth() == 0
 
@@ -468,7 +508,7 @@ class TestFitTree:
         assert tree.value == (0.0, 2.0, -1.0) and type(tree.value[1]) is float
 
     def test_apply_rejects_wrong_width(self, six_points):
-        tree = fit_tree(six_points.features, np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))
+        tree, _ = fit_tree(six_points.features, np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))
         with pytest.raises(ValueError):
             tree.apply(np.array([1.0, 2.0]))
 

@@ -247,9 +247,10 @@ class IterationRecord:
     """Everything one boosting iteration computed, in the order it happened.
 
     labels is the data set's label array, the same object in every record.
-    residuals and leaf_ids are derived from the other fields on each read,
-    so a whole trace holds neither: a new array each time, bit-equal to what
-    the round computed.  Like LeafRecord it compares and hashes by identity.
+    residuals, leaf_ids and total_loss are derived from the other fields on
+    each read, so a whole trace holds none of them and no round computes a
+    loss nobody reads: a new value each time, bit-equal to what the round
+    computed.  Like LeafRecord it compares and hashes by identity.
     """
 
     iteration: int
@@ -258,7 +259,6 @@ class IterationRecord:
     scores: np.ndarray
     probs: np.ndarray
     leaves: tuple[LeafRecord, ...]
-    total_loss: float
 
     @property
     def residuals(self) -> np.ndarray:
@@ -272,6 +272,12 @@ class IterationRecord:
         for leaf in self.leaves:
             ids[leaf.members] = leaf.leaf_id
         return ids
+
+    @property
+    def total_loss(self) -> float:
+        """The log-loss of this round's scores."""
+        # booster.total_loss, looked up at each call: a method body skips the class scope
+        return total_loss(self.labels, self.scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +314,7 @@ def _round(iteration, tree, terms, y, scores, prior_probs, learning_rate) -> Ite
     for (leaf_id, members, numerator, denominator), leaf in zip(terms, tree.leaves()):
         scores[members] += learning_rate * leaf.value
         leaves.append(LeafRecord(leaf_id, members, numerator, denominator, leaf.value))
-    probs, loss = sigmoid(scores), total_loss(y, scores)
-    return IterationRecord(iteration, y, prior_probs, scores, probs, tuple(leaves), loss)
+    return IterationRecord(iteration, y, prior_probs, scores, sigmoid(scores), tuple(leaves))
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:

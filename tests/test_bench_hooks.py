@@ -124,6 +124,33 @@ def test_traced_predict_and_trace_record_layer_spans(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _loss_calls(tracer):
+    return sum(tracer.names[span[0]] == "booster.total_loss" for span in tracer.spans)
+
+
+def test_traced_train_computes_one_loss(tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV, encoding="utf-8")
+    code, tracer = _traced(["train", "--data", str(data)])
+    assert code == 0
+    capsys.readouterr()
+    # the printed final loss, not one per round of the default 3
+    assert _loss_calls(tracer) == 1
+
+
+def test_traced_trace_computes_no_loss(tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV, encoding="utf-8")
+    model, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+    assert gradboost.cli.main(["train", "--data", str(data), "--out", str(model)]) == 0
+    code, tracer = _traced(["trace", "--model", str(model), "--data", str(data), "--out", str(trace)])
+    assert code == 0
+    capsys.readouterr()
+    # the trace CSV prints no loss, so replay computes none
+    assert "booster.replay" in _span_names(tracer)
+    assert _loss_calls(tracer) == 0
+
+
 def test_traced_predict_proba_records_the_raw_score_and_sigmoid_spans(reference_run):
     model, _ = reference_run
     x = np.array([7.0])

@@ -232,6 +232,18 @@ class TestPredictionBlocks:
         assert written == expected
         assert written.count("\n") == n_rows + 1
 
+    @pytest.mark.parametrize("value", [5e-324, 1e15, 1.7e308, -1.7e308])
+    @pytest.mark.parametrize("n_rows", [1023, 1024, 1025])
+    def test_blocks_write_the_bytes_of_extreme_scores(self, n_rows, value):
+        # one one-leaf tree at learning rate 1 scores every row value: a
+        # subnormal, a large whole number, and the widest numbers the
+        # six-decimal cells print (a probability of 0 or 1)
+        model = Model((RegressionTree(Leaf(1, value), 3),), 1.0, 3, ("a", "b", "c"))
+        dataset = Dataset(np.zeros((n_rows, 3)), None, ("a", "b", "c"))
+        written, expected = self._both(model, dataset, 0.5)
+        assert written == expected
+        assert written.count("\n") == n_rows + 1
+
     def test_a_probability_exactly_at_the_threshold_is_labeled_1(self, model):
         dataset = Dataset(np.random.default_rng(1).normal(size=(50, 3)), None, ("a", "b", "c"))
         probs = sigmoid(model.predict_raw_batch(dataset.features)).tolist()

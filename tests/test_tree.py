@@ -228,6 +228,22 @@ class TestBestSplit:
         assert [rows.tolist() for rows in leaf_rows] == [[0], [1]]
         assert [members.tolist() for members in tree.leaf_assignment(x).values()] == [[0], [1]]
 
+    def test_refuses_features_that_are_not_a_matrix(self):
+        message = re.escape("features must be a 2-d matrix, got shape (3,)")
+        with pytest.raises(ValueError, match=message):
+            best_split(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 0.5]), np.arange(3))
+
+    def test_refuses_an_instance_index_past_the_rows(self):
+        x, r = np.array([[1.0], [2.0], [3.0]]), np.array([0.5, -0.5, 0.5])
+        with pytest.raises(ValueError, match="instance index 3 is not a row of a 3-row matrix"):
+            best_split(x, r, np.array([0, 1, 3]))
+
+    def test_refuses_a_negative_instance_index(self):
+        # not read as row 2, counted from the end, which would find a split
+        x, r = np.array([[1.0], [2.0], [3.0]]), np.array([0.5, -0.5, 0.5])
+        with pytest.raises(ValueError, match="instance index -1 is not a row of a 3-row matrix"):
+            best_split(x, r, np.array([0, -1, 1]))
+
 
 class TestFitTree:
     def test_learned_stump_on_first_round_residuals(self, six_points):

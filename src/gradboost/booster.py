@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,8 +76,12 @@ class Model:
             raise ValueError(f"feature_names must be a list of {self.n_features} strings")
         object.__setattr__(self, "learning_rate", learning_rate)
         object.__setattr__(self, "feature_names", tuple(names))
+        object.__setattr__(self, "trees", tuple(self.trees))
         bound = 0.0
         for tree in self.trees:
+            if not isinstance(tree, RegressionTree):
+                kind = type(tree).__name__
+                raise ValueError(f"a model's tree must be a RegressionTree, not {kind}")
             if tree.n_features != self.n_features:
                 raise ValueError(f"tree of {tree.n_features} features, model of {self.n_features}")
             bound += learning_rate * max(map(abs, tree.value))
@@ -90,19 +95,31 @@ class Model:
                 f"data has {dataset.n_features} feature columns, model expects {self.n_features}"
             )
 
+    def __deepcopy__(self, memo) -> Model:
+        # immutable all the way down; copying _walks would recurse once per level
+        return self
+
+    @cached_property
+    def _walks(self) -> tuple:
+        """Each tree nested for a single-row walk, built on first use: a split is
+        a (feature, threshold, left, right) tuple holding its children, a leaf
+        the float learning_rate * value, the term predict_raw adds."""
+        learning_rate = self.learning_rate
+        leaf, split = (lambda _, value: learning_rate * value), (lambda *node: node)
+        return tuple(tree.fold(leaf, split) for tree in self.trees)
+
     def predict_raw(self, x) -> float:
         """Sum of learning-rate-scaled tree outputs for one instance, in tree order.
 
-        Walks each tree's columns in place, as RegressionTree.apply does: the
-        same comparisons and the same sum, without a call per tree."""
+        Walks each tree's nested form, with RegressionTree.apply's comparisons
+        and the same sum, so it is bit-identical to adding up its outputs."""
         row = row_values(x, self.n_features)
-        learning_rate, score = self.learning_rate, 0.0
-        for tree in self.trees:
-            feature, threshold, _, right, value, _ = tree._columns
-            i = 0
-            while (f := feature[i]) >= 0:  # a split's left child is the next node
-                i = i + 1 if row[f] <= threshold[i] else right[i]
-            score += learning_rate * value[i]
+        score = 0.0
+        for node in self._walks:
+            while type(node) is tuple:
+                f, t, left, right = node
+                node = left if row[f] <= t else right
+            score += node
         return score
 
     def predict_raw_batch(self, features) -> np.ndarray:
@@ -291,6 +308,9 @@ class TrainingTrace:
 
     @property
     def final_loss(self) -> float:
+        """The last round's log-loss; a ValueError for a trace of no rounds."""
+        if not self.records:
+            raise ValueError("the trace holds no rounds, so it has no final loss")
         return self.records[-1].total_loss
 
 

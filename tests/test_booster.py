@@ -325,6 +325,22 @@ class TestPredict:
         model = Model((), 1, 2, ["a", "b"])
         assert type(model.learning_rate) is float and model.feature_names == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "other, name",
+        [("x", "str"), (None, "NoneType"), (Leaf(1, 0.5), "Leaf"), ([1.0], "list")],
+        ids=["string", "none", "bare-leaf", "list"],
+    )
+    def test_model_refuses_a_tree_that_is_not_a_regression_tree(self, other, name):
+        stump = RegressionTree(Split(0, 0.5, Leaf(1, 1.0), Leaf(2, -1.0)), 1)
+        with pytest.raises(ValueError, match=f"RegressionTree, not {name}$"):
+            Model((stump, other), 0.1, 1, ("x",))
+
+    def test_model_stores_its_trees_as_a_tuple(self):
+        stump = RegressionTree(Split(0, 0.5, Leaf(1, 1.0), Leaf(2, -1.0)), 1)
+        model = Model([stump], 0.1, 1, ["x"])
+        assert model.trees == (stump,)
+        assert hash(model) == hash(Model((stump,), 0.1, 1, ("x",)))
+
     def test_model_rejects_a_tree_of_another_width(self, reference_run):
         model, _ = reference_run
         wide = RegressionTree(model.trees[0].root, 2)
@@ -537,6 +553,13 @@ class TestReplay:
         assert record == record and record != again.records[0]
         assert leaf == leaf and leaf != again.records[0].leaves[0]
         assert len({hash(trace), hash(record), hash(leaf)}) == 3
+
+    def test_a_trace_of_no_rounds_has_no_final_loss(self):
+        model = Model((), 0.1, 1, ("x",))
+        trace = replay(model, Dataset(np.array([[1.0]]), np.array([1.0]), ("x",)))
+        assert len(trace) == 0
+        with pytest.raises(ValueError, match="no rounds"):
+            trace.final_loss
 
     def test_replay_requires_labels(self, reference_run):
         model, _ = reference_run

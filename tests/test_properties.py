@@ -7,6 +7,8 @@ same cases and the suite stays fast.
 import dataclasses
 import itertools
 import json
+import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -131,12 +133,9 @@ def _assert_batch_matches_rows(model, X):
             assert members.tolist() == expected[leaf_id]
 
 
-@BOUNDED
-@given(training_runs(), st.data())
-def test_batch_scores_equal_per_row_scores_on_trained_models(run, data):
-    dataset, config = run
-    model, _ = train(dataset, config)
-    # rows whose cells sit exactly on the model's thresholds, or between them
+def _rows_on_thresholds(data, model, dataset):
+    """The data set's rows, then rows whose cells sit exactly on the model's
+    thresholds for their feature, or between them."""
     thresholds = [
         {
             t
@@ -149,8 +148,15 @@ def test_batch_scores_equal_per_row_scores_on_trained_models(run, data):
     on_thresholds = data.draw(
         st.lists(st.tuples(*(st.sampled_from(c) for c in cells)), min_size=1, max_size=12)
     )
-    X = np.vstack([dataset.features, np.array(on_thresholds, dtype=float)])
-    _assert_batch_matches_rows(model, X)
+    return np.vstack([dataset.features, np.array(on_thresholds, dtype=float)])
+
+
+@BOUNDED
+@given(training_runs(), st.data())
+def test_batch_scores_equal_per_row_scores_on_trained_models(run, data):
+    dataset, config = run
+    model, _ = train(dataset, config)
+    _assert_batch_matches_rows(model, _rows_on_thresholds(data, model, dataset))
 
 
 def _chain(values):
@@ -175,6 +181,16 @@ def test_batch_scores_equal_per_row_scores_on_a_depth_limit_chain(seed, halves):
     # odd halves sit exactly on a threshold, even ones between two
     X = np.array(halves, dtype=float).reshape(-1, 1) / 2.0
     _assert_batch_matches_rows(Model((tree, tree), 0.3, 1, ("x",)), X)
+
+
+def _assert_walk_is_the_in_order_sum(model, X):
+    """predict_raw of each row equals, under float.hex, learning_rate times each
+    tree's apply value, summed from 0.0 in tree order."""
+    for x in X:
+        expected = 0.0
+        for tree in model.trees:
+            expected += model.learning_rate * tree.apply(x)[1]
+        assert model.predict_raw(x).hex() == expected.hex()
 
 
 def _node_to_dict(node):
@@ -372,3 +388,49 @@ def test_train_trace_is_the_replay_trace_bit_for_bit(run):
                 max_depth=config.max_depth, min_leaf=config.min_leaf,
             )
             assert grown.with_leaf_values({w.leaf_id: w.value for w in want.leaves}) == tree
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(traced_runs(), st.data())
+def test_single_row_score_is_the_in_order_sum_on_trained_models(run, data):
+    dataset, config = run
+    model, _ = train(dataset, config)
+    _assert_walk_is_the_in_order_sum(model, _rows_on_thresholds(data, model, dataset))
+
+
+@BOUNDED
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(-2, 2 * MAX_TREE_DEPTH + 2), min_size=1, max_size=20),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_single_row_score_is_the_in_order_sum_on_a_depth_limit_chain(seed, halves, rate):
+    rng = np.random.default_rng(seed)
+    chain = _chain(rng.normal(size=MAX_TREE_DEPTH + 1).tolist())
+    stump = RegressionTree(Split(0, 3.5, Leaf(1, rng.normal()), Leaf(2, rng.normal())), 1)
+    # odd halves sit exactly on a threshold, even ones between two
+    X = np.array(halves, dtype=float).reshape(-1, 1) / 2.0
+    _assert_walk_is_the_in_order_sum(Model((chain, stump, chain), rate, 1, ("x",)), X)
+
+
+@BOUNDED
+@given(
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=3),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_a_model_of_no_trees_scores_zero_at_even_odds(row, rate):
+    model = Model((), rate, len(row), tuple(f"f{j}" for j in range(len(row))))
+    _assert_walk_is_the_in_order_sum(model, [row])
+    assert model.predict_raw(row).hex() == (0.0).hex()
+    assert model.predict_proba(row) == 0.5
+
+
+def test_a_model_of_the_deepest_chain_copies_pickles_and_converts_after_scoring():
+    chain = _chain(np.random.default_rng(3).normal(size=MAX_TREE_DEPTH + 1).tolist())
+    model = Model((chain, chain), 0.5, 1, ("x",))
+    score = model.predict_raw([600.0])
+    for clone in (deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert clone == model and hash(clone) == hash(model)
+        assert clone.predict_raw([600.0]).hex() == score.hex()
+    as_dict = dataclasses.asdict(model)
+    assert [tree["threshold"] for tree in as_dict["trees"]] == [chain.threshold] * 2

@@ -99,6 +99,10 @@ class Model:
         # immutable all the way down; copying _walks would recurse once per level
         return self
 
+    def __getstate__(self) -> dict:
+        # a pickle holds the model, not the walk form built from it on first use
+        return {name: value for name, value in self.__dict__.items() if name != "_walks"}
+
     @cached_property
     def _walks(self) -> tuple:
         """Each tree nested for a single-row walk, built on first use: a split is

@@ -46,19 +46,22 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     or None when no candidate strictly reduces the node's SSE.
     Ties break toward the lowest feature index, then the lowest threshold.
     min_count restricts candidates to those leaving at least that many
-    instances on each side.  features must be a 2-d matrix and every
-    instance index a row of it, or a ValueError names the shape or the
-    index; finite features are the caller's duty (fit_tree checks them once
-    per tree).
+    instances on each side; only these distinct cut points are scanned.
+    features must be a 2-d matrix and instance_set a 1-d array of integer
+    rows of it (an empty list too), or a ValueError names what is wrong;
+    finite features are the caller's duty (fit_tree checks them per tree).
     """
     positive_int(min_count, "min_count")
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be a 2-d matrix, got shape {X.shape}")
-    idx = np.asarray(instance_set, dtype=np.intp)
+    idx = np.asarray(instance_set)
+    if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":  # not a bool mask, floats, strings
+        raise ValueError(f"instance_set must be a 1-d array of row indices, got {idx.dtype} {idx.shape}")
     if idx.size and not (idx.min() >= 0 and idx.max() < X.shape[0]):
         bad = idx.min() if idx.min() < 0 else idx.max()
         raise ValueError(f"instance index {bad} is not a row of a {X.shape[0]}-row matrix")
+    idx = idx.astype(np.intp, copy=False)  # an empty list reads as float64
     node_res = residual_column(residuals, X.shape[0])[idx]
     n = idx.size
     if n < 2 or n < 2 * min_count:
@@ -67,8 +70,8 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
         return None  # SSE is already zero, nothing to reduce
     total = math.fsum(node_res.tolist())
     total_sq = math.fsum((node_res * node_res).tolist())
-    node_sse = max(0.0, total_sq - total * total / n)
-    best = None
+    # a candidate must beat the best so far, which starts as the unsplit node
+    best, best_sse = None, max(0.0, total_sq - total * total / n)
     for f in range(X.shape[1]):
         col = X[idx, f]
         order = np.argsort(col, kind="stable")
@@ -83,22 +86,21 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
         # lowest-feature/lowest-threshold tie-break
         suffix = np.cumsum(rs[::-1])[::-1]
         suffix_sq = np.cumsum(rs_sq[::-1])[::-1]
-        for i in range(min_count, n - min_count + 1):
-            if xs[i - 1] == xs[i]:
-                continue
-            left_sum = float(prefix[i - 1])
-            left_sq = float(prefix_sq[i - 1])
-            right_sum = float(suffix[i])
-            right_sq = float(suffix_sq[i])
+        # cut i sends rows :i left: xs[i - 1] != xs[i], and min_count <= i <= n - min_count
+        cut = min_count + np.flatnonzero((xs[:-1] != xs[1:])[min_count - 1 : n - min_count])
+        last = cut - 1
+        # memoryviews hand out Python ints and floats one at a time, building no list of them
+        cuts = cut, prefix[last], prefix_sq[last], suffix[cut], suffix_sq[cut], xs[last], xs[cut]
+        for i, left_sum, left_sq, right_sum, right_sq, lower, upper in zip(*map(memoryview, cuts)):
             sse = max(0.0, left_sq - left_sum * left_sum / i) + max(
                 0.0, right_sq - right_sum * right_sum / (n - i)
             )
-            if sse < node_sse and (best is None or sse < best.sse_after):
-                lower, upper = float(xs[i - 1]), float(xs[i])
+            if sse < best_sse:
                 threshold = (lower + upper) / 2.0
                 if not lower <= threshold < upper:
                     threshold = lower  # the sum overflowed, or rounded up to upper
-                best = SplitCandidate(f, threshold, sse)
+                best, best_sse = SplitCandidate(f, threshold, sse), sse
+        del cuts  # before the next feature gathers its own
     return best
 
 

@@ -67,6 +67,19 @@ def test_traced_train_records_layer_spans(tmp_path, capsys):
     assert "leaf_values.leaf_sample" not in spans
 
 
+def test_traced_train_counts_every_split_search(tmp_path, capsys):
+    data = tmp_path / "six.csv"
+    data.write_text(SIX_CSV, encoding="utf-8")
+    code, tracer = _traced(["train", "--data", str(data)])
+    assert code == 0
+    capsys.readouterr()
+    # the default 3 grown stumps each search the six rows once, 1 feature x 5 positions; a
+    # scan that bypasses tree.best_split fails here instead of reading 0 in the benchmark
+    assert sum(tracer.names[span[0]] == "tree.best_split" for span in tracer.spans) == 3
+    assert tracer.counts["best_split_calls"] == 3
+    assert tracer.counts["candidates_scanned"] == 3 * 5
+
+
 def test_traced_train_routes_each_row_once_per_round(tmp_path, capsys):
     data = tmp_path / "six.csv"
     data.write_text(SIX_CSV, encoding="utf-8")

@@ -1,6 +1,7 @@
 """End-to-end boosting: config validation, training trace, prediction, replay."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -179,6 +180,19 @@ class TestPredict:
         x = np.array([1.0])
         assert model.predict_raw(x) == pytest.approx(X1_RAW, abs=1e-12)
         assert model.predict_label(x) == 1
+
+    def test_a_pickle_holds_no_walk_form_and_scores_the_same(self):
+        rng = np.random.default_rng(2)
+        features = rng.normal(size=(60, 3))
+        dataset = Dataset(features, rng.integers(0, 2, 60).astype(float), ("a", "b", "c"))
+        model, _ = train(dataset, TrainConfig(n_trees=6, max_depth=3))
+        before = pickle.dumps(model)
+        raw = [model.predict_raw(x) for x in features]  # builds the walk form
+        after = pickle.dumps(model)
+        assert len(after) == len(before)
+        loaded = pickle.loads(after)
+        assert loaded == model
+        assert [loaded.predict_raw(x).hex() for x in features] == [v.hex() for v in raw]
 
     def test_empty_model_predicts_even_odds(self):
         model = Model(trees=(), learning_rate=0.1, n_features=1, feature_names=("x",))

@@ -15,6 +15,7 @@ from gradboost import (
     Leaf,
     RegressionTree,
     Split,
+    SplitCandidate,
     TrainConfig,
     best_split,
     deserialize_model,
@@ -59,6 +60,82 @@ def _exhaustive_best(features, residuals, idx, min_count=1):
         return None
     node = _two_pass_sse([residuals[i] for i in idx])
     return best if best[2] < node else None
+
+
+def _reference_best_split(features, residuals, instance_set, min_count=1):
+    """The plain split scan: it visits every position of each sorted column,
+    skips tied ones, and reads the running sums as numpy scalars.  best_split
+    must equal it bit for bit, and so must any faster scan."""
+    X = np.asarray(features, dtype=np.float64)
+    idx = np.asarray(instance_set, dtype=np.intp)
+    node_res = np.asarray(residuals, dtype=np.float64)[idx]
+    n = idx.size
+    if n < 2 or n < 2 * min_count:
+        return None
+    if np.all(node_res == node_res[0]):
+        return None
+    total = math.fsum(node_res.tolist())
+    total_sq = math.fsum((node_res * node_res).tolist())
+    node_sse = max(0.0, total_sq - total * total / n)
+    best = None
+    for f in range(X.shape[1]):
+        col = X[idx, f]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        rs = node_res[order]
+        rs_sq = rs * rs
+        prefix = np.cumsum(rs)
+        prefix_sq = np.cumsum(rs_sq)
+        suffix = np.cumsum(rs[::-1])[::-1]
+        suffix_sq = np.cumsum(rs_sq[::-1])[::-1]
+        for i in range(min_count, n - min_count + 1):
+            if xs[i - 1] == xs[i]:
+                continue
+            left_sum = float(prefix[i - 1])
+            left_sq = float(prefix_sq[i - 1])
+            right_sum = float(suffix[i])
+            right_sq = float(suffix_sq[i])
+            sse = max(0.0, left_sq - left_sum * left_sum / i) + max(
+                0.0, right_sq - right_sum * right_sum / (n - i)
+            )
+            if sse < node_sse and (best is None or sse < best.sse_after):
+                lower, upper = float(xs[i - 1]), float(xs[i])
+                threshold = (lower + upper) / 2.0
+                if not lower <= threshold < upper:
+                    threshold = lower
+                best = SplitCandidate(f, threshold, sse)
+    return best
+
+
+def _bits(candidate):
+    """A SplitCandidate as exact bits, or None."""
+    if candidate is None:
+        return None
+    return candidate.feature_index, candidate.threshold.hex(), candidate.sse_after.hex()
+
+
+# huge values, whose midpoint overflows when both have one sign, the smallest
+# subnormal, and 1.0 with the next two floats, the last two of which have a
+# midpoint that rounds up: both force the lower-value threshold
+EXTREME_VALUES = (
+    -1.7e308, -1e308, 1e308, 1.7e308, 5e-324,
+    1.0, math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0),
+)
+
+
+@st.composite
+def split_search_cases(draw):
+    """Up to 20 rows of one to three columns, each continuous, integers 0..3
+    with many ties, or extreme values; residuals in [-1, 1]; an instance set
+    that may be unsorted, repeat rows or be empty; min_count 1..3."""
+    n = draw(st.integers(1, 20))
+    continuous, tied = st.floats(-10.0, 10.0), st.integers(0, 3).map(float)
+    kinds = st.sampled_from((continuous, tied, st.sampled_from(EXTREME_VALUES)))
+    columns = draw(st.lists(kinds, min_size=1, max_size=3))
+    X = np.array([draw(st.lists(kind, min_size=n, max_size=n)) for kind in columns]).T
+    r = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    instance_set = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return X, r, instance_set, draw(st.integers(1, 3))
 
 
 def _recursive_grow(X, res, idx, depth, max_depth, min_leaf, leaf_ids):
@@ -243,6 +320,34 @@ class TestBestSplit:
         x, r = np.array([[1.0], [2.0], [3.0]]), np.array([0.5, -0.5, 0.5])
         with pytest.raises(ValueError, match="instance index -1 is not a row of a 3-row matrix"):
             best_split(x, r, np.array([0, -1, 1]))
+
+    @given(split_search_cases())
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_equals_the_reference_scan_bit_for_bit(self, case):
+        X, r, instance_set, min_count = case
+        found = best_split(X, r, instance_set, min_count=min_count)
+        assert _bits(found) == _bits(_reference_best_split(X, r, instance_set, min_count))
+
+    @pytest.mark.parametrize(
+        "instance_set, message",
+        [
+            ([True, True, False, True], "bool (4,)"),
+            ([0.5, 1.7, 2.2, 3.9], "float64 (4,)"),
+            (["0", "1", "3"], "<U1 (3,)"),
+            ([[0, 1], [1, 3]], "int64 (2, 2)"),
+            (np.array(3), "int64 ()"),
+        ],
+        ids=["bool-mask", "floats", "digit-strings", "2-d", "0-d"],
+    )
+    def test_refuses_an_instance_set_that_is_not_a_1d_integer_array(self, instance_set, message):
+        # rows 0, 1 and 3 split cleanly; a mask read as rows 1, 1, 0, 1 would
+        # see constant residuals and quietly find nothing
+        x, r = np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([0.5, 0.5, 0.5, -0.5])
+        assert best_split(x, r, [0, 1, 3]) == SplitCandidate(0, 3.0, 0.0)
+        assert best_split(x, r, []) is None  # an empty list is an instance set
+        full = re.escape(f"instance_set must be a 1-d array of row indices, got {message}")
+        with pytest.raises(ValueError, match=full):
+            best_split(x, r, instance_set)
 
 
 class TestFitTree:

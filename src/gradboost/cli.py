@@ -132,7 +132,7 @@ def _open_output(path):
 
 
 def cmd_train(args) -> None:
-    forced = _parse_force_splits(args.force_splits) if args.force_splits else None
+    forced = None if args.force_splits is None else _parse_force_splits(args.force_splits)
     config = TrainConfig(
         n_trees=args.trees,
         learning_rate=args.learning_rate,

@@ -9,30 +9,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NEWTON_DENOMINATOR_FLOOR = 1e-12
+EXACT_LEAF_BOUND = 30.0
+EXACT_LEAF_TOL = 1e-10
 
 
 def sigmoid(z):
-    """Logistic function, stable for |z| up to ~700.
+    """Logistic function, stable for every z: one formula on e = exp(-|z|),
+    which is never above 1, as 1 / (1 + e) for z >= 0 and e / (1 + e) below.
 
-    Branches so the exponentiated argument is never positive.  Accepts a
-    scalar or an array; returns a float for scalar input.  A scalar takes the
-    same two formulas on Python floats, bit for bit the array result: it
+    Accepts a scalar or an array; returns a float for scalar input.  A scalar
+    takes the same formula on Python floats, bit for bit the array result: it
     calls numpy's exp, not math.exp, which differs in the last bit on some
-    arguments.  NaN takes the second formula in both.
+    arguments.  NaN gives NaN.
     """
     if type(z) is float or np.ndim(z) == 0:  # the exact type first: np.ndim costs ~1 us
         z = float(z)
-        if z >= 0.0:
-            return 1.0 / (1.0 + float(np.exp(-z)))
-        expz = float(np.exp(z))
-        return expz / (1.0 + expz)
-    arr = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    expz = np.exp(arr[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+        e = float(np.exp(-abs(z)))
+        return 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def total_loss(labels, scores) -> float:
@@ -74,6 +70,8 @@ class LeafSample:
             raise ValueError("a leaf sample must hold at least one instance")
         if not np.all(np.isin(labels, (0.0, 1.0))):
             raise ValueError("labels must be exactly 0 or 1")
+        if not np.isfinite(scores).all():
+            raise ValueError("prior_scores must be finite, got a NaN or an infinity")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior_scores", scores)
         object.__setattr__(self, "prior_probs", sigmoid(scores))
@@ -121,23 +119,19 @@ def leaf_loss_derivative(value: float, sample: LeafSample) -> float:
     """
     shifted = sample.prior_scores + float(value)
     terms = sigmoid(shifted) - sample.labels
-    return math.fsum(np.atleast_1d(terms).tolist())
+    return math.fsum(terms.tolist())
 
 
-def exact_leaf_value(sample: LeafSample, bound: float = 30.0, tol: float = 1e-10) -> float:
+def exact_leaf_value(sample: LeafSample) -> float:
     """Minimize the exact leaf loss by bisecting its strictly increasing
-    derivative on [-bound, bound].
+    derivative on [-EXACT_LEAF_BOUND, EXACT_LEAF_BOUND], that is [-30, 30].
 
-    Returns a value whose derivative magnitude is at most tol.  For a
-    single-class sample the derivative never crosses zero inside the
-    interval, so the bound endpoint with the smaller |derivative| is
-    returned instead.
+    Returns a value whose derivative magnitude is at most EXACT_LEAF_TOL
+    (1e-10).  For a single-class sample the derivative never crosses zero
+    inside the interval, so the bound endpoint with the smaller |derivative|
+    is returned instead.
     """
-    if not 0.0 < bound < math.inf:  # also false for nan
-        raise ValueError("bound must be a finite positive number")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be a finite positive number")
-    lo, hi = -float(bound), float(bound)
+    lo, hi = -EXACT_LEAF_BOUND, EXACT_LEAF_BOUND
     d_lo = leaf_loss_derivative(lo, sample)
     d_hi = leaf_loss_derivative(hi, sample)
     if d_lo >= 0.0 or d_hi <= 0.0:
@@ -146,7 +140,7 @@ def exact_leaf_value(sample: LeafSample, bound: float = 30.0, tol: float = 1e-10
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         d_mid = leaf_loss_derivative(mid, sample)
-        if abs(d_mid) <= tol:
+        if abs(d_mid) <= EXACT_LEAF_TOL:
             return mid
         if d_mid < 0.0:
             lo = mid

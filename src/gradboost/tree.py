@@ -124,8 +124,6 @@ class RegressionTree:
     right: tuple[int, ...]
     value: tuple[float, ...]
     leaf_id: tuple[int, ...]
-    # the six columns above as one tuple, so a walk reads them in one lookup
-    _columns: tuple = field(repr=False, compare=False)
     _depth: int = field(repr=False, compare=False)
 
     def __init__(self, root: Split | Leaf, n_features: int):
@@ -177,17 +175,17 @@ class RegressionTree:
             for column, entry in zip(columns, entries):
                 column.append(entry)
         columns = tuple(map(tuple, columns))
-        for f, attribute in zip(fields(self), (n_features, *columns, columns, depth)):
+        for f, attribute in zip(fields(self), (n_features, *columns, depth)):
             object.__setattr__(self, f.name, attribute)
 
     def apply(self, x) -> tuple[int, float]:
         """Route one instance to its leaf; returns (leaf_id, value)."""
         row = row_values(x, self.n_features)
-        feature, threshold, _, right, value, leaf_id = self._columns
+        feature, threshold, right = self.feature, self.threshold, self.right
         i = 0
         while (f := feature[i]) >= 0:  # a split's left child is the next node
             i = i + 1 if row[f] <= threshold[i] else right[i]
-        return leaf_id[i], value[i]
+        return self.leaf_id[i], self.value[i]
 
     def apply_batch(self, features) -> tuple[np.ndarray, np.ndarray]:
         """apply of every row of a matrix, as (leaf ids, values) arrays: all
@@ -245,7 +243,8 @@ class RegressionTree:
 
     def with_leaf_values(self, values: dict[int, float]) -> "RegressionTree":
         """New tree with leaf values replaced by the given id -> value map."""
-        feature, threshold, left, right, value, leaf_id = self._columns
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
+        value, leaf_id = self.value, self.leaf_id
 
         def read(i: int) -> Split | Leaf:
             if feature[i] < 0:
@@ -258,7 +257,8 @@ class RegressionTree:
         """leaf(leaf_id, value) at each leaf, split(feature, threshold, left, right)
         of its children's results at each split: one backward pass over the
         preorder, which puts children after their parent.  Returns the root's."""
-        feature, threshold, left, right, value, leaf_id = self._columns
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
+        value, leaf_id = self.value, self.leaf_id
         folded: list = [None] * len(feature)
         for i in reversed(range(len(feature))):
             if feature[i] < 0:

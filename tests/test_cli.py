@@ -278,6 +278,7 @@ class TestUsageErrors:
             ["--min-leaf", "0"],
             ["--force-splits", "0:3.5"],  # three trees need three pairs
             ["--force-splits", "0:3.5;nope;0:5.25"],
+            ["--force-splits", ""],  # an empty list, not an absent one
             ["--force-splits", FORCED, "--max-depth", "2"],
             ["--trees", "1", "--force-splits", "5:1.0"],  # feature index out of range
             ["--max-depth", "513"],

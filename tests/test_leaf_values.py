@@ -1,6 +1,7 @@
 """Leaf-value math: sigmoid, Newton step, leaf loss, bisection solver."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gradboost import (
     newton_step,
     sigmoid,
 )
+from gradboost.leaf_values import EXACT_LEAF_BOUND, EXACT_LEAF_TOL
 
 
 # zero of both signs, the smallest subnormal and normal, where exp(-|z|) leaves
@@ -38,6 +40,61 @@ SCALARS = st.one_of(
     st.integers(-1000, 1000),
     st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
 )
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every float64 bit pattern: NaNs, infinities, subnormals and zeros included
+FLOAT_BITS = st.integers(0, 2**64 - 1).map(_from_bits)
+# full 52-bit mantissas of either sign with |z| in [2**-8, 2**10), where exp
+# rounds in its last bit: another exp or formula shows there, and random bit
+# patterns land there rarely
+ROUNDING_SCORES = st.builds(
+    lambda sign, exponent, mantissa: _from_bits(sign << 63 | exponent << 52 | mantissa),
+    st.integers(0, 1), st.integers(1015, 1032), st.integers(0, 2**52 - 1),
+)
+# where exp(-|z|) leaves the subnormals, reaches 0, or makes 1 + e round to 1
+EDGE_SCORES = [0.0, 5e-324, 2.225073858507201e-308, 36.7, 709.78, 745.2, math.inf]
+ORACLE_SCORES = st.one_of(
+    FLOAT_BITS, ROUNDING_SCORES, st.sampled_from(EDGE_SCORES + [-z for z in EDGE_SCORES]), SCORES
+)
+
+
+@st.composite
+def score_arrays(draw):
+    """A 1-d or 2-d float64 array of mixed-sign scores; any dimension may be 0."""
+    shape = tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=2)))
+    cells = draw(st.lists(ORACLE_SCORES, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(cells, dtype=np.float64).reshape(shape)
+
+
+def _reference_sigmoid(z):
+    """The two-formula logistic function sigmoid replaced: 1 / (1 + exp(-z))
+    for z >= 0 and exp(z) / (1 + exp(z)) below, on the array path behind two
+    masks.  sigmoid must equal it bit for bit on every input but NaN."""
+    if type(z) is float or np.ndim(z) == 0:
+        z = float(z)
+        if z >= 0.0:
+            return 1.0 / (1.0 + float(np.exp(-z)))
+        expz = float(np.exp(z))
+        return expz / (1.0 + expz)
+    arr = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    expz = np.exp(arr[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
+
+
+def _assert_same_bits(got, expected):
+    """Equal under float.hex, cell by cell; a NaN need only meet a NaN, of either sign."""
+    got, expected = np.ravel(got).tolist(), np.ravel(expected).tolist()
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert math.isnan(g) if math.isnan(e) else g.hex() == e.hex()
 
 
 def _sample(labels, scores):
@@ -80,6 +137,22 @@ class TestSigmoid:
             assert type(p) is float
             assert p.hex() == float(sigmoid(np.array([z]))[0]).hex()
 
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(ORACLE_SCORES, min_size=1, max_size=40), st.integers(-(2**63), 2**63))
+    def test_a_scalar_equals_the_two_formula_reference(self, zs, integer):
+        for z in [integer, *zs]:
+            for scalar in (z, np.float64(z), np.array(z)):
+                p = sigmoid(scalar)
+                assert type(p) is float
+                _assert_same_bits(p, _reference_sigmoid(scalar))
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(score_arrays())
+    def test_an_array_equals_the_two_formula_reference(self, zs):
+        p = sigmoid(zs)
+        assert type(p) is np.ndarray and p.dtype == np.float64 and p.shape == zs.shape
+        _assert_same_bits(p, _reference_sigmoid(zs))
+
 
 class TestLeafSample:
     def test_rejects_empty(self):
@@ -93,6 +166,11 @@ class TestLeafSample:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LeafSample(np.array([1.0]), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="prior_scores must be finite"):
+            LeafSample(np.array([1.0, 0.0]), np.array([0.0, bad]))
 
     def test_prior_probs_are_the_sigmoid_of_the_scores(self):
         # bit for bit, also on any subset of the rows: the booster sums each
@@ -223,16 +301,9 @@ class TestExactLeafValue:
         assert abs(exact_leaf_value(_sample([1, 1, 0], [0, 0, 0])) - math.log(2.0)) < 1e-8
 
     def test_pure_leaf_clamps_to_bound(self):
-        assert exact_leaf_value(_sample([1, 1], [0, 0]), bound=10.0) == 10.0
-        assert exact_leaf_value(_sample([0, 0], [0, 0]), bound=10.0) == -10.0
-
-    def test_rejects_bad_bound_and_tol(self):
-        sample = _sample([1, 0], [0, 0])
-        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match="bound must be a finite positive number"):
-                exact_leaf_value(sample, bound=bad)
-            with pytest.raises(ValueError, match="tol must be a finite positive number"):
-                exact_leaf_value(sample, tol=bad)
+        assert EXACT_LEAF_BOUND == 30.0
+        assert exact_leaf_value(_sample([1, 1], [0, 0])) == 30.0
+        assert exact_leaf_value(_sample([0, 0], [0, 0])) == -30.0
 
     def test_derivative_at_result_is_small(self):
         rng = np.random.default_rng(17)
@@ -241,8 +312,8 @@ class TestExactLeafValue:
             y = rng.integers(0, 2, n).astype(float)
             y[0] = 1.0 - y[1]  # keep the leaf mixed so the optimum is interior
             sample = _sample(y, rng.uniform(-4, 4, n))
-            value = exact_leaf_value(sample, tol=1e-10)
-            assert abs(leaf_loss_derivative(value, sample)) <= 1e-10
+            value = exact_leaf_value(sample)
+            assert abs(leaf_loss_derivative(value, sample)) <= EXACT_LEAF_TOL == 1e-10
 
     def test_permutation_invariant(self):
         y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])

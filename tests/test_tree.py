@@ -185,6 +185,62 @@ def _frame_depth():
     return depth
 
 
+def _chain(depth):
+    """depth splits on feature 0 down the right side, at 0.5, 1.5, ...; leaf
+    j holds value j / 4 and takes the rows in (j - 1.5, j - 0.5]."""
+    node = Leaf(depth + 1, (depth + 1) / 4)
+    for leaf_id in range(depth, 0, -1):
+        node = Split(0, leaf_id - 0.5, Leaf(leaf_id, leaf_id / 4), node)
+    return node
+
+
+# quarters, on which both trees below put thresholds, and any finite float
+CELLS = st.one_of(st.integers(-16, 16).map(lambda k: k / 4), st.floats(-1e6, 1e6))
+LEAF_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hand_built_trees(draw, n_features, max_depth=5):
+    """A nested Split/Leaf tree on n_features with half-integer thresholds;
+    its leaves are numbered left to right as they are drawn, left subtree first."""
+    leaf_ids = itertools.count(1)
+
+    def node(depth):
+        if depth == max_depth or draw(st.booleans()):
+            return Leaf(next(leaf_ids), draw(LEAF_VALUES))
+        feature, threshold = draw(st.integers(0, n_features - 1)), draw(st.integers(-6, 6)) / 2
+        return Split(feature, threshold, node(depth + 1), node(depth + 1))
+
+    return RegressionTree(node(0), n_features)
+
+
+@st.composite
+def routing_cases(draw):
+    """A tree, hand-built or grown by fit_tree with its leaf values redrawn,
+    and a matrix of 0 to 20 rows to route through it."""
+    n_features = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        tree = draw(hand_built_trees(n_features))
+    else:
+        n = draw(st.integers(1, 30))
+        X = np.array(draw(st.lists(CELLS, min_size=n * n_features, max_size=n * n_features)))
+        r = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        tree, _ = fit_tree(X.reshape(n, n_features), r, max_depth=draw(st.integers(1, 4)))
+        tree = tree.with_leaf_values({j: draw(LEAF_VALUES) for j in range(1, tree.n_leaves + 1)})
+    n_rows = draw(st.integers(0, 20))
+    rows = draw(st.lists(CELLS, min_size=n_rows * n_features, max_size=n_rows * n_features))
+    return tree, np.array(rows, dtype=np.float64).reshape(n_rows, n_features)
+
+
+def _assert_batch_matches_apply(tree, X):
+    """apply_batch(X) gives each row's apply(x) leaf id, and its value bit for bit."""
+    leaf_ids, values = tree.apply_batch(X)
+    assert leaf_ids.shape == values.shape == (X.shape[0],)
+    expected = [tree.apply(x) for x in X]
+    assert leaf_ids.tolist() == [leaf_id for leaf_id, _ in expected]
+    assert [v.hex() for v in values.tolist()] == [value.hex() for _, value in expected]
+
+
 def _assert_groups_match_apply(tree, rows, groups):
     """groups equals routing each row through apply on its own: every leaf id
     in left-to-right order, members ascending, an empty array for a leaf no
@@ -493,17 +549,11 @@ class TestFitTree:
         assert below[2].size == 0 and below[2].dtype == np.intp
 
     def test_a_path_past_the_depth_limit_is_refused(self):
-        def chain(depth):  # depth splits down the right side, leaf ids 1..depth+1
-            node = Leaf(depth + 1, 0.0)
-            for leaf_id in range(depth, 0, -1):
-                node = Split(0, leaf_id - 0.5, Leaf(leaf_id, 0.0), node)
-            return node
-
-        groups = RegressionTree(chain(MAX_TREE_DEPTH), 1).leaf_assignment(np.array([[0.0], [9e9]]))
+        groups = RegressionTree(_chain(MAX_TREE_DEPTH), 1).leaf_assignment(np.array([[0.0], [9e9]]))
         assert list(groups) == list(range(1, MAX_TREE_DEPTH + 2))
         assert groups[1].tolist() == [0] and groups[MAX_TREE_DEPTH + 1].tolist() == [1]
         with pytest.raises(ValueError, match=f"limit of {MAX_TREE_DEPTH} splits"):
-            RegressionTree(chain(MAX_TREE_DEPTH + 1), 1)
+            RegressionTree(_chain(MAX_TREE_DEPTH + 1), 1)
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(growth_cases())
@@ -637,6 +687,26 @@ class TestFitTree:
         model, _ = reference_run
         roots = [(tree.root.feature_index, tree.root.threshold) for tree in model.trees]
         assert tuple(roots) == REFERENCE_SPLITS
+
+
+class TestApplyBatch:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(routing_cases())
+    def test_routes_each_row_as_apply_does(self, case):
+        _assert_batch_matches_apply(*case)
+
+    def test_routes_down_the_deepest_chain_and_no_rows(self):
+        tree = RegressionTree(_chain(MAX_TREE_DEPTH), 1)
+        X = np.arange(-1.0, MAX_TREE_DEPTH + 2.0, 0.5).reshape(-1, 1)
+        _assert_batch_matches_apply(tree, X)
+        _assert_batch_matches_apply(tree, X[:0])
+        assert tree.apply_batch(X)[0][[0, -1]].tolist() == [1, MAX_TREE_DEPTH + 1]
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,), (0, 3)])
+    def test_refuses_a_matrix_of_another_width(self, shape):
+        tree = RegressionTree(Split(1, 0.5, Leaf(1, 0.25), Leaf(2, -0.5)), 2)
+        with pytest.raises(ValueError, match=r"expected rows of 2 features, got shape"):
+            tree.apply_batch(np.zeros(shape))
 
 
 @pytest.fixture(scope="module")

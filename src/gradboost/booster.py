@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, valid_feature_names
 from .leaf_values import LeafSample  # not called here; bench/tracing.py wraps booster.LeafSample
 from .leaf_values import leaf_value_terms, newton_step, sigmoid, total_loss
 from .tree import (
@@ -70,12 +70,8 @@ class Model:
     def __post_init__(self):
         learning_rate = valid_learning_rate(self.learning_rate)
         positive_int(self.n_features, "n_features")
-        names = self.feature_names
-        strings = isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
-        if not strings or len(names) != self.n_features:
-            raise ValueError(f"feature_names must be a list of {self.n_features} strings")
         object.__setattr__(self, "learning_rate", learning_rate)
-        object.__setattr__(self, "feature_names", tuple(names))
+        object.__setattr__(self, "feature_names", valid_feature_names(self.feature_names, self.n_features))
         object.__setattr__(self, "trees", tuple(self.trees))
         bound = 0.0
         for tree in self.trees:
@@ -95,12 +91,9 @@ class Model:
                 f"data has {dataset.n_features} feature columns, model expects {self.n_features}"
             )
 
-    def __deepcopy__(self, memo) -> Model:
-        # immutable all the way down; copying _walks would recurse once per level
-        return self
-
     def __getstate__(self) -> dict:
-        # a pickle holds the model, not the walk form built from it on first use
+        # a pickle or deep copy holds the model, not the walk form built from it on
+        # first use, which would grow a pickle and cost a deep copy one recursion per level
         return {name: value for name, value in self.__dict__.items() if name != "_walks"}
 
     @cached_property

@@ -181,10 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit an ensemble on a labeled CSV")
     p_train.add_argument("--data", required=True, help="training CSV; last column must be named 'label'")
-    p_train.add_argument("--trees", type=int, default=3, help="number of boosting iterations")
-    p_train.add_argument("--learning-rate", type=float, default=0.1)
-    p_train.add_argument("--max-depth", type=int, default=1)
-    p_train.add_argument("--min-leaf", type=int, default=1)
+    p_train.add_argument(
+        "--trees", type=int, default=TrainConfig.n_trees, help="number of boosting iterations"
+    )
+    p_train.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p_train.add_argument("--max-depth", type=int, default=TrainConfig.max_depth)
+    p_train.add_argument("--min-leaf", type=int, default=TrainConfig.min_leaf)
     p_train.add_argument("--out", help="where to write the JSON model")
     p_train.add_argument("--trace", help="where to write the per-iteration trace CSV")
     p_train.add_argument(

@@ -18,6 +18,23 @@ class EmptyDatasetError(DataError):
     """A CSV file had a header row but no data rows."""
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """values as a float64 array, not copied when it is one.  Anything but signed,
+    unsigned or floating numbers (bools, strings) is a DataError naming its dtype."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise DataError(f"{what} must hold numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
+def valid_feature_names(names, n_features: int) -> tuple[str, ...]:
+    """names as a tuple when it is a list or tuple of n_features strings, else a DataError."""
+    strings = isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
+    if not strings or len(names) != n_features:
+        raise DataError(f"feature_names must be a list or tuple of {n_features} strings")
+    return tuple(names)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable feature matrix with optional binary labels.
@@ -46,7 +63,7 @@ class Dataset:
     def _hold(self, features, labels, feature_names, copy: bool):
         """Check the fields and store them, the arrays as read-only float64
         arrays: copies, or with copy False the arrays given."""
-        features = np.array(features, dtype=np.float64, copy=copy)
+        features = np.array(float_array(features, "features"), copy=copy)
         if features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
         n, d = features.shape
@@ -66,10 +83,7 @@ class Dataset:
             labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
-        names = tuple(str(s) for s in feature_names)
-        if len(names) != d:
-            raise DataError("feature_names must name every feature column")
-        object.__setattr__(self, "feature_names", names)
+        object.__setattr__(self, "feature_names", valid_feature_names(feature_names, d))
 
     @property
     def n_rows(self) -> int:

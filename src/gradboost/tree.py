@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .dataset import float_array
 
 # Deep enough for any practical tree, and shallow enough that json, which recurses
 # once per split of a v1 model file, writes and reads one under the default limit.
@@ -47,12 +50,12 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     Ties break toward the lowest feature index, then the lowest threshold.
     min_count restricts candidates to those leaving at least that many
     instances on each side; only these distinct cut points are scanned.
-    features must be a 2-d matrix and instance_set a 1-d array of integer
-    rows of it (an empty list too), or a ValueError names what is wrong;
+    features must be a 2-d matrix of numbers and instance_set a 1-d array of
+    integer rows of it (an empty list too), or a ValueError names what is wrong;
     finite features are the caller's duty (fit_tree checks them per tree).
     """
     positive_int(min_count, "min_count")
-    X = np.asarray(features, dtype=np.float64)
+    X = float_array(features, "features")
     if X.ndim != 2:
         raise ValueError(f"features must be a 2-d matrix, got shape {X.shape}")
     idx = np.asarray(instance_set)
@@ -242,16 +245,15 @@ class RegressionTree:
         return self.fold(Leaf, Split)
 
     def with_leaf_values(self, values: dict[int, float]) -> "RegressionTree":
-        """New tree with leaf values replaced by the given id -> value map."""
-        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
-        value, leaf_id = self.value, self.leaf_id
-
-        def read(i: int) -> Split | Leaf:
-            if feature[i] < 0:
-                return Leaf(leaf_id[i], values.get(leaf_id[i], value[i]))
-            return Split(feature[i], threshold[i], left[i], right[i])
-
-        return RegressionTree._read(0, self.n_features, read)
+        """New tree with leaf values replaced by the given id -> value map, each
+        checked as a leaf value; it shares every other column with this tree."""
+        value = tuple(  # a split's leaf_id is -1, never a leaf's
+            v if i < 0 or i not in values else finite_real(values[i], "leaf value")
+            for i, v in zip(self.leaf_id, self.value)
+        )
+        tree = copy.copy(self)
+        object.__setattr__(tree, "value", value)
+        return tree
 
     def fold(self, leaf, split):
         """leaf(leaf_id, value) at each leaf, split(feature, threshold, left, right)
@@ -274,14 +276,12 @@ def row_values(x, n_features: int) -> list[float]:
     2-d array of as many cells, strings or bools included, is refused with a
     ValueError naming its dtype or shape, or the position of its first NaN
     or infinity."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "iuf":  # signed, unsigned or floating numbers
-        raise ValueError(f"a row must hold numbers, got dtype {x.dtype}")
+    x = float_array(x, "a row")
     if x.ndim != 1:
         raise ValueError(f"a row must be 1-d, got shape {x.shape}")
     if x.shape[0] != n_features:
         raise ValueError(f"expected {n_features} features, got {x.shape[0]}")
-    row = x.astype(float, copy=False).tolist()  # float64; no copy when x already is
+    row = x.tolist()
     if not math.isfinite(sum(row)):  # one pass; finite values may still sum past the float range
         for position, value in enumerate(row):
             if not math.isfinite(value):
@@ -292,8 +292,8 @@ def row_values(x, n_features: int) -> list[float]:
 def matrix_cells(features, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """A matrix of rows of n_features features as (its float64 cells in row
     order, the index of each row's first cell), the form RegressionTree routes
-    a batch in.  Refuses any other shape with a ValueError."""
-    X = np.ascontiguousarray(features, dtype=np.float64)
+    a batch in.  Refuses any other shape or dtype with a ValueError."""
+    X = np.ascontiguousarray(float_array(features, "features"))
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ValueError(f"expected rows of {n_features} features, got shape {X.shape}")
     return X.ravel(), np.arange(X.shape[0]) * n_features
@@ -340,7 +340,7 @@ def residual_column(residuals, n_rows: int) -> np.ndarray:
 def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1):
     """Grow a depth-limited tree by greedy SSE splitting, in preorder, with leaf values 0.0.
     Returns (tree, leaf_rows): leaf_rows[j] holds leaf j + 1's ascending row indices."""
-    X = np.asarray(features, dtype=np.float64)
+    X = float_array(features, "features")
     if X.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
     res = residual_column(residuals, X.shape[0])

@@ -14,6 +14,13 @@ SIX_CSV = """x,label
 
 REFERENCE_SPLITS = ((0, 3.5), (0, 2.25), (0, 5.25))
 
+# two rows of one feature that are not numbers, each with the dtype it is refused by
+NOT_NUMBERS = [
+    pytest.param([["1.5"], ["2.5"]], "<U3", id="strings"),
+    pytest.param([[True], [False]], "bool", id="bools"),
+    pytest.param(np.array([[0.5], [1.5]], dtype=object), "object", id="objects"),
+]
+
 
 @pytest.fixture(scope="session")
 def six_points():

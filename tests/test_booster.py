@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -25,6 +26,8 @@ from gradboost import (
     total_loss,
     train,
 )
+
+from conftest import NOT_NUMBERS
 
 # Every constant below was produced by an independent arbitrary-precision
 # walk of the three forced rounds (thresholds 3.5, 2.25, 5.25, shrinkage 0.1)
@@ -239,6 +242,13 @@ class TestPredict:
         for tree in model.trees:
             with pytest.raises(ValueError, match=message):
                 tree.apply(x)
+
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_a_batch_must_hold_numbers(self, cells, dtype):
+        stump = RegressionTree(Split(0, 0.5, Leaf(1, 0.25), Leaf(2, -0.5)), 1)
+        message = re.escape(f"features must hold numbers, got dtype {dtype}")
+        with pytest.raises(ValueError, match=message):
+            Model((stump,), 0.1, 1, ("x",)).predict_raw_batch(cells)
 
     def test_a_single_row_may_be_an_array_a_list_or_a_tuple(self):
         rng = np.random.default_rng(1)

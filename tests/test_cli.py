@@ -18,7 +18,8 @@ from gradboost.booster import (
     ModelFormatError, deserialize_model, load_model, save_model, serialize_model
 )
 from gradboost.cli import (
-    EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, main, write_predictions
+    EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, build_parser, main,
+    write_predictions,
 )
 from gradboost.leaf_values import sigmoid
 
@@ -267,6 +268,12 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert main(["-h"]) == EXIT_OK
         capsys.readouterr()
+
+    def test_training_defaults_are_train_configs(self):
+        args = build_parser().parse_args(["train", "--data", "d.csv"])
+        config = TrainConfig()
+        parsed = (args.trees, args.learning_rate, args.max_depth, args.min_leaf)
+        assert parsed == (config.n_trees, config.learning_rate, config.max_depth, config.min_leaf)
 
     @pytest.mark.parametrize(
         "extra",

@@ -1,6 +1,7 @@
 """Dataset loading, validation, and CSV round-trip behavior."""
 
 import math
+import re
 import tempfile
 import tracemalloc
 from array import array
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradboost import DataError, Dataset, EmptyDatasetError, load_csv, save_csv
+from gradboost import DataError, Dataset, EmptyDatasetError, Model, load_csv, save_csv
 from gradboost import dataset as dataset_module
+
+from conftest import NOT_NUMBERS
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -183,6 +186,24 @@ class TestDatasetInvariants:
     def test_rejects_name_count_mismatch(self):
         with pytest.raises(DataError):
             Dataset(np.array([[1.0, 2.0]]), None, ("x",))
+
+    @pytest.mark.parametrize(
+        "names", ["ab", [1, 2.5], ("a", None), np.array(["a", "b"])],
+        ids=["one-string", "numbers", "none", "array"],
+    )
+    def test_dataset_and_model_take_names_only_as_a_list_or_tuple_of_strings(self, names):
+        message = re.escape("feature_names must be a list or tuple of 2 strings")
+        with pytest.raises(DataError, match=message):
+            Dataset(np.array([[1.0, 2.0]]), None, names)
+        with pytest.raises(ValueError, match=message):
+            Model((), 0.1, 2, names)
+        assert Dataset(np.array([[1.0, 2.0]]), None, ["a", "b"]).feature_names == ("a", "b")
+
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_rejects_features_that_are_not_numbers(self, cells, dtype):
+        message = re.escape(f"features must hold numbers, got dtype {dtype}")
+        with pytest.raises(DataError, match=message):
+            Dataset(cells, None, ("x",))
 
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(DataError):

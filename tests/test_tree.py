@@ -25,7 +25,7 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-from conftest import REFERENCE_SPLITS
+from conftest import NOT_NUMBERS, REFERENCE_SPLITS
 
 
 def _two_pass_sse(values):
@@ -366,6 +366,12 @@ class TestBestSplit:
         with pytest.raises(ValueError, match=message):
             best_split(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 0.5]), np.arange(3))
 
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_refuses_features_that_are_not_numbers(self, cells, dtype):
+        message = re.escape(f"features must hold numbers, got dtype {dtype}")
+        with pytest.raises(ValueError, match=message):
+            best_split(cells, np.array([0.5, -0.5]), np.arange(2))
+
     def test_refuses_an_instance_index_past_the_rows(self):
         x, r = np.array([[1.0], [2.0], [3.0]]), np.array([0.5, -0.5, 0.5])
         with pytest.raises(ValueError, match="instance index 3 is not a row of a 3-row matrix"):
@@ -407,6 +413,12 @@ class TestBestSplit:
 
 
 class TestFitTree:
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_refuses_features_that_are_not_numbers(self, cells, dtype):
+        message = re.escape(f"features must hold numbers, got dtype {dtype}")
+        with pytest.raises(ValueError, match=message):
+            fit_tree(cells, np.array([0.5, -0.5]))
+
     def test_learned_stump_on_first_round_residuals(self, six_points):
         r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
         tree, _ = fit_tree(six_points.features, r)
@@ -599,14 +611,29 @@ class TestFitTree:
         assert updated.apply(np.array([9.0]))[1] == pytest.approx(-2.0 / 3.0)
         # original untouched
         assert tree.apply(np.array([1.0]))[1] == 0.0
+        # the new tree holds a new value column and this tree's other columns
+        assert updated.value == (0.0, 2.0 / 3.0, -2.0 / 3.0)
+        for column in ("feature", "threshold", "left", "right", "leaf_id"):
+            assert getattr(updated, column) is getattr(tree, column)
+        assert updated.depth() == tree.depth() and updated.n_features == tree.n_features
+        # keys that are no leaf's id, a split's -1 included, change nothing
+        assert tree.with_leaf_values({-1: 9.0, 0: 9.0, 3: 9.0}).value == tree.value
 
-    @pytest.mark.parametrize("values", [{1: "0.5"}, {2: True}], ids=["string", "bool"])
-    def test_with_leaf_values_refuses_what_the_constructor_refuses(self, values):
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({1: "0.5"}, "leaf value must be a real number"),
+            ({2: True}, "leaf value must be a real number"),
+            ({1: float("nan")}, "leaf value must be finite"),
+        ],
+        ids=["string", "bool", "nan"],
+    )
+    def test_with_leaf_values_refuses_what_the_constructor_refuses(self, values, message):
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
-        with pytest.raises(ValueError, match="leaf value must be a real number"):
+        with pytest.raises(ValueError, match=message):
             tree.with_leaf_values(values)
         leaves = [Leaf(i, values.get(i, 0.0)) for i in (1, 2)]
-        with pytest.raises(ValueError, match="leaf value must be a real number"):
+        with pytest.raises(ValueError, match=message):
             RegressionTree(Split(0, 3.5, *leaves), 1)
 
     def test_apply_sends_boundary_point_left(self):
@@ -707,6 +734,14 @@ class TestApplyBatch:
         tree = RegressionTree(Split(1, 0.5, Leaf(1, 0.25), Leaf(2, -0.5)), 2)
         with pytest.raises(ValueError, match=r"expected rows of 2 features, got shape"):
             tree.apply_batch(np.zeros(shape))
+
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_refuses_a_matrix_that_is_not_numbers(self, cells, dtype):
+        tree = RegressionTree(Split(0, 0.5, Leaf(1, 0.25), Leaf(2, -0.5)), 1)
+        message = re.escape(f"features must hold numbers, got dtype {dtype}")
+        for route in (tree.apply_batch, tree.leaf_assignment):
+            with pytest.raises(ValueError, match=message):
+                route(cells)
 
 
 @pytest.fixture(scope="module")

@@ -27,6 +27,14 @@ def valid_learning_rate(value) -> float:
     return learning_rate
 
 
+def valid_threshold(value) -> float:
+    """value as a float in (0, 1), the probability from which a row is labeled 1."""
+    threshold = finite_real(value, "threshold")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold {threshold!r} is not in (0, 1)")
+    return threshold
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one training run."""
@@ -132,9 +140,8 @@ class Model:
         return sigmoid(self.predict_raw(x))
 
     def predict_label(self, x, threshold: float = 0.5) -> int:
-        """1 when the probability reaches the threshold, else 0."""
-        if not 0.0 < threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+        """1 when the probability reaches the threshold (valid_threshold), else 0."""
+        threshold = valid_threshold(threshold)
         return 1 if self.predict_proba(x) >= threshold else 0
 
 

@@ -24,6 +24,7 @@ from .booster import (
     replay,
     save_model,
     train,
+    valid_threshold,
 )
 from .dataset import DataError, Dataset, EmptyDatasetError, load_csv
 from .leaf_values import sigmoid
@@ -56,6 +57,7 @@ def write_predictions(fh, model: Model, dataset: Dataset | None, threshold: floa
     cell needs CSV quoting, so each block of PREDICTION_BLOCK_ROWS rows is
     formatted with one % over its cells, 4 per row, and written at once.
     """
+    threshold = valid_threshold(threshold)
     fh.write("index,raw_score,probability,label\n")
     if dataset is None:
         return
@@ -151,8 +153,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    if not 0.0 < args.threshold < 1.0:
-        raise ValueError("--threshold must be in (0, 1)")
+    threshold = valid_threshold(args.threshold)  # before the model, so a bad value exits 2
     model = load_model(args.model)
     try:
         dataset = load_csv(args.data, expect_labels=False)
@@ -161,7 +162,7 @@ def cmd_predict(args) -> None:
     if dataset is not None:
         model.check_width(dataset)
     with _open_output(args.out) as fh:
-        write_predictions(fh, model, dataset, args.threshold)
+        write_predictions(fh, model, dataset, threshold)
 
 
 def cmd_trace(args) -> None:

@@ -27,6 +27,13 @@ def float_array(values, what: str) -> np.ndarray:
     return array.astype(np.float64, copy=False)
 
 
+def binary_labels(labels: np.ndarray) -> np.ndarray:
+    """labels, a float_array, when every entry is exactly 0 or 1, else a DataError."""
+    if not ((labels == 0.0) | (labels == 1.0)).all():
+        raise DataError("labels must be exactly 0 or 1")
+    return labels
+
+
 def valid_feature_names(names, n_features: int) -> tuple[str, ...]:
     """names as a tuple when it is a list or tuple of n_features strings, else a DataError."""
     strings = isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)
@@ -61,8 +68,8 @@ class Dataset:
         return dataset
 
     def _hold(self, features, labels, feature_names, copy: bool):
-        """Check the fields and store them, the arrays as read-only float64
-        arrays: copies, or with copy False the arrays given."""
+        """Check the fields and store them, the arrays as float64 views of a read-only
+        memoryview, which no flag makes writable: of copies, or (copy False) of the arrays given."""
         features = np.array(float_array(features, "features"), copy=copy)
         if features.ndim != 2:
             raise DataError("features must be a 2-d matrix")
@@ -71,16 +78,13 @@ class Dataset:
             raise DataError("dataset needs at least one row and one feature column")
         if not np.all(np.isfinite(features)):
             raise DataError("features contain non-finite values")
-        features.setflags(write=False)
-        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "features", np.asarray(memoryview(features).toreadonly()))
 
         if labels is not None:
-            labels = np.array(labels, dtype=np.float64, copy=copy)
+            labels = np.array(float_array(labels, "labels"), copy=copy)
             if labels.shape != (n,):
                 raise DataError("labels must be a length-n vector")
-            if not np.all(np.isin(labels, (0.0, 1.0))):
-                raise DataError("labels must be exactly 0 or 1")
-            labels.setflags(write=False)
+            labels = np.asarray(memoryview(binary_labels(labels)).toreadonly())
         object.__setattr__(self, "labels", labels)
 
         object.__setattr__(self, "feature_names", valid_feature_names(feature_names, d))
@@ -172,10 +176,9 @@ def _read_rows(path, reader, expect_labels: bool) -> Dataset:
         features.extend(values)
     if not features:
         raise EmptyDatasetError(f"{path}: no data rows")
-    # read-only views of the arrays just filled, so the Dataset need not copy
-    # them and no writable array shares their memory
-    features = np.frombuffer(memoryview(features).toreadonly()).reshape(-1, d)
-    labels = np.frombuffer(memoryview(labels).toreadonly()) if has_labels else None
+    # views of the arrays just filled, so the Dataset need not copy them
+    features = np.frombuffer(features).reshape(-1, d)
+    labels = np.frombuffer(labels) if has_labels else None
     return Dataset._adopt(features, labels, tuple(feature_names))
 
 

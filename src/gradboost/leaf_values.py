@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import binary_labels, float_array
+
 NEWTON_DENOMINATOR_FLOOR = 1e-12
 EXACT_LEAF_BOUND = 30.0
 EXACT_LEAF_TOL = 1e-10
@@ -17,33 +19,39 @@ def sigmoid(z):
     """Logistic function, stable for every z: one formula on e = exp(-|z|),
     which is never above 1, as 1 / (1 + e) for z >= 0 and e / (1 + e) below.
 
-    Accepts a scalar or an array; returns a float for scalar input.  A scalar
-    takes the same formula on Python floats, bit for bit the array result: it
-    calls numpy's exp, not math.exp, which differs in the last bit on some
-    arguments.  NaN gives NaN.
+    Accepts a scalar or an array of numbers (float_array); returns a float for
+    scalar input.  A scalar takes the same formula on Python floats, bit for
+    bit the array result: it calls numpy's exp, not math.exp, which differs in
+    the last bit on some arguments.  NaN gives NaN.
     """
-    if type(z) is float or np.ndim(z) == 0:  # the exact type first: np.ndim costs ~1 us
+    if type(z) is not float:  # a Python float, the common case, skips float_array's ~1 us
+        z = float_array(z, "z")
+        if z.ndim:
+            e = np.exp(-np.abs(z))
+            return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
         z = float(z)
-        e = float(np.exp(-abs(z)))
-        return 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = float(np.exp(-abs(z)))
+    return 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
+
+
+def _labels_and_scores(labels, scores, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """labels and scores, named what, as float_arrays of one shape, the labels
+    binary_labels and the scores finite; anything else is a ValueError."""
+    y, s = float_array(labels, "labels"), float_array(scores, what)
+    if y.shape != s.shape:
+        raise ValueError(f"labels of shape {y.shape} and {what} of shape {s.shape} differ")
+    binary_labels(y)
+    if not np.isfinite(s).all():
+        raise ValueError(f"{what} must be finite")
+    return y, s
 
 
 def total_loss(labels, scores) -> float:
     """Total cross-entropy of binary labels against raw scores (log-odds): the
     exact sum of log(1 + e^s) - y*s, or inf when it passes the float range.
-    Labels other than exactly 0 or 1, a score that is not finite and arrays
-    of different shapes are refused with a ValueError."""
-    y = np.asarray(labels, dtype=np.float64)
-    s = np.asarray(scores, dtype=np.float64)
-    if y.shape != s.shape:
-        raise ValueError(f"labels of shape {y.shape} and scores of shape {s.shape} differ")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValueError("labels must be exactly 0 or 1")
-    if not np.isfinite(s).all():
-        raise ValueError("scores must be finite")
+    Arrays that are not of numbers or of different shapes, labels other than
+    exactly 0 or 1 and a score that is not finite are refused with a ValueError."""
+    y, s = _labels_and_scores(labels, scores, "scores")
     # log(1 + e^s) with the exponent shifted to be non-positive, so no term overflows
     terms = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s))) - y * s
     try:
@@ -62,16 +70,10 @@ class LeafSample:
     prior_probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.float64).reshape(-1)
-        scores = np.asarray(self.prior_scores, dtype=np.float64).reshape(-1)
-        if labels.size != scores.size:
-            raise ValueError("labels and prior_scores must have equal length")
+        labels, scores = _labels_and_scores(self.labels, self.prior_scores, "prior_scores")
+        labels, scores = labels.reshape(-1), scores.reshape(-1)
         if labels.size == 0:
             raise ValueError("a leaf sample must hold at least one instance")
-        if not np.all(np.isin(labels, (0.0, 1.0))):
-            raise ValueError("labels must be exactly 0 or 1")
-        if not np.isfinite(scores).all():
-            raise ValueError("prior_scores must be finite, got a NaN or an infinity")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior_scores", scores)
         object.__setattr__(self, "prior_probs", sigmoid(scores))
@@ -82,11 +84,11 @@ def leaf_value_terms(labels: np.ndarray, probs: np.ndarray) -> tuple[float, floa
     labels - probs, sum of probs * (1 - probs)).
 
     Both use exact (order-independent) summation so row order never changes
-    the result.  Lists and scalars are read as arrays, which must be of one
-    size: numpy would otherwise broadcast a single label over every prob.
+    the result.  Lists and scalars are read as float_arrays, which must be of
+    one size: numpy would otherwise broadcast a single label over every prob.
     """
-    labels = np.asarray(labels, dtype=np.float64).ravel()
-    probs = np.asarray(probs, dtype=np.float64).ravel()
+    labels = float_array(labels, "labels").ravel()
+    probs = float_array(probs, "probs").ravel()
     if labels.size != probs.size:
         raise ValueError(f"{labels.size} labels and {probs.size} probs differ in number")
     numerator = math.fsum((labels - probs).tolist())

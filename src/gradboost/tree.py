@@ -330,8 +330,8 @@ def finite_real(value, what: str) -> float:
 
 
 def residual_column(residuals, n_rows: int) -> np.ndarray:
-    """residuals as float64, refused with a ValueError naming its shape unless it is (n_rows,)."""
-    res = np.asarray(residuals, dtype=np.float64)
+    """residuals as a float_array of shape (n_rows,), else a ValueError naming its shape."""
+    res = float_array(residuals, "residuals")
     if res.shape != (n_rows,):
         raise ValueError(f"residuals must have shape ({n_rows},), one per row, got {res.shape}")
     return res

@@ -384,8 +384,8 @@ class TestPredict:
 
     def test_rejects_bad_threshold(self, reference_run):
         model, _ = reference_run
-        for bad in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
+        for bad in (0.0, 1.0, -0.1, math.nan, "0.5", True):
+            with pytest.raises(ValueError, match="threshold"):
                 model.predict_label(np.array([1.0]), threshold=bad)
 
 
@@ -652,10 +652,19 @@ def test_total_loss_past_the_float_range_is_inf_without_a_warning():
         ([math.nan], [0.0], "labels must be exactly 0 or 1"),
         ([0, 1], [0.5], r"labels of shape \(2,\) and scores of shape \(1,\) differ"),
         ([[0], [1]], [0.5, 0.5], r"labels of shape \(2, 1\) and scores of shape \(2,\) differ"),
+        *(
+            case
+            for cells, dtype in (param.values for param in NOT_NUMBERS)
+            for case in (
+                (np.ravel(cells), [0.5, 0.5], f"labels must hold numbers, got dtype {dtype}"),
+                ([0, 1], np.ravel(cells), f"scores must hold numbers, got dtype {dtype}"),
+            )
+        ),
     ],
     ids=[
         "inf-score", "minus-inf-score", "nan-score", "label-two", "label-half", "nan-label",
         "shorter-scores", "column-of-labels",
+        *(f"{argument}-{param.id}" for param in NOT_NUMBERS for argument in ("labels", "scores")),
     ],
 )
 def test_total_loss_refuses_bad_inputs_before_any_arithmetic(labels, scores, message):

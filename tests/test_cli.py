@@ -255,6 +255,15 @@ class TestPredictionBlocks:
         assert [row[3] for row in rows] == ["1" if p >= threshold else "0" for p in probs]
         assert rows[probs.index(threshold)][3] == "1"
 
+    @pytest.mark.parametrize("threshold", [1.5, math.nan, -1.0, 0.0, "0.5"])
+    def test_a_bad_threshold_is_refused_before_anything_is_written(self, model, threshold):
+        # not every row labeled 0 (1.5, NaN) or 1 (-1), nor a header alone
+        dataset = Dataset(np.zeros((3, 3)), None, ("a", "b", "c"))
+        written = io.StringIO()
+        with pytest.raises(ValueError, match="threshold"):
+            write_predictions(written, model, dataset, threshold)
+        assert written.getvalue() == ""
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
@@ -315,6 +324,11 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
         assert "threshold" in capsys.readouterr().err
+
+    def test_a_bad_threshold_is_reported_before_a_missing_model(self, trained, tmp_path, capsys):
+        argv = ["predict", "--model", str(tmp_path / "missing.json"), "--data", str(trained.data)]
+        assert main(argv + ["--threshold", "1.5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: threshold 1.5 is not in (0, 1)\n"
 
 
 class TestDataErrors:

@@ -205,6 +205,12 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match=message):
             Dataset(cells, None, ("x",))
 
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_rejects_labels_that_are_not_numbers(self, cells, dtype):
+        message = re.escape(f"labels must hold numbers, got dtype {dtype}")
+        with pytest.raises(DataError, match=message):
+            Dataset(np.array([[1.0], [2.0]]), np.ravel(cells), ("x",))
+
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(DataError):
             Dataset(np.array([[1.0], [2.0]]), np.array([1.0]), ("x",))
@@ -224,8 +230,9 @@ class TestDatasetInvariants:
         assert features.flags.writeable and labels.flags.writeable
 
     def test_loaded_arrays_are_read_only_and_no_array_can_write_them(self, six_csv):
-        dataset = load_csv(six_csv)
-        for array in (dataset.features, dataset.labels):
+        loaded = load_csv(six_csv)
+        built = Dataset(np.array([[1.0], [2.0]]), np.array([0.0, 1.0]), ("x",))
+        for array in (loaded.features, loaded.labels, built.features, built.labels):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="WRITEABLE"):
                 array.setflags(write=True)

@@ -1,6 +1,7 @@
 """Leaf-value math: sigmoid, Newton step, leaf loss, bisection solver."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gradboost import (
     NEWTON_DENOMINATOR_FLOOR,
+    DataError,
     LeafSample,
     exact_leaf_value,
     leaf_loss,
@@ -20,6 +22,8 @@ from gradboost import (
     sigmoid,
 )
 from gradboost.leaf_values import EXACT_LEAF_BOUND, EXACT_LEAF_TOL
+
+from conftest import NOT_NUMBERS
 
 
 # zero of both signs, the smallest subnormal and normal, where exp(-|z|) leaves
@@ -129,6 +133,18 @@ class TestSigmoid:
         assert isinstance(sigmoid(1.0), float)
         assert isinstance(sigmoid(np.array([1.0])), np.ndarray)
 
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_refuses_an_array_that_is_not_numbers(self, cells, dtype):
+        message = re.escape(f"z must hold numbers, got dtype {dtype}")
+        for z in (np.ravel(cells), np.ravel(cells)[0, ...]):  # 1-d, and 0-d
+            with pytest.raises(DataError, match=message):
+                sigmoid(z)
+
+    @pytest.mark.parametrize("z, dtype", [("1.5", "<U3"), (True, "bool")])
+    def test_refuses_a_scalar_that_is_not_a_number(self, z, dtype):
+        with pytest.raises(DataError, match=re.escape(f"z must hold numbers, got dtype {dtype}")):
+            sigmoid(z)
+
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(st.lists(SCALARS, min_size=1, max_size=40))
     def test_a_scalar_scores_bit_for_bit_as_in_an_array(self, zs):
@@ -164,8 +180,17 @@ class TestLeafSample:
             LeafSample(np.array([0.5]), np.array([0.0]))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
+        message = re.escape("labels of shape (1,) and prior_scores of shape (2,) differ")
+        with pytest.raises(ValueError, match=message):
             LeafSample(np.array([1.0]), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_rejects_labels_and_scores_that_are_not_numbers(self, cells, dtype):
+        with pytest.raises(DataError, match=re.escape(f"labels must hold numbers, got dtype {dtype}")):
+            LeafSample(np.ravel(cells), np.zeros(2))
+        message = re.escape(f"prior_scores must hold numbers, got dtype {dtype}")
+        with pytest.raises(DataError, match=message):
+            LeafSample(np.array([1.0, 0.0]), np.ravel(cells))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_scores(self, bad):
@@ -238,6 +263,13 @@ class TestNewtonStep:
         assert leaf_value_terms(np.float64(1.0), np.array(0.25)) == (0.75, 0.1875)
         with pytest.raises(ValueError, match="1 labels and 3 probs differ in number"):
             leaf_value_terms([1.0], [0.25, 0.5, 0.75])
+
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_terms_refuse_labels_and_probs_that_are_not_numbers(self, cells, dtype):
+        with pytest.raises(DataError, match=re.escape(f"labels must hold numbers, got dtype {dtype}")):
+            leaf_value_terms(np.ravel(cells), [0.25, 0.5])
+        with pytest.raises(DataError, match=re.escape(f"probs must hold numbers, got dtype {dtype}")):
+            leaf_value_terms([1.0, 0.0], np.ravel(cells))
 
     def test_raw_step_helper(self):
         assert newton_step(0.5, 0.75) == 0.5 / 0.75

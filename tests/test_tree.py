@@ -372,6 +372,12 @@ class TestBestSplit:
         with pytest.raises(ValueError, match=message):
             best_split(cells, np.array([0.5, -0.5]), np.arange(2))
 
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_refuses_residuals_that_are_not_numbers(self, cells, dtype):
+        message = re.escape(f"residuals must hold numbers, got dtype {dtype}")
+        with pytest.raises(ValueError, match=message):
+            best_split(np.array([[1.0], [2.0]]), np.ravel(cells), np.arange(2))
+
     def test_refuses_an_instance_index_past_the_rows(self):
         x, r = np.array([[1.0], [2.0], [3.0]]), np.array([0.5, -0.5, 0.5])
         with pytest.raises(ValueError, match="instance index 3 is not a row of a 3-row matrix"):
@@ -418,6 +424,12 @@ class TestFitTree:
         message = re.escape(f"features must hold numbers, got dtype {dtype}")
         with pytest.raises(ValueError, match=message):
             fit_tree(cells, np.array([0.5, -0.5]))
+
+    @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
+    def test_refuses_residuals_that_are_not_numbers(self, cells, dtype):
+        message = re.escape(f"residuals must hold numbers, got dtype {dtype}")
+        with pytest.raises(ValueError, match=message):
+            fit_tree(np.array([[1.0], [2.0]]), np.ravel(cells))
 
     def test_learned_stump_on_first_round_residuals(self, six_points):
         r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])

@@ -92,11 +92,11 @@ class Model:
         if not math.isfinite(bound):
             raise ValueError("learning_rate * max |gamma| summed over the trees overflows a float")
 
-    def check_width(self, dataset: Dataset) -> None:
-        """Refuse, as a DataError, data whose feature columns are not the model's."""
-        if dataset.n_features != self.n_features:
+    def check_width(self, features: np.ndarray) -> None:
+        """Refuse, as a DataError, a data matrix whose feature columns are not the model's."""
+        if features.shape[1] != self.n_features:
             raise DataError(
-                f"data has {dataset.n_features} feature columns, model expects {self.n_features}"
+                f"data has {features.shape[1]} feature columns, model expects {self.n_features}"
             )
 
     def __getstate__(self) -> dict:
@@ -384,7 +384,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     """
     if dataset.labels is None:
         raise ValueError("replay requires a labeled dataset")
-    model.check_width(dataset)
+    model.check_width(dataset.features)
     X, y = dataset.features, dataset.labels
     scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
     records = []

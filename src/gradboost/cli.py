@@ -50,18 +50,16 @@ EXIT_CODES = (
 )
 
 
-def write_predictions(fh, model: Model, dataset: Dataset | None, threshold: float) -> None:
-    """Prediction CSV: index,raw_score,probability,label (indices 1-based).
+def write_predictions(fh, model: Model, features, threshold: float) -> None:
+    """Prediction CSV: index,raw_score,probability,label (indices 1-based), a row
+    per row of the feature matrix; a matrix of no rows writes the header alone.
 
-    dataset=None writes the header alone, for header-only input files.  No
-    cell needs CSV quoting, so each block of PREDICTION_BLOCK_ROWS rows is
+    No cell needs CSV quoting, so each block of PREDICTION_BLOCK_ROWS rows is
     formatted with one % over its cells, 4 per row, and written at once.
     """
     threshold = valid_threshold(threshold)
     fh.write("index,raw_score,probability,label\n")
-    if dataset is None:
-        return
-    raws = model.predict_raw_batch(dataset.features)
+    raws = model.predict_raw_batch(features)
     probs = sigmoid(raws)
     labels = probs >= threshold
     for start in range(0, len(raws), PREDICTION_BLOCK_ROWS):
@@ -156,13 +154,12 @@ def cmd_predict(args) -> None:
     threshold = valid_threshold(args.threshold)  # before the model, so a bad value exits 2
     model = load_model(args.model)
     try:
-        dataset = load_csv(args.data, expect_labels=False)
-    except EmptyDatasetError:
-        dataset = None  # header-only input: vacuous success below
-    if dataset is not None:
-        model.check_width(dataset)
+        features = load_csv(args.data, expect_labels=False).features
+    except EmptyDatasetError as exc:
+        features = exc.features  # header-only input: a matrix of no rows
+    model.check_width(features)
     with _open_output(args.out) as fh:
-        write_predictions(fh, model, dataset, threshold)
+        write_predictions(fh, model, features, threshold)
 
 
 def cmd_trace(args) -> None:

@@ -15,7 +15,7 @@ class DataError(ValueError):
 
 
 class EmptyDatasetError(DataError):
-    """A CSV file had a header row but no data rows."""
+    """A CSV file had a header row but no data rows; features is the header's (0, d) matrix."""
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -174,10 +174,12 @@ def _read_rows(path, reader, expect_labels: bool) -> Dataset:
                 )
             labels.append(label)
         features.extend(values)
-    if not features:
-        raise EmptyDatasetError(f"{path}: no data rows")
     # views of the arrays just filled, so the Dataset need not copy them
     features = np.frombuffer(features).reshape(-1, d)
+    if not len(features):
+        error = EmptyDatasetError(f"{path}: no data rows")
+        error.features = features
+        raise error
     labels = np.frombuffer(labels) if has_labels else None
     return Dataset._adopt(features, labels, tuple(feature_names))
 
@@ -186,16 +188,16 @@ def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset back to CSV with full-precision features.
 
     Uses repr's shortest round-trip float form, so load_csv(save_csv(ds))
-    reproduces the dataset field for field.
+    reproduces the dataset field for field.  An unlabeled dataset whose last
+    feature is named "label" would load back as labeled, so it is refused.
     """
+    header, rows = list(dataset.feature_names), dataset.features.tolist()
+    if dataset.labels is not None:
+        header.append("label")
+        rows = [[*row, int(label)] for row, label in zip(rows, dataset.labels.tolist())]
+    elif header[-1] == "label":
+        raise DataError(f'{path}: an unlabeled dataset\'s last feature cannot be named "label"')
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(dataset.feature_names)
-        if dataset.labels is not None:
-            header.append("label")
         writer.writerow(header)
-        for i in range(dataset.n_rows):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        writer.writerows(rows)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from gradboost import Dataset, TrainConfig, booster, train
+
+# Every property test runs the same examples on every run, with no time limit,
+# and writes no example database; a settings(...) call names only what differs.
+settings.register_profile("gradboost", derandomize=True, deadline=None, database=None)
+settings.load_profile("gradboost")
 
 SIX_CSV = """x,label
 1.3,1
@@ -13,6 +20,55 @@ SIX_CSV = """x,label
 """
 
 REFERENCE_SPLITS = ((0, 3.5), (0, 2.25), (0, 5.25))
+
+
+def _two_pass_sse(values):
+    """Plain mean-centered sum of squares, as a slow reference."""
+    values = list(values)
+    if not values:
+        return 0.0
+    mean = sum(values) / len(values)
+    return sum((v - mean) ** 2 for v in values)
+
+
+def exhaustive_best(features, residuals, idx, min_count=1):
+    """Brute-force split search of the rows idx, used to cross-check the fast
+    implementation: (feature, threshold, sse) or None.
+
+    Tie-break mirrors the production rule: strictly better SSE wins, so the
+    first candidate visited (lowest feature index, then lowest threshold)
+    survives ties.
+    """
+    best = None
+    for f in range(features.shape[1]):
+        xs = sorted({features[i, f] for i in idx})
+        for lo, hi in zip(xs, xs[1:]):
+            threshold = (lo + hi) / 2.0
+            left = [residuals[i] for i in idx if features[i, f] <= threshold]
+            right = [residuals[i] for i in idx if features[i, f] > threshold]
+            if len(left) < min_count or len(right) < min_count:
+                continue
+            sse = _two_pass_sse(left) + _two_pass_sse(right)
+            if best is None or sse < best[2]:
+                best = (f, threshold, sse)
+    if best is None:
+        return None
+    node = _two_pass_sse([residuals[i] for i in idx])
+    return best if best[2] < node else None
+
+
+@st.composite
+def growth_cases(draw, max_rows):
+    """Up to max_rows rows of one to three columns, each continuous or integers
+    0..3 with many ties; residuals continuous or tied at +-0.5; depth 1..4
+    and min_leaf 1..3."""
+    n = draw(st.integers(1, max_rows))
+    continuous, tied = st.floats(-10.0, 10.0), st.integers(0, 3).map(float)
+    kinds = draw(st.lists(st.sampled_from((continuous, tied)), min_size=1, max_size=3))
+    X = np.array([draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]).T
+    residual = draw(st.sampled_from((st.floats(-1.0, 1.0), st.sampled_from((-0.5, 0.5)))))
+    r = np.array(draw(st.lists(residual, min_size=n, max_size=n)))
+    return X, r, draw(st.integers(1, 4)), draw(st.integers(1, 3))
 
 # two rows of one feature that are not numbers, each with the dtype it is refused by
 NOT_NUMBERS = [

@@ -28,6 +28,8 @@ from gradboost import (
 )
 from gradboost.booster import deserialize_model, serialize_model
 
+from conftest import exhaustive_best
+
 
 def _report(name: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -44,31 +46,6 @@ def _random_mixed_leaves(count=1000):
             labels[int(rng.integers(0, n))] = 1.0 - labels[0]
         scores = rng.uniform(-4.0, 4.0, n)
         yield labels, scores
-
-
-def _two_pass_sse(values):
-    if not values:
-        return 0.0
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values)
-
-
-def _oracle_best_split(features, residuals):
-    """Brute-force reference: lowest SSE, ties to lowest feature then threshold."""
-    n, d = features.shape
-    best = None
-    for f in range(d):
-        xs = sorted(set(features[:, f]))
-        for lo, hi in zip(xs, xs[1:]):
-            threshold = (lo + hi) / 2.0
-            left = [residuals[i] for i in range(n) if features[i, f] <= threshold]
-            right = [residuals[i] for i in range(n) if features[i, f] > threshold]
-            sse = _two_pass_sse(left) + _two_pass_sse(right)
-            if best is None or sse < best[2]:
-                best = (f, threshold, sse)
-    if best is None:
-        return None
-    return best if best[2] < _two_pass_sse(list(residuals)) else None
 
 
 def test_forced_walkthrough_numbers(reference_run):
@@ -211,7 +188,7 @@ def test_split_search_matches_exhaustive_oracle(six_points):
             features = np.round(features, 1)  # force duplicate values
         residuals = rng.uniform(-1.0, 1.0, n)
         found = best_split(features, residuals, np.arange(n))
-        ref = _oracle_best_split(features, residuals)
+        ref = exhaustive_best(features, residuals, range(n))
         if (found is None) != (ref is None):
             mismatches += 1
             continue

@@ -679,7 +679,7 @@ moderate_rows = st.lists(
 )
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(moderate_rows)
 def test_total_loss_matches_the_probability_form_on_moderate_scores(rows):
     labels, scores = zip(*rows)
@@ -694,7 +694,7 @@ finite_rows = st.lists(
 )
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(finite_rows)
 def test_total_loss_of_finite_scores_is_never_nan_and_never_warns(rows):
     labels, scores = zip(*rows)

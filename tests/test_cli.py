@@ -191,19 +191,18 @@ class TestPredict:
         assert lines[1].startswith("1,0.056826,")
 
     def test_header_only_input_yields_header_only_output(self, trained, tmp_path, capsys):
-        data = _write(tmp_path, "x\n")
-        code = main(["predict", "--model", str(trained.model), "--data", str(data)])
-        assert code == EXIT_OK
-        assert capsys.readouterr().out == "index,raw_score,probability,label\n"
+        for header in ("x\n", "x,label\n"):
+            data = _write(tmp_path, header)
+            code = main(["predict", "--model", str(trained.model), "--data", str(data)])
+            assert code == EXIT_OK
+            assert capsys.readouterr().out == "index,raw_score,probability,label\n"
 
 
-def _reference_write_predictions(fh, model, dataset, threshold):
+def _reference_write_predictions(fh, model, features, threshold):
     """The row-at-a-time csv.writer output that write_predictions must match byte for byte."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["index", "raw_score", "probability", "label"])
-    if dataset is None:
-        return
-    for i, x in enumerate(dataset.features, start=1):
+    for i, x in enumerate(features, start=1):
         raw = model.predict_raw(x)
         prob = sigmoid(raw)
         writer.writerow([i, f"{raw:.6f}", f"{prob:.6f}", 1 if prob >= threshold else 0])
@@ -219,17 +218,16 @@ class TestPredictionBlocks:
         return train(Dataset(features, labels, ("a", "b", "c")), config)[0]
 
     @staticmethod
-    def _both(model, dataset, threshold):
+    def _both(model, features, threshold):
         written, expected = io.StringIO(), io.StringIO()
-        write_predictions(written, model, dataset, threshold)
-        _reference_write_predictions(expected, model, dataset, threshold)
+        write_predictions(written, model, features, threshold)
+        _reference_write_predictions(expected, model, features, threshold)
         return written.getvalue(), expected.getvalue()
 
     @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2049])
     def test_blocks_write_the_bytes_of_one_csv_row_per_write(self, model, n_rows):
-        features = np.random.default_rng(n_rows).normal(size=(max(n_rows, 1), 3))
-        dataset = Dataset(features, None, ("a", "b", "c")) if n_rows else None
-        written, expected = self._both(model, dataset, 0.5)
+        features = np.random.default_rng(n_rows).normal(size=(n_rows, 3))
+        written, expected = self._both(model, features, 0.5)
         assert written == expected
         assert written.count("\n") == n_rows + 1
 
@@ -240,16 +238,15 @@ class TestPredictionBlocks:
         # subnormal, a large whole number, and the widest numbers the
         # six-decimal cells print (a probability of 0 or 1)
         model = Model((RegressionTree(Leaf(1, value), 3),), 1.0, 3, ("a", "b", "c"))
-        dataset = Dataset(np.zeros((n_rows, 3)), None, ("a", "b", "c"))
-        written, expected = self._both(model, dataset, 0.5)
+        written, expected = self._both(model, np.zeros((n_rows, 3)), 0.5)
         assert written == expected
         assert written.count("\n") == n_rows + 1
 
     def test_a_probability_exactly_at_the_threshold_is_labeled_1(self, model):
-        dataset = Dataset(np.random.default_rng(1).normal(size=(50, 3)), None, ("a", "b", "c"))
-        probs = sigmoid(model.predict_raw_batch(dataset.features)).tolist()
+        features = np.random.default_rng(1).normal(size=(50, 3))
+        probs = sigmoid(model.predict_raw_batch(features)).tolist()
         threshold = sorted(set(probs))[len(set(probs)) // 2]
-        written, expected = self._both(model, dataset, threshold)
+        written, expected = self._both(model, features, threshold)
         assert written == expected
         rows = [line.split(",") for line in written.splitlines()[1:]]
         assert [row[3] for row in rows] == ["1" if p >= threshold else "0" for p in probs]
@@ -258,10 +255,9 @@ class TestPredictionBlocks:
     @pytest.mark.parametrize("threshold", [1.5, math.nan, -1.0, 0.0, "0.5"])
     def test_a_bad_threshold_is_refused_before_anything_is_written(self, model, threshold):
         # not every row labeled 0 (1.5, NaN) or 1 (-1), nor a header alone
-        dataset = Dataset(np.zeros((3, 3)), None, ("a", "b", "c"))
         written = io.StringIO()
         with pytest.raises(ValueError, match="threshold"):
-            write_predictions(written, model, dataset, threshold)
+            write_predictions(written, model, np.zeros((3, 3)), threshold)
         assert written.getvalue() == ""
 
 
@@ -354,6 +350,19 @@ class TestDataErrors:
         assert code == EXIT_DATA
         assert "feature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_predict_rejects_a_header_only_file_of_another_width(
+        self, trained, tmp_path, capsys, to_file
+    ):
+        # a header with no rows is a matrix of no rows, so its width is checked as any file's
+        data, out = _write(tmp_path, "a,b,c\n"), tmp_path / "predictions.csv"
+        argv = ["predict", "--model", str(trained.model), "--data", str(data)]
+        assert main(argv + ["--out", str(out)] * to_file) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "error: data has 3 feature columns, model expects 1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_trace_requires_labels(self, trained, tmp_path, capsys):
         data = _write(tmp_path, "x\n1\n")
         code = main(["trace", "--model", str(trained.model), "--data", str(data)])
@@ -391,6 +400,10 @@ class TestIOErrors:
 
 def _set(key, value):
     return lambda document: document.update({key: value})
+
+
+def _drop(key):
+    return lambda document: document.pop(key)
 
 
 def _set_root(key, value):
@@ -434,6 +447,11 @@ class TestUnreadableInputs:
             pytest.param(
                 "predict", b'{"format_version": 1, "\xff": 0}', None, EXIT_IO, id="non-utf8-model"
             ),
+            pytest.param("predict", b"[]", None, EXIT_IO, id="model-not-an-object"),
+            pytest.param("predict", _drop("learning_rate"), None, EXIT_IO, id="no-learning-rate"),
+            pytest.param("predict", _drop("n_features"), None, EXIT_IO, id="no-n-features"),
+            pytest.param("predict", _drop("feature_names"), None, EXIT_IO, id="no-feature-names"),
+            pytest.param("predict", _drop("trees"), None, EXIT_IO, id="no-trees"),
             pytest.param(
                 "predict", _set_root("feature_index", 1), None, EXIT_IO,
                 id="feature-index-out-of-range",
@@ -711,10 +729,7 @@ class TestScoreRange:
 
 
 class TestByteFlipSweep:
-    @settings(
-        max_examples=60, derandomize=True, deadline=None, database=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_every_byte_replacement_runs_or_fails_cleanly(self, trained, tmp_path, capsys, data):
         """Each example replaces one byte of the model file, then one of the data

@@ -21,6 +21,7 @@ from gradboost import (
     newton_step,
     sigmoid,
 )
+from gradboost import leaf_values
 from gradboost.leaf_values import EXACT_LEAF_BOUND, EXACT_LEAF_TOL
 
 from conftest import NOT_NUMBERS
@@ -145,7 +146,7 @@ class TestSigmoid:
         with pytest.raises(DataError, match=re.escape(f"z must hold numbers, got dtype {dtype}")):
             sigmoid(z)
 
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.lists(SCALARS, min_size=1, max_size=40))
     def test_a_scalar_scores_bit_for_bit_as_in_an_array(self, zs):
         for z in zs:
@@ -153,7 +154,7 @@ class TestSigmoid:
             assert type(p) is float
             assert p.hex() == float(sigmoid(np.array([z]))[0]).hex()
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(st.lists(ORACLE_SCORES, min_size=1, max_size=40), st.integers(-(2**63), 2**63))
     def test_a_scalar_equals_the_two_formula_reference(self, zs, integer):
         for z in [integer, *zs]:
@@ -162,7 +163,7 @@ class TestSigmoid:
                 assert type(p) is float
                 _assert_same_bits(p, _reference_sigmoid(scalar))
 
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(score_arrays())
     def test_an_array_equals_the_two_formula_reference(self, zs):
         p = sigmoid(zs)
@@ -346,6 +347,22 @@ class TestExactLeafValue:
             sample = _sample(y, rng.uniform(-4, 4, n))
             value = exact_leaf_value(sample)
             assert abs(leaf_loss_derivative(value, sample)) <= EXACT_LEAF_TOL == 1e-10
+
+    def test_bisection_stops_once_the_interval_is_too_narrow_to_halve(self, monkeypatch):
+        # with a tolerance of 0 no derivative is small enough to stop on, so the
+        # interval's width ends the search: 2 end points and 56 halvings of 60
+        monkeypatch.setattr(leaf_values, "EXACT_LEAF_TOL", 0.0)
+        derivatives = []
+
+        def derivative(value, sample):
+            derivatives.append(leaf_loss_derivative(value, sample))
+            return derivatives[-1]
+
+        monkeypatch.setattr(leaf_values, "leaf_loss_derivative", derivative)
+        value = exact_leaf_value(_sample([1, 1, 0], [0, 0, 0]))
+        assert abs(value - math.log(2.0)) <= 1e-15
+        assert len(derivatives) == 58
+        assert 0.0 not in derivatives
 
     def test_permutation_invariant(self):
         y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])

@@ -1,8 +1,11 @@
 """The package's public surface: every name __all__ lists is exported, once,
-no module imports a name it never uses, and values become float64 in one place."""
+no module imports a name it never uses, and values become float64 in one place;
+and the suite's one hypothesis profile."""
 
 import ast
 from pathlib import Path
+
+from hypothesis import settings
 
 import gradboost
 
@@ -83,3 +86,12 @@ def _float64_conversions(path):
 def test_values_become_float64_only_through_float_array():
     found = set().union(*(_float64_conversions(path) for path in SOURCES))
     assert found == FLOAT64_CONVERSIONS
+
+
+def test_property_tests_run_derandomized_with_no_deadline_and_no_database():
+    # conftest.py loads this default, so a settings(...) call that names only
+    # max_examples can neither run randomized nor keep an example database
+    for current in (settings.default, settings(max_examples=3)):
+        assert current.derandomize is True
+        assert current.deadline is None
+        assert current.database is None

@@ -32,7 +32,9 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-BOUNDED = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+from conftest import growth_cases
+
+BOUNDED = settings(max_examples=25)
 
 
 @st.composite
@@ -89,22 +91,8 @@ def test_model_file_round_trip_is_byte_stable(run):
     assert serialize_model(deserialize_model(text)) == text
 
 
-@st.composite
-def growth_inputs(draw):
-    """Up to 40 rows of one to three columns, each continuous or integers 0..3
-    with many ties; residuals continuous or tied at +-0.5; depth 1..4 and
-    min_leaf 1..3."""
-    n = draw(st.integers(1, 40))
-    continuous, tied = st.floats(-10.0, 10.0), st.integers(0, 3).map(float)
-    kinds = draw(st.lists(st.sampled_from((continuous, tied)), min_size=1, max_size=3))
-    X = np.array([draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]).T
-    residual = draw(st.sampled_from((st.floats(-1.0, 1.0), st.sampled_from((-0.5, 0.5)))))
-    r = np.array(draw(st.lists(residual, min_size=n, max_size=n)))
-    return X, r, draw(st.integers(1, 4)), draw(st.integers(1, 3))
-
-
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(growth_inputs())
+@settings(max_examples=150)
+@given(growth_cases(40))
 def test_fit_tree_returns_the_rows_leaf_assignment_routes(case):
     """The rows the grower hands back for each leaf are the rows routing the
     data through the grown tree sends there: same order, dtype and values,
@@ -377,7 +365,7 @@ def _assert_records_chain(trace, model, dataset):
         scores, probs = record.scores, record.probs
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=60)
 @given(traced_runs())
 def test_train_trace_is_the_replay_trace_bit_for_bit(run):
     dataset, config = run
@@ -406,7 +394,7 @@ def test_train_trace_is_the_replay_trace_bit_for_bit(run):
             assert grown.with_leaf_values({w.leaf_id: w.value for w in want.leaves}) == tree
 
 
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=40)
 @given(traced_runs(), st.data())
 def test_single_row_score_is_the_in_order_sum_on_trained_models(run, data):
     dataset, config = run

@@ -77,7 +77,7 @@ ONE_ROW = Dataset(np.array([[-0.0, 1e300]]), np.array([1.0]), ('a "b"', "c, d"))
 EMPTY_SIDE = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 0.0, 1.0]), (" x ",))
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(traced_runs())
 @example((ONE_ROW, TrainConfig(n_trees=2)))
 @example((EMPTY_SIDE, TrainConfig(n_trees=2, forced_splits=((0, 5.0), (0, 0.5)))))
@@ -96,7 +96,7 @@ def test_an_empty_leaf_writes_an_empty_member_list():
     assert "1,2,,0.000000,0.000000,0.000000\n" in fh.getvalue()
 
 
-@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@settings(max_examples=8)
 @given(traced_runs())
 @example((ONE_ROW, TrainConfig(n_trees=2)))
 def test_every_trace_command_writes_the_reference_bytes(run):

@@ -25,41 +25,7 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-from conftest import NOT_NUMBERS, REFERENCE_SPLITS
-
-
-def _two_pass_sse(values):
-    """Plain mean-centered sum of squares, as a slow reference."""
-    values = list(values)
-    if not values:
-        return 0.0
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values)
-
-
-def _exhaustive_best(features, residuals, idx, min_count=1):
-    """Brute-force split search used to cross-check the fast implementation.
-
-    Tie-break mirrors the production rule: strictly better SSE wins, so the
-    first candidate visited (lowest feature index, then lowest threshold)
-    survives ties.
-    """
-    best = None
-    for f in range(features.shape[1]):
-        xs = sorted({features[i, f] for i in idx})
-        for lo, hi in zip(xs, xs[1:]):
-            threshold = (lo + hi) / 2.0
-            left = [residuals[i] for i in idx if features[i, f] <= threshold]
-            right = [residuals[i] for i in idx if features[i, f] > threshold]
-            if len(left) < min_count or len(right) < min_count:
-                continue
-            sse = _two_pass_sse(left) + _two_pass_sse(right)
-            if best is None or sse < best[2]:
-                best = (f, threshold, sse)
-    if best is None:
-        return None
-    node = _two_pass_sse([residuals[i] for i in idx])
-    return best if best[2] < node else None
+from conftest import NOT_NUMBERS, REFERENCE_SPLITS, exhaustive_best, growth_cases
 
 
 def _reference_best_split(features, residuals, instance_set, min_count=1):
@@ -161,20 +127,6 @@ def _recursive_fit_root(features, residuals, max_depth, min_leaf):
     res = np.asarray(residuals, dtype=np.float64)
     idx = np.arange(X.shape[0], dtype=np.intp)
     return _recursive_grow(X, res, idx, 0, max_depth, min_leaf, itertools.count(1))
-
-
-@st.composite
-def growth_cases(draw):
-    """Up to 30 rows of one to three columns, each continuous or integers
-    0..3 with many ties; residuals continuous or tied at +-0.5; depth 1..4
-    and min_leaf 1..3."""
-    n = draw(st.integers(1, 30))
-    continuous, tied = st.floats(-10.0, 10.0), st.integers(0, 3).map(float)
-    kinds = draw(st.lists(st.sampled_from((continuous, tied)), min_size=1, max_size=3))
-    X = np.array([draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]).T
-    residual = draw(st.sampled_from((st.floats(-1.0, 1.0), st.sampled_from((-0.5, 0.5)))))
-    r = np.array(draw(st.lists(residual, min_size=n, max_size=n)))
-    return X, r, draw(st.integers(1, 4)), draw(st.integers(1, 3))
 
 
 def _frame_depth():
@@ -325,7 +277,7 @@ class TestBestSplit:
     def test_subset_of_instances_only(self, six_points):
         r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
         found = best_split(six_points.features, r, np.array([2, 3, 4, 5]))
-        ref = _exhaustive_best(six_points.features, r, [2, 3, 4, 5])
+        ref = exhaustive_best(six_points.features, r, [2, 3, 4, 5])
         assert (found.feature_index, found.threshold) == ref[:2]
         assert abs(found.sse_after - ref[2]) <= 1e-12
 
@@ -338,7 +290,7 @@ class TestBestSplit:
             r = rng.uniform(-1, 1, n)
             idx = np.arange(n)
             found = best_split(x, r, idx)
-            ref = _exhaustive_best(x, r, idx)
+            ref = exhaustive_best(x, r, idx)
             if ref is None:
                 assert found is None
             else:
@@ -390,7 +342,7 @@ class TestBestSplit:
             best_split(x, r, np.array([0, -1, 1]))
 
     @given(split_search_cases())
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=300)
     def test_equals_the_reference_scan_bit_for_bit(self, case):
         X, r, instance_set, min_count = case
         found = best_split(X, r, instance_set, min_count=min_count)
@@ -430,6 +382,18 @@ class TestFitTree:
         message = re.escape(f"residuals must hold numbers, got dtype {dtype}")
         with pytest.raises(ValueError, match=message):
             fit_tree(np.array([[1.0], [2.0]]), np.ravel(cells))
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            (np.array([1.0, 2.0]), "features must be a 2-d matrix"),
+            (np.empty((0, 1)), "features must hold at least one row"),
+        ],
+        ids=["one-d", "no-rows"],
+    )
+    def test_refuses_features_that_are_not_a_matrix_of_rows(self, features, message):
+        with pytest.raises(ValueError, match=message):
+            fit_tree(features, np.zeros(len(features)))
 
     def test_learned_stump_on_first_round_residuals(self, six_points):
         r = np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5])
@@ -579,8 +543,8 @@ class TestFitTree:
         with pytest.raises(ValueError, match=f"limit of {MAX_TREE_DEPTH} splits"):
             RegressionTree(_chain(MAX_TREE_DEPTH + 1), 1)
 
-    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
-    @given(growth_cases())
+    @settings(max_examples=150)
+    @given(growth_cases(30))
     def test_grows_the_tree_the_recursive_reference_grows(self, case):
         X, r, max_depth, min_leaf = case
         tree, _ = fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)
@@ -729,7 +693,7 @@ class TestFitTree:
 
 
 class TestApplyBatch:
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(routing_cases())
     def test_routes_each_row_as_apply_does(self, case):
         _assert_batch_matches_apply(*case)

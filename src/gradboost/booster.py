@@ -128,8 +128,8 @@ class Model:
         return score
 
     def predict_raw_batch(self, features) -> np.ndarray:
-        """predict_raw of every row of a matrix, bit for bit: each tree routes
-        all rows at once, and each row's outputs are summed in tree order."""
+        """predict_raw of every row of a matrix, bit for bit, refusing the rows it
+        refuses: each tree routes all rows at once, summed in tree order."""
         cells, row_starts = matrix_cells(features, self.n_features)
         scores = np.zeros(len(row_starts))
         for tree in self.trees:

@@ -18,13 +18,24 @@ class EmptyDatasetError(DataError):
     """A CSV file had a header row but no data rows; features is the header's (0, d) matrix."""
 
 
-def float_array(values, what: str) -> np.ndarray:
-    """values as a float64 array, not copied when it is one.  Anything but signed,
-    unsigned or floating numbers (bools, strings) is a DataError naming its dtype."""
+def float_array(values, what: str, shape=None, finite: bool = False) -> np.ndarray:
+    """values as a float64 array, not copied when it is one, else a DataError naming
+    what is wrong: a dtype other than signed, unsigned or floating numbers (bools,
+    strings), a shape other than shape, when given (None in it matches any
+    length), or, with finite, a NaN or an infinity."""
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise DataError(f"{what} must hold numbers, got dtype {array.dtype}")
-    return array.astype(np.float64, copy=False)
+    array = array.astype(np.float64, copy=False)
+    # an equal shape settles it without the generator, which would double a row's check
+    if shape is not None and array.shape != shape and (
+        array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape))
+    ):
+        expected = str(tuple(shape)).replace("None", "*")
+        raise DataError(f"{what} must have shape {expected}, got {array.shape}")
+    if finite and not np.isfinite(array).all():
+        raise DataError(f"{what} must be finite, got a NaN or an infinity")
+    return array
 
 
 def binary_labels(labels: np.ndarray) -> np.ndarray:
@@ -70,20 +81,14 @@ class Dataset:
     def _hold(self, features, labels, feature_names, copy: bool):
         """Check the fields and store them, the arrays as float64 views of a read-only
         memoryview, which no flag makes writable: of copies, or (copy False) of the arrays given."""
-        features = np.array(float_array(features, "features"), copy=copy)
-        if features.ndim != 2:
-            raise DataError("features must be a 2-d matrix")
+        features = np.array(float_array(features, "features", (None, None), finite=True), copy=copy)
         n, d = features.shape
         if n < 1 or d < 1:
             raise DataError("dataset needs at least one row and one feature column")
-        if not np.all(np.isfinite(features)):
-            raise DataError("features contain non-finite values")
         object.__setattr__(self, "features", np.asarray(memoryview(features).toreadonly()))
 
         if labels is not None:
-            labels = np.array(float_array(labels, "labels"), copy=copy)
-            if labels.shape != (n,):
-                raise DataError("labels must be a length-n vector")
+            labels = np.array(float_array(labels, "labels", (n,)), copy=copy)
             labels = np.asarray(memoryview(binary_labels(labels)).toreadonly())
         object.__setattr__(self, "labels", labels)
 

@@ -37,13 +37,9 @@ def sigmoid(z):
 def _labels_and_scores(labels, scores, what: str) -> tuple[np.ndarray, np.ndarray]:
     """labels and scores, named what, as float_arrays of one shape, the labels
     binary_labels and the scores finite; anything else is a ValueError."""
-    y, s = float_array(labels, "labels"), float_array(scores, what)
-    if y.shape != s.shape:
-        raise ValueError(f"labels of shape {y.shape} and {what} of shape {s.shape} differ")
-    binary_labels(y)
-    if not np.isfinite(s).all():
-        raise ValueError(f"{what} must be finite")
-    return y, s
+    y = float_array(labels, "labels")
+    s = float_array(scores, what, y.shape, finite=True)
+    return binary_labels(y), s
 
 
 def total_loss(labels, scores) -> float:
@@ -85,14 +81,12 @@ def leaf_value_terms(labels: np.ndarray, probs: np.ndarray) -> tuple[float, floa
 
     Both use exact (order-independent) summation so row order never changes
     the result.  Lists and scalars are read as float_arrays, which must be of
-    one size: numpy would otherwise broadcast a single label over every prob.
+    one shape: numpy would otherwise broadcast a single label over every prob.
     """
-    labels = float_array(labels, "labels").ravel()
-    probs = float_array(probs, "probs").ravel()
-    if labels.size != probs.size:
-        raise ValueError(f"{labels.size} labels and {probs.size} probs differ in number")
-    numerator = math.fsum((labels - probs).tolist())
-    denominator = math.fsum((probs * (1.0 - probs)).tolist())
+    labels = float_array(labels, "labels")
+    probs = float_array(probs, "probs", labels.shape)
+    numerator = math.fsum((labels - probs).ravel().tolist())  # a 0-d array's tolist is a float
+    denominator = math.fsum((probs * (1.0 - probs)).ravel().tolist())
     return numerator, denominator
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from gradboost import Dataset, TrainConfig, booster, train
+from gradboost import Dataset, Leaf, Split, TrainConfig, booster, train
 
 # Every property test runs the same examples on every run, with no time limit,
 # and writes no example database; a settings(...) call names only what differs.
@@ -69,6 +69,27 @@ def growth_cases(draw, max_rows):
     residual = draw(st.sampled_from((st.floats(-1.0, 1.0), st.sampled_from((-0.5, 0.5)))))
     r = np.array(draw(st.lists(residual, min_size=n, max_size=n)))
     return X, r, draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+def right_chain(values):
+    """The root of a one-feature tree of len(values) - 1 splits down its right
+    side: split k cuts at k + 0.5, so leaf j, of value values[j - 1], takes the
+    rows x in (j - 1.5, j - 0.5].  The root, not a RegressionTree, so a chain
+    past MAX_TREE_DEPTH can be built and then refused."""
+    node = Leaf(len(values), values[-1])
+    for k in range(len(values) - 2, -1, -1):
+        node = Split(0, k + 0.5, Leaf(k + 1, values[k]), node)
+    return node
+
+
+def left_chain(values):
+    """right_chain's mirror, its splits down the left side: each leaf takes the
+    same rows, and split k, cutting at k + 0.5, is the parent of leaf k + 2."""
+    node = Leaf(1, values[0])
+    for k in range(len(values) - 1):
+        node = Split(0, k + 0.5, node, Leaf(k + 2, values[k + 1]))
+    return node
+
 
 # two rows of one feature that are not numbers, each with the dtype it is refused by
 NOT_NUMBERS = [

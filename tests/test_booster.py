@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradboost import (
+    DataError,
     Dataset,
     Leaf,
     LeafSample,
@@ -213,13 +214,13 @@ class TestPredict:
     @pytest.mark.parametrize(
         "x, message",
         [
-            (np.arange(6.0).reshape(2, 3), r"a row must be 1-d, got shape \(2, 3\)"),
-            (np.arange(6.0).reshape(3, 2), r"a row must be 1-d, got shape \(3, 2\)"),
-            ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], r"a row must be 1-d, got shape \(2, 3\)"),
-            (np.arange(6.0).reshape(1, 6), r"a row must be 1-d, got shape \(1, 6\)"),
-            (3.0, r"a row must be 1-d, got shape \(\)"),
-            (np.array(3.0), r"a row must be 1-d, got shape \(\)"),
-            (np.arange(5.0), "expected 6 features, got 5"),
+            (np.arange(6.0).reshape(2, 3), r"a row must have shape \(6,\), got \(2, 3\)"),
+            (np.arange(6.0).reshape(3, 2), r"a row must have shape \(6,\), got \(3, 2\)"),
+            ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], r"a row must have shape \(6,\), got \(2, 3\)"),
+            (np.arange(6.0).reshape(1, 6), r"a row must have shape \(6,\), got \(1, 6\)"),
+            (3.0, r"a row must have shape \(6,\), got \(\)"),
+            (np.array(3.0), r"a row must have shape \(6,\), got \(\)"),
+            (np.arange(5.0), r"a row must have shape \(6,\), got \(5,\)"),
             (list("123456"), "a row must hold numbers, got dtype <U1"),
             ([True, False] * 3, "a row must hold numbers, got dtype bool"),
             ([1.0, None, 3.0, 4.0, 5.0, 6.0], "a row must hold numbers, got dtype object"),
@@ -286,6 +287,24 @@ class TestPredict:
                     call(row)
             with pytest.raises(ValueError, match=f"row value at {message}, not finite"):
                 model.trees[0].apply(row)
+
+    @pytest.mark.parametrize(
+        "bad_row", [[math.nan] * 6, [1.0, 1.0, 1.0, math.inf, 1.0, 1.0]], ids=["nan-row", "inf-row"]
+    )
+    def test_a_batch_refuses_the_rows_a_single_row_call_refuses(self, bad_row):
+        rng = np.random.default_rng(0)
+        features = rng.integers(0, 5, (20, 6)).astype(float)
+        dataset = Dataset(features, rng.integers(0, 2, 20).astype(float), tuple("abcdef"))
+        model, _ = train(dataset, TrainConfig(n_trees=3, max_depth=2))
+        with pytest.raises(ValueError, match="not finite"):
+            model.predict_raw(bad_row)
+        X = np.vstack([features[:2], bad_row, features[2:4]])
+        message = "features must be finite, got a NaN or an infinity"
+        with pytest.raises(DataError, match=message):
+            model.predict_raw_batch(X)
+        for route in (model.trees[0].apply_batch, model.trees[0].leaf_assignment):
+            with pytest.raises(DataError, match=message):
+                route(X)
 
     def test_a_single_row_of_huge_finite_values_is_scored(self):
         # its sum overflows to inf, but every cell is finite
@@ -650,8 +669,8 @@ def test_total_loss_past_the_float_range_is_inf_without_a_warning():
         ([2], [1e308], "labels must be exactly 0 or 1"),
         ([0.5], [0.0], "labels must be exactly 0 or 1"),
         ([math.nan], [0.0], "labels must be exactly 0 or 1"),
-        ([0, 1], [0.5], r"labels of shape \(2,\) and scores of shape \(1,\) differ"),
-        ([[0], [1]], [0.5, 0.5], r"labels of shape \(2, 1\) and scores of shape \(2,\) differ"),
+        ([0, 1], [0.5], r"scores must have shape \(2,\), got \(1,\)"),
+        ([[0], [1]], [0.5, 0.5], r"scores must have shape \(2, 1\), got \(2,\)"),
         *(
             case
             for cells, dtype in (param.values for param in NOT_NUMBERS)

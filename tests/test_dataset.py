@@ -201,7 +201,7 @@ class TestDatasetInvariants:
             Dataset(np.empty((0, 1)), None, ("x",))
 
     def test_rejects_features_that_are_not_a_matrix(self):
-        with pytest.raises(DataError, match="features must be a 2-d matrix"):
+        with pytest.raises(DataError, match=re.escape("features must have shape (*, *), got (2,)")):
             Dataset(np.array([1.0, 2.0]), None, ("x",))
 
     def test_rejects_name_count_mismatch(self):

@@ -181,7 +181,7 @@ class TestLeafSample:
             LeafSample(np.array([0.5]), np.array([0.0]))
 
     def test_rejects_length_mismatch(self):
-        message = re.escape("labels of shape (1,) and prior_scores of shape (2,) differ")
+        message = re.escape("prior_scores must have shape (1,), got (2,)")
         with pytest.raises(ValueError, match=message):
             LeafSample(np.array([1.0]), np.array([0.0, 0.0]))
 
@@ -262,8 +262,13 @@ class TestNewtonStep:
         assert leaf_value_terms([1, 0], [0.25, 0.5]) == expected
         assert leaf_value_terms(1.0, 0.25) == leaf_value_terms(np.array([1.0]), np.array([0.25]))
         assert leaf_value_terms(np.float64(1.0), np.array(0.25)) == (0.75, 0.1875)
-        with pytest.raises(ValueError, match="1 labels and 3 probs differ in number"):
+        with pytest.raises(ValueError, match=re.escape("probs must have shape (1,), got (3,)")):
             leaf_value_terms([1.0], [0.25, 0.5, 0.75])
+
+    def test_terms_refuse_a_column_of_labels_with_a_row_of_probs(self):
+        # as total_loss refuses them, instead of ravelling both to two rows
+        with pytest.raises(DataError, match=re.escape("probs must have shape (2, 1), got (2,)")):
+            leaf_value_terms([[1.0], [0.0]], [0.25, 0.5])
 
     @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
     def test_terms_refuse_labels_and_probs_that_are_not_numbers(self, cells, dtype):

@@ -1,15 +1,20 @@
 """The package's public surface: every name __all__ lists is exported, once,
-no module imports a name it never uses, and values become float64 in one place;
-and the suite's one hypothesis profile."""
+no module imports a name it never uses, and values become float64, and are
+checked finite, in one place; the suite's one hypothesis profile; and the
+README's library quickstart runs."""
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 from hypothesis import settings
 
 import gradboost
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gradboost").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "gradboost").glob("*.py"))
 
 # bench/tracing.py still wraps booster.LeafSample, which the engine no longer
 # calls; see the FOUND line on bench/tracing.py in CHANGES.md.  The import and
@@ -19,6 +24,10 @@ UNUSED_BUT_WRAPPED = {("booster", "LeafSample")}
 # dataset.float_array reads every argument as float64, refusing what is not
 # numbers; RegressionTree._route converts the tree's own tuples
 FLOAT64_CONVERSIONS = {("dataset", "float_array"), ("tree", "RegressionTree._route")}
+
+# float_array(..., finite=True) is the one np.isfinite check of an array; a
+# single row sums its cells instead (tree.row_values), which is far cheaper
+FINITENESS_CHECKS = {("dataset", "float_array")}
 
 
 def test_all_lists_each_exported_name_once():
@@ -66,26 +75,43 @@ def _is_float64_conversion(call: ast.Call) -> bool:
     return any(ast.unparse(dtype) in ("np.float64", "float") for dtype in dtypes)
 
 
-def _float64_conversions(path):
-    """(module, qualified name of the enclosing function) of each float64 conversion."""
+def _scopes_calling(is_call):
+    """(module, qualified name of the enclosing function) of each call in src/
+    that is_call(call) picks."""
     found = set()
 
-    def visit(node, scope):
+    def visit(path, node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + (child.name,))
+                visit(path, child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and _is_float64_conversion(child):
+            if isinstance(child, ast.Call) and is_call(child):
                 found.add((path.stem, ".".join(scope)))
-            visit(child, scope)
+            visit(path, child, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    for path in SOURCES:
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), ())
     return found
 
 
 def test_values_become_float64_only_through_float_array():
-    found = set().union(*(_float64_conversions(path) for path in SOURCES))
-    assert found == FLOAT64_CONVERSIONS
+    assert _scopes_calling(_is_float64_conversion) == FLOAT64_CONVERSIONS
+
+
+def test_arrays_are_checked_finite_only_in_float_array():
+    assert _scopes_calling(lambda call: ast.unparse(call.func) == "np.isfinite") == FINITENESS_CHECKS
+
+
+def test_the_readme_library_quickstart_runs(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quickstart (library)", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    monkeypatch.chdir(ROOT)  # the example reads demos/data/ relative to the repository root
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    loss, probability, label = out.getvalue().splitlines()
+    assert float(loss) > 0.0 and 0.0 < float(probability) < 1.0 and label in ("0", "1")
 
 
 def test_property_tests_run_derandomized_with_no_deadline_and_no_database():

@@ -32,7 +32,7 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-from conftest import growth_cases
+from conftest import growth_cases, left_chain, right_chain
 
 BOUNDED = settings(max_examples=25)
 
@@ -163,16 +163,6 @@ def test_batch_scores_equal_per_row_scores_on_trained_models(run, data):
     _assert_batch_matches_rows(model, _rows_on_thresholds(data, model, dataset))
 
 
-def _chain(values):
-    """A one-feature tree of len(values) - 1 splits down its right side: a row
-    x goes left at the first threshold k + 0.5 with x <= k + 0.5."""
-    depth = len(values) - 1
-    node = Leaf(depth + 1, values[depth])
-    for k in range(depth - 1, -1, -1):
-        node = Split(0, k + 0.5, Leaf(k + 1, values[k]), node)
-    return RegressionTree(node, 1)
-
-
 @BOUNDED
 @given(
     st.integers(0, 2**32 - 1),
@@ -180,7 +170,7 @@ def _chain(values):
 )
 def test_batch_scores_equal_per_row_scores_on_a_depth_limit_chain(seed, halves):
     rng = np.random.default_rng(seed)
-    tree = _chain(rng.normal(size=MAX_TREE_DEPTH + 1).tolist())
+    tree = RegressionTree(right_chain(rng.normal(size=MAX_TREE_DEPTH + 1).tolist()), 1)
     assert tree.depth() == MAX_TREE_DEPTH
     # odd halves sit exactly on a threshold, even ones between two
     X = np.array(halves, dtype=float).reshape(-1, 1) / 2.0
@@ -242,18 +232,10 @@ def test_trees_rebuild_equal_from_their_root_on_trained_models(run, stumps):
     _assert_one_stored_form(model)
 
 
-def _left_chain(values):
-    """A one-feature tree of len(values) - 1 splits down its left side."""
-    node = Leaf(1, values[0])
-    for k in range(1, len(values)):
-        node = Split(0, len(values) - k - 0.5, node, Leaf(k + 1, values[k]))
-    return RegressionTree(node, 1)
-
-
 @pytest.mark.parametrize("shape", ["left-chain", "depth-limit-chain"])
 def test_trees_rebuild_equal_from_their_root_on_hand_built_trees(shape):
     values = np.random.default_rng(7).normal(size=MAX_TREE_DEPTH + 1).tolist()
-    tree = _left_chain(values) if shape == "left-chain" else _chain(values)
+    tree = RegressionTree((left_chain if shape == "left-chain" else right_chain)(values), 1)
     assert tree.depth() == MAX_TREE_DEPTH
     _assert_one_stored_form(Model((tree,), 0.1, 1, ("x",)))
 
@@ -300,7 +282,7 @@ _STUMP = RegressionTree(Split(0, 0.5, Leaf(1, 1.0), Leaf(2, -1.0)), 1)
         lambda: Model((_STUMP,), 2.0, 1, ("x",)),
         lambda: RegressionTree(Split(0, 0.5, Leaf(2, 1.0), Leaf(1, -1.0)), 1),
         lambda: Model((_STUMP,), 0.1, 1, (1,)),
-        lambda: _chain([0.0] * 601),
+        lambda: RegressionTree(right_chain([0.0] * 601), 1),
     ],
     ids=[
         "no-feature-names", "learning-rate-zero", "learning-rate-two", "leaf-ids-two-one",
@@ -410,7 +392,7 @@ def test_single_row_score_is_the_in_order_sum_on_trained_models(run, data):
 )
 def test_single_row_score_is_the_in_order_sum_on_a_depth_limit_chain(seed, halves, rate):
     rng = np.random.default_rng(seed)
-    chain = _chain(rng.normal(size=MAX_TREE_DEPTH + 1).tolist())
+    chain = RegressionTree(right_chain(rng.normal(size=MAX_TREE_DEPTH + 1).tolist()), 1)
     stump = RegressionTree(Split(0, 3.5, Leaf(1, rng.normal()), Leaf(2, rng.normal())), 1)
     # odd halves sit exactly on a threshold, even ones between two
     X = np.array(halves, dtype=float).reshape(-1, 1) / 2.0
@@ -430,7 +412,8 @@ def test_a_model_of_no_trees_scores_zero_at_even_odds(row, rate):
 
 
 def test_a_model_of_the_deepest_chain_copies_pickles_and_converts_after_scoring():
-    chain = _chain(np.random.default_rng(3).normal(size=MAX_TREE_DEPTH + 1).tolist())
+    values = np.random.default_rng(3).normal(size=MAX_TREE_DEPTH + 1).tolist()
+    chain = RegressionTree(right_chain(values), 1)
     model = Model((chain, chain), 0.5, 1, ("x",))
     score = model.predict_raw([600.0])
     for clone in (deepcopy(model), pickle.loads(pickle.dumps(model))):

@@ -25,7 +25,7 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-from conftest import NOT_NUMBERS, REFERENCE_SPLITS, exhaustive_best, growth_cases
+from conftest import NOT_NUMBERS, REFERENCE_SPLITS, exhaustive_best, growth_cases, right_chain
 
 
 def _reference_best_split(features, residuals, instance_set, min_count=1):
@@ -137,13 +137,8 @@ def _frame_depth():
     return depth
 
 
-def _chain(depth):
-    """depth splits on feature 0 down the right side, at 0.5, 1.5, ...; leaf
-    j holds value j / 4 and takes the rows in (j - 1.5, j - 0.5]."""
-    node = Leaf(depth + 1, (depth + 1) / 4)
-    for leaf_id in range(depth, 0, -1):
-        node = Split(0, leaf_id - 0.5, Leaf(leaf_id, leaf_id / 4), node)
-    return node
+# the leaf values of a right_chain of the deepest allowed depth: leaf j holds j / 4
+DEEPEST_CHAIN_VALUES = [j / 4 for j in range(1, MAX_TREE_DEPTH + 2)]
 
 
 # quarters, on which both trees below put thresholds, and any finite float
@@ -314,7 +309,7 @@ class TestBestSplit:
         assert [members.tolist() for members in tree.leaf_assignment(x).values()] == [[0], [1]]
 
     def test_refuses_features_that_are_not_a_matrix(self):
-        message = re.escape("features must be a 2-d matrix, got shape (3,)")
+        message = re.escape("features must have shape (*, *), got (3,)")
         with pytest.raises(ValueError, match=message):
             best_split(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.5, 0.5]), np.arange(3))
 
@@ -386,7 +381,7 @@ class TestFitTree:
     @pytest.mark.parametrize(
         "features, message",
         [
-            (np.array([1.0, 2.0]), "features must be a 2-d matrix"),
+            (np.array([1.0, 2.0]), re.escape("features must have shape (*, *), got (2,)")),
             (np.empty((0, 1)), "features must hold at least one row"),
         ],
         ids=["one-d", "no-rows"],
@@ -467,7 +462,7 @@ class TestFitTree:
     def test_refuses_more_residuals_than_rows(self, six_points):
         # not cut to the first six, which would still find a split
         r = np.resize([0.5, -0.5], 9)
-        message = re.escape("residuals must have shape (6,), one per row, got (9,)")
+        message = re.escape("residuals must have shape (6,), got (9,)")
         with pytest.raises(ValueError, match=message):
             fit_tree(six_points.features, r)
         with pytest.raises(ValueError, match=message):
@@ -478,7 +473,7 @@ class TestFitTree:
     )
     def test_refuses_residuals_of_another_shape(self, six_points, shape):
         r = np.resize([0.5, -0.5], shape)
-        message = "residuals must have shape " + re.escape(f"(6,), one per row, got {shape}")
+        message = "residuals must have shape " + re.escape(f"(6,), got {shape}")
         with pytest.raises(ValueError, match=message):
             fit_tree(six_points.features, r)
         with pytest.raises(ValueError, match=message):
@@ -537,11 +532,12 @@ class TestFitTree:
         assert below[2].size == 0 and below[2].dtype == np.intp
 
     def test_a_path_past_the_depth_limit_is_refused(self):
-        groups = RegressionTree(_chain(MAX_TREE_DEPTH), 1).leaf_assignment(np.array([[0.0], [9e9]]))
+        tree = RegressionTree(right_chain(DEEPEST_CHAIN_VALUES), 1)
+        groups = tree.leaf_assignment(np.array([[0.0], [9e9]]))
         assert list(groups) == list(range(1, MAX_TREE_DEPTH + 2))
         assert groups[1].tolist() == [0] and groups[MAX_TREE_DEPTH + 1].tolist() == [1]
         with pytest.raises(ValueError, match=f"limit of {MAX_TREE_DEPTH} splits"):
-            RegressionTree(_chain(MAX_TREE_DEPTH + 1), 1)
+            RegressionTree(right_chain(DEEPEST_CHAIN_VALUES + [0.0]), 1)
 
     @settings(max_examples=150)
     @given(growth_cases(30))
@@ -592,8 +588,13 @@ class TestFitTree:
         for column in ("feature", "threshold", "left", "right", "leaf_id"):
             assert getattr(updated, column) is getattr(tree, column)
         assert updated.depth() == tree.depth() and updated.n_features == tree.n_features
-        # keys that are no leaf's id, a split's -1 included, change nothing
-        assert tree.with_leaf_values({-1: 9.0, 0: 9.0, 3: 9.0}).value == tree.value
+        # a leaf left out keeps its value; a key that is no leaf's id, a split's
+        # -1 included, is refused
+        assert tree.with_leaf_values({2: 9.0}).value == (0.0, 0.0, 9.0)
+        for key in (-1, 0, 3):
+            message = re.escape(f"no leaf has id {key}: leaf ids run 1..2")
+            with pytest.raises(ValueError, match=message):
+                tree.with_leaf_values({key: 9.0})
 
     @pytest.mark.parametrize(
         "values, message",
@@ -699,7 +700,7 @@ class TestApplyBatch:
         _assert_batch_matches_apply(*case)
 
     def test_routes_down_the_deepest_chain_and_no_rows(self):
-        tree = RegressionTree(_chain(MAX_TREE_DEPTH), 1)
+        tree = RegressionTree(right_chain(DEEPEST_CHAIN_VALUES), 1)
         X = np.arange(-1.0, MAX_TREE_DEPTH + 2.0, 0.5).reshape(-1, 1)
         _assert_batch_matches_apply(tree, X)
         _assert_batch_matches_apply(tree, X[:0])
@@ -708,7 +709,8 @@ class TestApplyBatch:
     @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,), (0, 3)])
     def test_refuses_a_matrix_of_another_width(self, shape):
         tree = RegressionTree(Split(1, 0.5, Leaf(1, 0.25), Leaf(2, -0.5)), 2)
-        with pytest.raises(ValueError, match=r"expected rows of 2 features, got shape"):
+        message = re.escape(f"features must have shape (*, 2), got {shape}")
+        with pytest.raises(ValueError, match=message):
             tree.apply_batch(np.zeros(shape))
 
     @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)

@@ -22,7 +22,7 @@ from .booster import (
     serialize_model,
     train,
 )
-from .dataset import DataError, Dataset, EmptyDatasetError, load_csv, save_csv
+from .dataset import DataError, Dataset, EmptyDatasetError, load_csv
 from .leaf_values import (
     NEWTON_DENOMINATOR_FLOOR,
     LeafSample,
@@ -69,7 +69,6 @@ __all__ = [
     "newton_leaf_value",
     "newton_step",
     "replay",
-    "save_csv",
     "save_model",
     "serialize_model",
     "sigmoid",

@@ -307,9 +307,6 @@ class TrainingTrace:
 
     records: tuple[IterationRecord, ...]
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     @property
     def final_loss(self) -> float:
         """The last round's log-loss; a ValueError for a trace of no rounds."""

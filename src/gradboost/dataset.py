@@ -1,4 +1,4 @@
-"""Dataset container, CSV loading with validation, and CSV round-tripping."""
+"""Dataset container and CSV loading with validation."""
 
 from __future__ import annotations
 
@@ -102,17 +102,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        if self.feature_names != other.feature_names:
-            return False
-        if not np.array_equal(self.features, other.features):
-            return False
-        if (self.labels is None) != (other.labels is None):
-            return False
-        return self.labels is None or np.array_equal(self.labels, other.labels)
-
 
 def _parse_number(path, row_num: int, column: str, cell: str) -> float:
     try:
@@ -188,21 +177,3 @@ def _read_rows(path, reader, expect_labels: bool) -> Dataset:
     labels = np.frombuffer(labels) if has_labels else None
     return Dataset._adopt(features, labels, tuple(feature_names))
 
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write a dataset back to CSV with full-precision features.
-
-    Uses repr's shortest round-trip float form, so load_csv(save_csv(ds))
-    reproduces the dataset field for field.  An unlabeled dataset whose last
-    feature is named "label" would load back as labeled, so it is refused.
-    """
-    header, rows = list(dataset.feature_names), dataset.features.tolist()
-    if dataset.labels is not None:
-        header.append("label")
-        rows = [[*row, int(label)] for row, label in zip(rows, dataset.labels.tolist())]
-    elif header[-1] == "label":
-        raise DataError(f'{path}: an unlabeled dataset\'s last feature cannot be named "label"')
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)

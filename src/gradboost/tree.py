@@ -189,12 +189,6 @@ class RegressionTree:
             i = i + 1 if row[f] <= threshold[i] else right[i]
         return self.leaf_id[i], self.value[i]
 
-    def apply_batch(self, features) -> tuple[np.ndarray, np.ndarray]:
-        """apply of every row of a matrix, as (leaf ids, values) arrays: all
-        rows are routed together, one level at a time."""
-        nodes = self._route(*matrix_cells(features, self.n_features))
-        return np.array(self.leaf_id, dtype=np.intp).take(nodes), np.array(self.value).take(nodes)
-
     def _route(self, cells: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
         """The preorder node each row of a matrix_cells matrix ends at."""
         # a row at node i moves to children[i + n_nodes] when it goes left and
@@ -219,17 +213,14 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return self.feature.count(-1)
 
-    def depth(self) -> int:
-        return self._depth
-
     def leaf_assignment(self, features) -> dict[int, np.ndarray]:
         """Map each leaf id to the ascending row indices routed to it.
 
         Every leaf id appears as a key, in left-to-right order, with an empty
         array when nothing reaches it; the member arrays partition the rows.
         Rows are routed with the same x[feature] <= threshold rule as apply,
-        in one pass as apply_batch routes them, then each leaf takes the rows
-        that ended at its node.
+        all together one level at a time, then each leaf takes the rows that
+        ended at its node.
         """
         nodes = self._route(*matrix_cells(features, self.n_features))
         # one scan of nodes per leaf: faster than a stable sort for the few

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -89,6 +91,27 @@ def left_chain(values):
     for k in range(len(values) - 1):
         node = Split(0, k + 0.5, node, Leaf(k + 2, values[k + 1]))
     return node
+
+
+def tree_depth(tree):
+    """The most splits on any root-to-leaf path, folded from the tree's columns
+    without recursion, so independent of its stored depth and safe at any depth."""
+    return tree.fold(lambda *_: 0, lambda feature, threshold, left, right: 1 + max(left, right))
+
+
+def write_csv(dataset, path):
+    """Write dataset as load_csv reads it and return path: a header of its
+    feature names, and "label" when it has labels, then one line per row, the
+    features in repr's shortest round-trip form and each label as 0 or 1."""
+    header, rows = list(dataset.feature_names), dataset.features.tolist()
+    if dataset.labels is not None:
+        header.append("label")
+        rows = [[*row, int(label)] for row, label in zip(rows, dataset.labels.tolist())]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 # two rows of one feature that are not numbers, each with the dtype it is refused by

@@ -115,7 +115,7 @@ class TestTrainConfig:
 class TestReferenceRun:
     def test_leaf_values_per_iteration(self, reference_run):
         _, trace = reference_run
-        assert len(trace) == 3
+        assert len(trace.records) == 3
         for record, expected in zip(trace.records, ITm_GAMMAS):
             got = tuple(leaf.value for leaf in record.leaves)
             assert got == pytest.approx(expected, abs=1e-12)
@@ -302,9 +302,8 @@ class TestPredict:
         message = "features must be finite, got a NaN or an infinity"
         with pytest.raises(DataError, match=message):
             model.predict_raw_batch(X)
-        for route in (model.trees[0].apply_batch, model.trees[0].leaf_assignment):
-            with pytest.raises(DataError, match=message):
-                route(X)
+        with pytest.raises(DataError, match=message):
+            model.trees[0].leaf_assignment(X)
 
     def test_a_single_row_of_huge_finite_values_is_scored(self):
         # its sum overflows to inf, but every cell is finite
@@ -573,7 +572,7 @@ class TestReplay:
     def test_replay_matches_training_trace(self, six_points, reference_run):
         model, trace = reference_run
         replayed = replay(model, six_points)
-        assert len(replayed) == len(trace)
+        assert len(replayed.records) == len(trace.records)
         for got, want in zip(replayed.records, trace.records):
             assert got.iteration == want.iteration
             np.testing.assert_array_equal(got.residuals, want.residuals)
@@ -600,7 +599,7 @@ class TestReplay:
     def test_a_trace_of_no_rounds_has_no_final_loss(self):
         model = Model((), 0.1, 1, ("x",))
         trace = replay(model, Dataset(np.array([[1.0]]), np.array([1.0]), ("x",)))
-        assert len(trace) == 0
+        assert len(trace.records) == 0
         with pytest.raises(ValueError, match="no rounds"):
             trace.final_loss
 

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradboost import DataError, Dataset, EmptyDatasetError, Model, load_csv, save_csv
+from gradboost import DataError, Dataset, EmptyDatasetError, Model, load_csv
 from gradboost import dataset as dataset_module
 
-from conftest import NOT_NUMBERS
+from conftest import NOT_NUMBERS, write_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -118,12 +118,19 @@ class TestLoadCsv:
             load_csv(tmp_path / "absent.csv")
 
 
+def _fields(dataset):
+    """A data set's names and the bits of its features and labels (None when unlabeled)."""
+    labels = None if dataset.labels is None else [v.hex() for v in dataset.labels.tolist()]
+    return dataset.feature_names, [v.hex() for v in dataset.features.ravel().tolist()], labels
+
+
 class TestRoundTrip:
+    """load_csv reads back, bit for bit, what write_csv wrote."""
+
     def test_six_point_round_trip(self, six_csv, tmp_path):
         ds = load_csv(six_csv, expect_labels=True)
-        out = tmp_path / "copy.csv"
-        save_csv(ds, out)
-        assert load_csv(out, expect_labels=True) == ds
+        again = load_csv(write_csv(ds, tmp_path / "copy.csv"), expect_labels=True)
+        assert _fields(again) == _fields(ds)
 
     def test_full_precision_round_trip(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -131,31 +138,19 @@ class TestRoundTrip:
             [rng.uniform(-1e6, 1e6, 8), [0.1 + 0.2, 1.0 / 3.0, 1e-17, -0.0, 1.2345678901234567e300]]
         ).reshape(-1, 1)
         ds = Dataset(features, rng.integers(0, 2, 13).astype(float), ("v",))
-        out = tmp_path / "v.csv"
-        save_csv(ds, out)
-        again = load_csv(out, expect_labels=True)
-        assert again == ds
-        save_csv(again, tmp_path / "v2.csv")
-        assert load_csv(tmp_path / "v2.csv", expect_labels=True) == again
+        again = load_csv(write_csv(ds, tmp_path / "v.csv"), expect_labels=True)
+        assert _fields(again) == _fields(ds)
 
     def test_unlabeled_round_trip(self, tmp_path):
         ds = Dataset(np.array([[1.5, 2.5]]), None, ("a", "b"))
-        save_csv(ds, tmp_path / "u.csv")
-        assert load_csv(tmp_path / "u.csv") == ds
-
-    def test_an_unlabeled_last_feature_named_label_is_refused_before_the_file_opens(self, tmp_path):
-        # its header "a,label" would load back as one feature and labels
-        ds = Dataset([[1.0, 0.0], [2.0, 1.0]], None, ("a", "label"))
-        out = tmp_path / "u.csv"
-        with pytest.raises(DataError, match='last feature cannot be named "label"'):
-            save_csv(ds, out)
-        assert not out.exists()
+        again = load_csv(write_csv(ds, tmp_path / "u.csv"))
+        assert _fields(again) == _fields(ds)
 
     def test_a_labeled_dataset_with_a_feature_named_label_round_trips(self, tmp_path):
         ds = Dataset([[1.0, 0.5], [2.0, 3.0]], [0.0, 1.0], ("a", "label"))
-        save_csv(ds, tmp_path / "l.csv")
-        assert (tmp_path / "l.csv").read_text(encoding="utf-8").startswith("a,label,label\n")
-        assert load_csv(tmp_path / "l.csv", expect_labels=True) == ds
+        path = write_csv(ds, tmp_path / "l.csv")
+        assert path.read_text(encoding="utf-8").startswith("a,label,label\n")
+        assert _fields(load_csv(path, expect_labels=True)) == _fields(ds)
 
 
 _NAMES = st.text(alphabet="ab ,\"'x_1", min_size=1, max_size=4).filter(lambda name: name != "label")
@@ -177,14 +172,9 @@ def datasets(draw):
 @given(datasets())
 def test_save_then_load_gives_back_an_equal_dataset(dataset):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "data.csv"
-        save_csv(dataset, path)
+        path = write_csv(dataset, Path(tmp) / "data.csv")
         again = load_csv(path, expect_labels=dataset.labels is not None)
-    assert again == dataset
-    assert (again.labels is None) == (dataset.labels is None)
-    assert [v.hex() for v in again.features.ravel().tolist()] == [
-        v.hex() for v in dataset.features.ravel().tolist()
-    ]
+    assert _fields(again) == _fields(dataset)
 
 
 class TestDatasetInvariants:
@@ -271,20 +261,6 @@ class TestDatasetInvariants:
         # a second copy of the matrix would take the peak past twice its size
         assert peak < 1.75 * dataset.features.nbytes
 
-    def test_equality_is_field_for_field(self):
-        a = Dataset(np.array([[1.0]]), np.array([1.0]), ("x",))
-        b = Dataset(np.array([[1.0]]), np.array([1.0]), ("x",))
-        c = Dataset(np.array([[1.0]]), np.array([0.0]), ("x",))
-        d = Dataset(np.array([[1.0]]), None, ("x",))
-        named = Dataset(np.array([[1.0]]), np.array([1.0]), ("y",))
-        moved = Dataset(np.array([[2.0]]), np.array([1.0]), ("x",))
-        assert a == b
-        assert a != c
-        assert a != d
-        assert a != named
-        assert a != moved
-        assert a.__eq__(((1.0,),)) is NotImplemented
-
 
 def _reference_parse_number(path, row_num, column, cell):
     try:
@@ -341,11 +317,9 @@ def _reference_read_rows(path, reader, expect_labels):
 def _outcome(path, expect_labels):
     """load_csv's dataset as (names, feature bits, label bits), or its error as (type, text)."""
     try:
-        loaded = load_csv(path, expect_labels=expect_labels)
+        return _fields(load_csv(path, expect_labels=expect_labels))
     except DataError as exc:
         return type(exc), str(exc)
-    labels = None if loaded.labels is None else [v.hex() for v in loaded.labels.tolist()]
-    return loaded.feature_names, [v.hex() for v in loaded.features.ravel().tolist()], labels
 
 
 _CELLS = st.one_of(

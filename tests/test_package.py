@@ -1,10 +1,13 @@
 """The package's public surface: every name __all__ lists is exported, once,
-no module imports a name it never uses, and values become float64, and are
-checked finite, in one place; the suite's one hypothesis profile; and the
-README's library quickstart runs."""
+and read by the package, a demo, the benchmark or the README's code, as is
+every public method and property of an exported class; no module of the
+package, its tests or demos imports a name it never uses; values become
+float64, and are checked finite, in one place; the suite's one hypothesis
+profile; and the README's library quickstart runs."""
 
 import ast
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -15,11 +18,19 @@ import gradboost
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "gradboost").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 # bench/tracing.py still wraps booster.LeafSample, which the engine no longer
 # calls; see the FOUND line on bench/tracing.py in CHANGES.md.  The import and
 # this entry go together when that wrapper does.
 UNUSED_BUT_WRAPPED = {("booster", "LeafSample")}
+
+# RegressionTree.apply routes one row the plain way: it is the reference that
+# tests hold predict_raw, predict_raw_batch and leaf_assignment to, bit for bit
+TEST_ORACLES = {"RegressionTree.apply"}
 
 # dataset.float_array reads every argument as float64, refusing what is not
 # numbers; RegressionTree._route converts the tree's own tuples
@@ -58,9 +69,42 @@ def _unused_imports(path):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    assert SOURCES
-    unused = {(path.stem, name) for path in SOURCES for name in _unused_imports(path)}
+    assert SOURCES and TESTS and DEMOS
+    paths = SOURCES + TESTS + DEMOS
+    unused = {(path.stem, name) for path in paths for name in _unused_imports(path)}
     assert unused == UNUSED_BUT_WRAPPED
+
+
+def _names_read():
+    """The names and the attribute names that the package, the demos, the
+    benchmark and the README's python blocks read; an import, an __all__
+    string or a docstring reads none."""
+    codes = [path.read_text(encoding="utf-8") for path in SOURCES + DEMOS + BENCH]
+    codes += re.findall(r"```python\n(.*?)```", README, flags=re.DOTALL)
+    names, attributes = set(), set()
+    for code in codes:
+        for node in ast.walk(ast.parse(code)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def test_every_public_name_has_a_caller():
+    names, attributes = _names_read()
+    unread = {name for name in gradboost.__all__ if name not in names | attributes}
+    for name in gradboost.__all__:
+        cls = getattr(gradboost, name)
+        if not isinstance(cls, type):
+            continue
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        unread |= {
+            f"{name}.{attribute}"
+            for attribute in vars(cls)
+            if not attribute.startswith("_") and attribute not in fields | attributes
+        }
+    assert unread == TEST_ORACLES
 
 
 def _is_float64_conversion(call: ast.Call) -> bool:
@@ -103,8 +147,7 @@ def test_arrays_are_checked_finite_only_in_float_array():
 
 
 def test_the_readme_library_quickstart_runs(monkeypatch):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Quickstart (library)", 1)[1].split("\n## ", 1)[0]
+    section = README.split("## Quickstart (library)", 1)[1].split("\n## ", 1)[0]
     (code,) = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
     monkeypatch.chdir(ROOT)  # the example reads demos/data/ relative to the repository root
     out = io.StringIO()

@@ -32,7 +32,7 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-from conftest import growth_cases, left_chain, right_chain
+from conftest import growth_cases, left_chain, right_chain, tree_depth
 
 BOUNDED = settings(max_examples=25)
 
@@ -171,7 +171,7 @@ def test_batch_scores_equal_per_row_scores_on_trained_models(run, data):
 def test_batch_scores_equal_per_row_scores_on_a_depth_limit_chain(seed, halves):
     rng = np.random.default_rng(seed)
     tree = RegressionTree(right_chain(rng.normal(size=MAX_TREE_DEPTH + 1).tolist()), 1)
-    assert tree.depth() == MAX_TREE_DEPTH
+    assert tree_depth(tree) == MAX_TREE_DEPTH
     # odd halves sit exactly on a threshold, even ones between two
     X = np.array(halves, dtype=float).reshape(-1, 1) / 2.0
     _assert_batch_matches_rows(Model((tree, tree), 0.3, 1, ("x",)), X)
@@ -236,7 +236,7 @@ def test_trees_rebuild_equal_from_their_root_on_trained_models(run, stumps):
 def test_trees_rebuild_equal_from_their_root_on_hand_built_trees(shape):
     values = np.random.default_rng(7).normal(size=MAX_TREE_DEPTH + 1).tolist()
     tree = RegressionTree((left_chain if shape == "left-chain" else right_chain)(values), 1)
-    assert tree.depth() == MAX_TREE_DEPTH
+    assert tree_depth(tree) == MAX_TREE_DEPTH
     _assert_one_stored_form(Model((tree,), 0.1, 1, ("x",)))
 
 
@@ -353,7 +353,7 @@ def test_train_trace_is_the_replay_trace_bit_for_bit(run):
     dataset, config = run
     model, trained = train(dataset, config)
     replayed = replay(model, dataset)
-    assert len(trained) == len(replayed) == config.n_trees
+    assert len(trained.records) == len(replayed.records) == config.n_trees
     for trace in (trained, replayed):
         _assert_records_chain(trace, model, dataset)
     for got, want, tree in zip(replayed.records, trained.records, model.trees):

@@ -15,8 +15,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradboost import Dataset, TrainConfig, load_csv, save_csv, train
+from gradboost import Dataset, TrainConfig, load_csv, train
 from gradboost.cli import main, write_trace
+
+from conftest import write_csv
 
 
 def reference_write_trace(fh, dataset, trace):
@@ -106,7 +108,7 @@ def test_every_trace_command_writes_the_reference_bytes(run):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         data, model = str(root / "data.csv"), str(root / "model.json")
-        save_csv(dataset, data)
+        write_csv(dataset, data)
         loaded = load_csv(data, expect_labels=True)
         expected = _reference_text(loaded, train(loaded, config)[1]).encode("utf-8")
         argv = ["train", "--data", data, "--trees", str(config.n_trees), "--max-depth",

@@ -25,7 +25,14 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-from conftest import NOT_NUMBERS, REFERENCE_SPLITS, exhaustive_best, growth_cases, right_chain
+from conftest import (
+    NOT_NUMBERS,
+    REFERENCE_SPLITS,
+    exhaustive_best,
+    growth_cases,
+    right_chain,
+    tree_depth,
+)
 
 
 def _reference_best_split(features, residuals, instance_set, min_count=1):
@@ -177,15 +184,6 @@ def routing_cases(draw):
     n_rows = draw(st.integers(0, 20))
     rows = draw(st.lists(CELLS, min_size=n_rows * n_features, max_size=n_rows * n_features))
     return tree, np.array(rows, dtype=np.float64).reshape(n_rows, n_features)
-
-
-def _assert_batch_matches_apply(tree, X):
-    """apply_batch(X) gives each row's apply(x) leaf id, and its value bit for bit."""
-    leaf_ids, values = tree.apply_batch(X)
-    assert leaf_ids.shape == values.shape == (X.shape[0],)
-    expected = [tree.apply(x) for x in X]
-    assert leaf_ids.tolist() == [leaf_id for leaf_id, _ in expected]
-    assert [v.hex() for v in values.tolist()] == [value.hex() for _, value in expected]
 
 
 def _assert_groups_match_apply(tree, rows, groups):
@@ -418,7 +416,7 @@ class TestFitTree:
         assert [leaf.leaf_id for leaf in tree.leaves()] == [1, 2, 3]
         right = tree.root.right
         assert right.threshold == 3.5
-        assert tree.depth() == 2
+        assert tree_depth(tree) == 2
 
     def test_min_leaf_stops_growth(self):
         x = np.array([[1.0], [2.0], [3.0]])
@@ -434,7 +432,7 @@ class TestFitTree:
             r = rng.uniform(-1, 1, n)
             cap = int(rng.integers(1, 4))
             tree, _ = fit_tree(x, r, max_depth=cap)
-            assert tree.depth() <= cap
+            assert tree_depth(tree) <= cap
 
     def test_leaf_ids_are_consecutive_left_to_right(self):
         rng = np.random.default_rng(37)
@@ -445,7 +443,7 @@ class TestFitTree:
 
     def test_max_depth_is_limited(self):
         x, r = np.array([[0.0], [1.0]]), np.array([-0.5, 0.5])
-        assert fit_tree(x, r, max_depth=MAX_TREE_DEPTH)[0].depth() == 1
+        assert tree_depth(fit_tree(x, r, max_depth=MAX_TREE_DEPTH)[0]) == 1
         with pytest.raises(ValueError, match="max_depth"):
             fit_tree(x, r, max_depth=MAX_TREE_DEPTH + 1)
 
@@ -557,7 +555,7 @@ class TestFitTree:
             rewritten = tree.with_leaf_values({1: 0.5})
         finally:
             sys.setrecursionlimit(limit)
-        assert tree.depth() == rewritten.depth() == MAX_TREE_DEPTH
+        assert tree_depth(tree) == tree_depth(rewritten) == MAX_TREE_DEPTH
         assert len(leaf_rows) == tree.n_leaves == MAX_TREE_DEPTH + 1
         routed = tree.leaf_assignment(x).values()
         assert all(np.array_equal(rows, members) for rows, members in zip(leaf_rows, routed))
@@ -587,7 +585,7 @@ class TestFitTree:
         assert updated.value == (0.0, 2.0 / 3.0, -2.0 / 3.0)
         for column in ("feature", "threshold", "left", "right", "leaf_id"):
             assert getattr(updated, column) is getattr(tree, column)
-        assert updated.depth() == tree.depth() and updated.n_features == tree.n_features
+        assert tree_depth(updated) == tree_depth(tree) and updated.n_features == tree.n_features
         # a leaf left out keeps its value; a key that is no leaf's id, a split's
         # -1 included, is refused
         assert tree.with_leaf_values({2: 9.0}).value == (0.0, 0.0, 9.0)
@@ -623,7 +621,7 @@ class TestFitTree:
     def test_single_instance_tree_is_one_leaf(self):
         tree, _ = fit_tree(np.array([[5.0]]), np.array([0.3]))
         assert tree.n_leaves == 1
-        assert tree.depth() == 0
+        assert tree_depth(tree) == 0
 
     @pytest.mark.parametrize("feature_index", [-1, 2, 0.5, True])
     def test_rejects_a_split_on_a_feature_it_does_not_have(self, feature_index):
@@ -694,32 +692,35 @@ class TestFitTree:
 
 
 class TestApplyBatch:
+    """leaf_assignment routes a whole matrix at once as apply routes each row."""
+
     @settings(max_examples=200)
     @given(routing_cases())
     def test_routes_each_row_as_apply_does(self, case):
-        _assert_batch_matches_apply(*case)
+        tree, X = case
+        _assert_groups_match_apply(tree, X, tree.leaf_assignment(X))
 
     def test_routes_down_the_deepest_chain_and_no_rows(self):
         tree = RegressionTree(right_chain(DEEPEST_CHAIN_VALUES), 1)
         X = np.arange(-1.0, MAX_TREE_DEPTH + 2.0, 0.5).reshape(-1, 1)
-        _assert_batch_matches_apply(tree, X)
-        _assert_batch_matches_apply(tree, X[:0])
-        assert tree.apply_batch(X)[0][[0, -1]].tolist() == [1, MAX_TREE_DEPTH + 1]
+        groups = tree.leaf_assignment(X)
+        _assert_groups_match_apply(tree, X, groups)
+        _assert_groups_match_apply(tree, X[:0], tree.leaf_assignment(X[:0]))
+        assert groups[1][0] == 0 and groups[MAX_TREE_DEPTH + 1][-1] == len(X) - 1
 
     @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,), (0, 3)])
     def test_refuses_a_matrix_of_another_width(self, shape):
         tree = RegressionTree(Split(1, 0.5, Leaf(1, 0.25), Leaf(2, -0.5)), 2)
         message = re.escape(f"features must have shape (*, 2), got {shape}")
         with pytest.raises(ValueError, match=message):
-            tree.apply_batch(np.zeros(shape))
+            tree.leaf_assignment(np.zeros(shape))
 
     @pytest.mark.parametrize("cells, dtype", NOT_NUMBERS)
     def test_refuses_a_matrix_that_is_not_numbers(self, cells, dtype):
         tree = RegressionTree(Split(0, 0.5, Leaf(1, 0.25), Leaf(2, -0.5)), 1)
         message = re.escape(f"features must hold numbers, got dtype {dtype}")
-        for route in (tree.apply_batch, tree.leaf_assignment):
-            with pytest.raises(ValueError, match=message):
-                route(cells)
+        with pytest.raises(ValueError, match=message):
+            tree.leaf_assignment(cells)
 
 
 @pytest.fixture(scope="module")
@@ -729,7 +730,7 @@ def deepest_model():
     n = 600
     rows = Dataset(np.arange(n, dtype=float).reshape(-1, 1), np.arange(n) % 2, ("x",))
     model, _ = train(rows, TrainConfig(n_trees=1, max_depth=MAX_TREE_DEPTH))
-    assert model.trees[0].depth() == MAX_TREE_DEPTH
+    assert tree_depth(model.trees[0]) == MAX_TREE_DEPTH
     return model
 
 

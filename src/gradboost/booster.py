@@ -58,8 +58,9 @@ class TrainConfig:
             object.__setattr__(self, "forced_splits", forced)
             if len(forced) != self.n_trees:
                 raise ValueError("forced_splits must supply one (feature, threshold) pair per tree")
-            if self.max_depth != 1:
-                raise ValueError("forced_splits requires max_depth=1")
+            for name in ("max_depth", "min_leaf"):  # growth rules, which a forced stump skips
+                if getattr(self, name) != 1:
+                    raise ValueError(f"forced_splits requires {name}=1")
 
 
 @dataclass(frozen=True)
@@ -363,7 +364,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
             X, y - probs, max_depth=config.max_depth, min_leaf=config.min_leaf
         )
         terms = _leaf_terms(leaf_rows, y, probs)
-        tree = tree.with_leaf_values({i: newton_step(n, d) for i, rows, n, d in terms if rows.size})
+        tree = tree.with_leaf_values([newton_step(n, d) if rows.size else 0.0 for _, rows, n, d in terms])
         records.append(_round(m + 1, tree, terms, y, scores, probs, config.learning_rate))
         trees.append(tree)
         scores, probs = records[-1].scores, records[-1].probs

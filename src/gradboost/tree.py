@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -111,21 +112,19 @@ class RegressionTree:
     """Immutable fitted tree.  Routing uses x[feature] <= threshold for the
     left branch; leaf ids run 1..J in left-to-right order.
 
-    The tree is stored only as parallel tuples over its nodes in preorder,
-    left subtree first, so node 0 is the root and the leaves come left to
-    right: feature (-1 marks a leaf), threshold, left and right child indices
-    (a leaf is its own child, so routing leaves a row there), value (0.0 at a
-    split) and leaf_id (-1 at a split).  The generated ==, hash and repr read
-    these flat tuples, so a tree of any depth compares and prints.
+    Stored only as four tuples over the nodes in preorder, left subtree
+    first: feature (-1 marks a leaf), threshold, right child index (-1 at a
+    leaf) and value (0.0 at a split).  Preorder fixes the rest: node 0 is the
+    root, a split's left child is the next node, and leaf j is the j-th from
+    the left.  The generated ==, hash and repr read these flat tuples, so a
+    tree of any depth compares and prints.
     """
 
     n_features: int
     feature: tuple[int, ...]
     threshold: tuple[float, ...]
-    left: tuple[int, ...]
     right: tuple[int, ...]
     value: tuple[float, ...]
-    leaf_id: tuple[int, ...]
     _depth: int = field(repr=False, compare=False)
 
     def __init__(self, root: Split | Leaf, n_features: int):
@@ -146,8 +145,8 @@ class RegressionTree:
         leaf ids other than 1, 2, ... left to right, or a path of more than
         MAX_TREE_DEPTH splits."""
         positive_int(n_features, "n_features")
-        columns = ([], [], [], [], [], [])
-        feature, threshold, left, right, value, leaf_id = columns
+        columns = ([], [], [], [])
+        feature, threshold, right, value = columns
         # (node still to be read, the split whose right child it is or -1, its depth)
         depth, n_leaves, pending = 0, 0, [(root, -1, 0)]
         while pending:
@@ -160,7 +159,7 @@ class RegressionTree:
                 n_leaves += 1
                 if not (is_int(node.leaf_id) and node.leaf_id == n_leaves):
                     raise ValueError(f"leaf id {node.leaf_id!r} out of order, expected {n_leaves}")
-                entries = (-1, 0.0, i, i, finite_real(node.value, "leaf value"), n_leaves)
+                entries = (-1, 0.0, -1, finite_real(node.value, "leaf value"))
             elif not isinstance(node, Split):
                 raise ValueError(f"tree node must be a Split or a Leaf, got {type(node).__name__}")
             elif d == MAX_TREE_DEPTH:
@@ -168,12 +167,10 @@ class RegressionTree:
             elif is_int(node.feature_index) and 0 <= node.feature_index < n_features:
                 # the left child is popped next, as it is pushed last
                 split_at = finite_real(node.threshold, "threshold")
-                entries = (int(node.feature_index), split_at, i + 1, -1, 0.0, -1)
+                entries = (int(node.feature_index), split_at, -1, 0.0)
                 pending += [(node.right, i, d + 1), (node.left, -1, d + 1)]
             else:
-                raise ValueError(
-                    f"split on feature {node.feature_index!r} of a {n_features}-feature tree"
-                )
+                raise ValueError(f"split on feature {node.feature_index!r} of a {n_features}-feature tree")
             for column, entry in zip(columns, entries):
                 column.append(entry)
         columns = tuple(map(tuple, columns))
@@ -187,17 +184,18 @@ class RegressionTree:
         i = 0
         while (f := feature[i]) >= 0:  # a split's left child is the next node
             i = i + 1 if row[f] <= threshold[i] else right[i]
-        return self.leaf_id[i], self.value[i]
+        return feature[:i].count(-1) + 1, self.value[i]
 
     def _route(self, cells: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
         """The preorder node each row of a matrix_cells matrix ends at."""
         # a row at node i moves to children[i + n_nodes] when it goes left and
-        # to children[i] when it goes right; at a leaf it stays where it is
-        # (feature -1 reads the previous cell, which decides nothing)
+        # to children[i] when it goes right; a leaf is both of its own children,
+        # so a row stays there (feature -1 reads the previous cell, which decides nothing)
         n_nodes = len(self.feature)
         feature = np.array(self.feature, dtype=np.intp)
         threshold = np.array(self.threshold, dtype=np.float64)
-        children = np.array(self.right + self.left, dtype=np.intp)
+        index, leaf = np.arange(n_nodes), feature < 0
+        children = np.concatenate((np.where(leaf, index, self.right), index + ~leaf))
         nodes = np.zeros(len(row_starts), dtype=np.intp)
         for _ in range(self._depth):
             at = row_starts + feature.take(nodes)
@@ -207,7 +205,8 @@ class RegressionTree:
 
     def leaves(self) -> list[Leaf]:
         """All leaves in left-to-right order."""
-        return [Leaf(i, v) for f, i, v in zip(self.feature, self.leaf_id, self.value) if f < 0]
+        values = [v for f, v in zip(self.feature, self.value) if f < 0]
+        return [Leaf(leaf_id, v) for leaf_id, v in enumerate(values, start=1)]
 
     @property
     def n_leaves(self) -> int:
@@ -234,19 +233,18 @@ class RegressionTree:
         """The nested Split/Leaf form, rebuilt from the columns on each read."""
         return self.fold(Leaf, Split)
 
-    def with_leaf_values(self, values: dict[int, float]) -> "RegressionTree":
-        """New tree with leaf values replaced by the given id -> value map, each
-        checked as a leaf value; a leaf it leaves out keeps its value, and a key
-        that is no leaf's id is a ValueError.  It shares every other column with
-        this tree."""
-        n_leaves = self.n_leaves
-        for key in values:
-            if not (is_int(key) and 1 <= key <= n_leaves):
-                raise ValueError(f"no leaf has id {key!r}: leaf ids run 1..{n_leaves}")
-        value = tuple(  # a split's leaf_id, -1, is no key
-            v if i not in values else finite_real(values[i], "leaf value")
-            for i, v in zip(self.leaf_id, self.value)
-        )
+    def with_leaf_values(self, values) -> "RegressionTree":
+        """New tree whose leaves hold values, one per leaf, left to right, each
+        checked as a leaf value.  A mapping, whose keys would pass for values,
+        and a count other than n_leaves are a ValueError.  It shares every
+        other column with this tree."""
+        if isinstance(values, Mapping):
+            raise ValueError("leaf values must be given in leaf order, not as a mapping")
+        given = [finite_real(v, "leaf value") for v in values]
+        if len(given) != self.n_leaves:
+            raise ValueError(f"{len(given)} leaf values for a tree of {self.n_leaves} leaves")
+        leaf_values = iter(given)
+        value = tuple(v if f >= 0 else next(leaf_values) for f, v in zip(self.feature, self.value))
         tree = copy.copy(self)
         object.__setattr__(tree, "value", value)
         return tree
@@ -255,14 +253,14 @@ class RegressionTree:
         """leaf(leaf_id, value) at each leaf, split(feature, threshold, left, right)
         of its children's results at each split: one backward pass over the
         preorder, which puts children after their parent.  Returns the root's."""
-        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
-        value, leaf_id = self.value, self.leaf_id
+        feature, threshold, right, value = self.feature, self.threshold, self.right, self.value
         folded: list = [None] * len(feature)
+        leaf_id = self.n_leaves + 1  # counts down, as the pass meets the leaves right to left
         for i in reversed(range(len(feature))):
             if feature[i] < 0:
-                folded[i] = leaf(leaf_id[i], value[i])
+                folded[i] = leaf(leaf_id := leaf_id - 1, value[i])
             else:
-                folded[i] = split(feature[i], threshold[i], folded[left[i]], folded[right[i]])
+                folded[i] = split(feature[i], threshold[i], folded[i + 1], folded[right[i]])
         return folded[0]
 
 

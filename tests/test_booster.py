@@ -78,6 +78,8 @@ class TestTrainConfig:
             {"n_trees": -1},
             {"n_trees": 2, "forced_splits": ((0, 1.0),)},
             {"max_depth": 2, "n_trees": 1, "forced_splits": ((0, 1.0),)},
+            # a forced stump's leaves hold whatever rows its split gives them
+            {"min_leaf": 4, "n_trees": 3, "forced_splits": ((0, 3.5), (0, 2.25), (0, 5.25))},
             {"max_depth": 513},
             # refused, not coerced: a bool, a fraction or a string is no count
             {"n_trees": True},

@@ -292,6 +292,7 @@ class TestUsageErrors:
             ["--force-splits", "0:3.5;nope;0:5.25"],
             ["--force-splits", ""],  # an empty list, not an absent one
             ["--force-splits", FORCED, "--max-depth", "2"],
+            ["--force-splits", FORCED, "--min-leaf", "4"],  # a forced leaf holds 2 rows
             ["--trees", "1", "--force-splits", "5:1.0"],  # feature index out of range
             ["--max-depth", "513"],
         ],
@@ -299,7 +300,9 @@ class TestUsageErrors:
     def test_bad_training_options(self, trained, capsys, extra):
         code = main(["train", "--data", str(trained.data), *extra])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err != ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_max_depth_past_the_limit(self, tmp_path, capsys):
         # deep enough to exhaust the recursion limit if training were attempted

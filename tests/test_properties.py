@@ -212,9 +212,11 @@ def _reference_text(model):
 
 def _assert_one_stored_form(model):
     """Each tree equals, and hashes as, the tree rebuilt from its root, and
-    with_leaf_values({}); the model file matches the recursive writer."""
+    with_leaf_values of its own leaf values; the model file matches the
+    recursive writer."""
     for tree in model.trees:
-        for copy in (RegressionTree(tree.root, tree.n_features), tree.with_leaf_values({})):
+        values = [leaf.value for leaf in tree.leaves()]
+        for copy in (RegressionTree(tree.root, tree.n_features), tree.with_leaf_values(values)):
             assert copy is not tree
             assert copy == tree and hash(copy) == hash(tree)
     assert serialize_model(model) == _reference_text(model)
@@ -227,7 +229,7 @@ def test_trees_rebuild_equal_from_their_root_on_trained_models(run, stumps):
     if stumps:
         thresholds = sorted(set(dataset.features[:, 0].tolist()))
         forced = tuple((0, thresholds[m % len(thresholds)]) for m in range(config.n_trees))
-        config = dataclasses.replace(config, max_depth=1, forced_splits=forced)
+        config = dataclasses.replace(config, max_depth=1, min_leaf=1, forced_splits=forced)
     model, _ = train(dataset, config)
     _assert_one_stored_form(model)
 
@@ -314,7 +316,7 @@ def traced_runs(draw):
         n_trees=n_trees,
         learning_rate=draw(st.floats(0.0, 1.0, exclude_min=True)),
         max_depth=1 if forced else draw(st.integers(1, 3)),
-        min_leaf=draw(st.integers(1, 3)),
+        min_leaf=1 if forced else draw(st.integers(1, 3)),
         forced_splits=forced,
     )
     features = np.array(cells, dtype=float).reshape(n, d)
@@ -373,7 +375,7 @@ def test_train_trace_is_the_replay_trace_bit_for_bit(run):
                 dataset.features, want.residuals,
                 max_depth=config.max_depth, min_leaf=config.min_leaf,
             )
-            assert grown.with_leaf_values({w.leaf_id: w.value for w in want.leaves}) == tree
+            assert grown.with_leaf_values([w.value for w in want.leaves]) == tree
 
 
 @settings(max_examples=40)

@@ -180,7 +180,7 @@ def routing_cases(draw):
         X = np.array(draw(st.lists(CELLS, min_size=n * n_features, max_size=n * n_features)))
         r = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
         tree, _ = fit_tree(X.reshape(n, n_features), r, max_depth=draw(st.integers(1, 4)))
-        tree = tree.with_leaf_values({j: draw(LEAF_VALUES) for j in range(1, tree.n_leaves + 1)})
+        tree = tree.with_leaf_values([draw(LEAF_VALUES) for _ in range(tree.n_leaves)])
     n_rows = draw(st.integers(0, 20))
     rows = draw(st.lists(CELLS, min_size=n_rows * n_features, max_size=n_rows * n_features))
     return tree, np.array(rows, dtype=np.float64).reshape(n_rows, n_features)
@@ -220,6 +220,19 @@ class TestBestSplit:
     def test_constant_residuals_yield_no_split(self):
         x = np.array([[1.0], [2.0], [3.0]])
         assert best_split(x, np.full(3, 0.25), np.arange(3)) is None
+        # the node's SSE rounds to 1.1e-16 here, and the cut after 4 rows to
+        # 8.3e-17: only the equal-residual check keeps that noise from a split
+        x = np.arange(10, dtype=float).reshape(-1, 1)
+        assert best_split(x, np.full(10, 0.18691333659165826), np.arange(10)) is None
+
+    def test_a_cut_that_only_ties_the_node_is_no_split(self):
+        # the one cut leaves SSE 4.0 on each side of 0.5 together, as the node has
+        x = np.array([[0.0], [0.0], [1.0], [1.0]])
+        r = np.array([1.0, -1.0, 1.0, -1.0])
+        assert best_split(x, r, np.arange(4)) is None
+        tree, leaf_rows = fit_tree(x, r, max_depth=3)
+        assert tree == RegressionTree(Leaf(1, 0.0), 1)
+        assert [rows.tolist() for rows in leaf_rows] == [[0, 1, 2, 3]]
 
     def test_constant_feature_yields_no_split(self):
         x = np.full((4, 1), 2.0)
@@ -552,7 +565,7 @@ class TestFitTree:
         sys.setrecursionlimit(_frame_depth() + 60)
         try:
             tree, leaf_rows = fit_tree(x, r, max_depth=MAX_TREE_DEPTH)
-            rewritten = tree.with_leaf_values({1: 0.5})
+            rewritten = tree.with_leaf_values([0.5] + [leaf.value for leaf in tree.leaves()[1:]])
         finally:
             sys.setrecursionlimit(limit)
         assert tree_depth(tree) == tree_depth(rewritten) == MAX_TREE_DEPTH
@@ -575,7 +588,7 @@ class TestFitTree:
 
     def test_with_leaf_values_rewrites_only_values(self):
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
-        updated = tree.with_leaf_values({1: 2.0 / 3.0, 2: -2.0 / 3.0})
+        updated = tree.with_leaf_values([2.0 / 3.0, -2.0 / 3.0])
         assert updated.root.threshold == tree.root.threshold
         assert updated.apply(np.array([1.0]))[1] == pytest.approx(2.0 / 3.0)
         assert updated.apply(np.array([9.0]))[1] == pytest.approx(-2.0 / 3.0)
@@ -583,23 +596,25 @@ class TestFitTree:
         assert tree.apply(np.array([1.0]))[1] == 0.0
         # the new tree holds a new value column and this tree's other columns
         assert updated.value == (0.0, 2.0 / 3.0, -2.0 / 3.0)
-        for column in ("feature", "threshold", "left", "right", "leaf_id"):
+        for column in ("feature", "threshold", "right"):
             assert getattr(updated, column) is getattr(tree, column)
         assert tree_depth(updated) == tree_depth(tree) and updated.n_features == tree.n_features
-        # a leaf left out keeps its value; a key that is no leaf's id, a split's
-        # -1 included, is refused
-        assert tree.with_leaf_values({2: 9.0}).value == (0.0, 0.0, 9.0)
-        for key in (-1, 0, 3):
-            message = re.escape(f"no leaf has id {key}: leaf ids run 1..2")
+        # one value per leaf, left to right: another count is refused, and so is
+        # a mapping, whose keys would otherwise pass for the values
+        for values in ([9.0], [9.0, 9.0, 9.0], []):
+            message = re.escape(f"{len(values)} leaf values for a tree of 2 leaves")
             with pytest.raises(ValueError, match=message):
-                tree.with_leaf_values({key: 9.0})
+                tree.with_leaf_values(values)
+        for values in ({1: 9.0, 2: 9.0}, {0.5: 1, -0.5: 2}):
+            with pytest.raises(ValueError, match="not as a mapping"):
+                tree.with_leaf_values(values)
 
     @pytest.mark.parametrize(
         "values, message",
         [
-            ({1: "0.5"}, "leaf value must be a real number"),
-            ({2: True}, "leaf value must be a real number"),
-            ({1: float("nan")}, "leaf value must be finite"),
+            (["0.5", 0.0], "leaf value must be a real number"),
+            ([0.0, True], "leaf value must be a real number"),
+            ([float("nan"), 0.0], "leaf value must be finite"),
         ],
         ids=["string", "bool", "nan"],
     )
@@ -607,7 +622,7 @@ class TestFitTree:
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
         with pytest.raises(ValueError, match=message):
             tree.with_leaf_values(values)
-        leaves = [Leaf(i, values.get(i, 0.0)) for i in (1, 2)]
+        leaves = [Leaf(i, value) for i, value in enumerate(values, start=1)]
         with pytest.raises(ValueError, match=message):
             RegressionTree(Split(0, 3.5, *leaves), 1)
 
@@ -752,7 +767,7 @@ class TestTreeIdentity:
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.25), Leaf(2, -0.5)), 1)
         assert repr(tree) == (
             "RegressionTree(n_features=1, feature=(0, -1, -1), threshold=(3.5, 0.0, 0.0),"
-            " left=(1, 1, 2), right=(2, 1, 2), value=(0.0, 0.25, -0.5), leaf_id=(-1, 1, 2))"
+            " right=(2, -1, -1), value=(0.0, 0.25, -0.5))"
         )
 
     @pytest.mark.parametrize(

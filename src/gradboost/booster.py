@@ -364,7 +364,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
             X, y - probs, max_depth=config.max_depth, min_leaf=config.min_leaf
         )
         terms = _leaf_terms(leaf_rows, y, probs)
-        tree = tree.with_leaf_values([newton_step(n, d) if rows.size else 0.0 for _, rows, n, d in terms])
+        tree = tree.with_leaf_values([newton_step(n, d) for _, _, n, d in terms])
         records.append(_round(m + 1, tree, terms, y, scores, probs, config.learning_rate))
         trees.append(tree)
         scores, probs = records[-1].scores, records[-1].probs

@@ -53,6 +53,12 @@ def valid_feature_names(names, n_features: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+def frozen_copy(array: np.ndarray) -> np.ndarray:
+    """A read-only float64 copy of a float64 array, over a bytes object: no flag
+    makes it writable, and no array reachable through its base can be written."""
+    return np.frombuffer(array.tobytes()).reshape(array.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable feature matrix with optional binary labels.
@@ -60,6 +66,9 @@ class Dataset:
     features : (n, d) float64 array, every value finite, n >= 1, d >= 1.
     labels : length-n float64 array of 0.0/1.0, or None for unlabeled data.
     feature_names : d column names in file order.
+
+    Built only by this constructor, load_csv included, which checks the fields
+    and stores each array as a frozen_copy; copies and pickles call it again.
     """
 
     features: np.ndarray
@@ -67,32 +76,20 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        self._hold(self.features, self.labels, self.feature_names, copy=True)
-
-    @classmethod
-    def _adopt(cls, features, labels, feature_names) -> "Dataset":
-        """A Dataset holding these float64 arrays themselves, not copies, for
-        arrays over buffers no caller holds: they are checked as a caller's
-        copies are, then made read-only."""
-        dataset = object.__new__(cls)
-        dataset._hold(features, labels, feature_names, copy=False)
-        return dataset
-
-    def _hold(self, features, labels, feature_names, copy: bool):
-        """Check the fields and store them, the arrays as float64 views of a read-only
-        memoryview, which no flag makes writable: of copies, or (copy False) of the arrays given."""
-        features = np.array(float_array(features, "features", (None, None), finite=True), copy=copy)
+        features = float_array(self.features, "features", (None, None), finite=True)
         n, d = features.shape
         if n < 1 or d < 1:
             raise DataError("dataset needs at least one row and one feature column")
-        object.__setattr__(self, "features", np.asarray(memoryview(features).toreadonly()))
+        object.__setattr__(self, "features", frozen_copy(features))
 
-        if labels is not None:
-            labels = np.array(float_array(labels, "labels", (n,)), copy=copy)
-            labels = np.asarray(memoryview(binary_labels(labels)).toreadonly())
-        object.__setattr__(self, "labels", labels)
+        if self.labels is not None:
+            labels = binary_labels(float_array(self.labels, "labels", (n,)))
+            object.__setattr__(self, "labels", frozen_copy(labels))
 
-        object.__setattr__(self, "feature_names", valid_feature_names(feature_names, d))
+        object.__setattr__(self, "feature_names", valid_feature_names(self.feature_names, d))
+
+    def __reduce__(self):
+        return Dataset, (self.features, self.labels, self.feature_names)
 
     @property
     def n_rows(self) -> int:
@@ -168,12 +165,10 @@ def _read_rows(path, reader, expect_labels: bool) -> Dataset:
                 )
             labels.append(label)
         features.extend(values)
-    # views of the arrays just filled, so the Dataset need not copy them
     features = np.frombuffer(features).reshape(-1, d)
     if not len(features):
         error = EmptyDatasetError(f"{path}: no data rows")
         error.features = features
         raise error
-    labels = np.frombuffer(labels) if has_labels else None
-    return Dataset._adopt(features, labels, tuple(feature_names))
+    return Dataset(features, labels if has_labels else None, tuple(feature_names))
 

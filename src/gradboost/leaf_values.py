@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import binary_labels, float_array
+from .dataset import binary_labels, float_array, frozen_copy
 
 NEWTON_DENOMINATOR_FLOOR = 1e-12
 EXACT_LEAF_BOUND = 30.0
@@ -58,8 +58,8 @@ def total_loss(labels, scores) -> float:
 
 @dataclass(frozen=True)
 class LeafSample:
-    """The instances routed to one leaf: binary labels, the scores the model
-    assigned them before this leaf's update, and those scores' sigmoid."""
+    """The instances routed to one leaf, as flat frozen_copy arrays: binary labels,
+    the scores the model assigned them before this leaf's update, their sigmoid."""
 
     labels: np.ndarray
     prior_scores: np.ndarray
@@ -70,9 +70,12 @@ class LeafSample:
         labels, scores = labels.reshape(-1), scores.reshape(-1)
         if labels.size == 0:
             raise ValueError("a leaf sample must hold at least one instance")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "prior_scores", scores)
-        object.__setattr__(self, "prior_probs", sigmoid(scores))
+        object.__setattr__(self, "labels", frozen_copy(labels))
+        object.__setattr__(self, "prior_scores", frozen_copy(scores))
+        object.__setattr__(self, "prior_probs", frozen_copy(sigmoid(scores)))
+
+    def __reduce__(self):
+        return LeafSample, (self.labels, self.prior_scores)
 
 
 def leaf_value_terms(labels: np.ndarray, probs: np.ndarray) -> tuple[float, float]:

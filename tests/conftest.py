@@ -1,4 +1,6 @@
+import copy
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +114,26 @@ def write_csv(dataset, path):
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+# a value as it is and as each way of copying it returns it
+COPIES = {
+    "as-is": lambda value: value,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def assert_frozen_over_bytes(array):
+    """No flag makes array writable, and its chain of bases holds only
+    read-only arrays and ends at a bytes object, which nothing can write."""
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        array.setflags(write=True)
+    while isinstance(array, np.ndarray):
+        assert not array.flags.writeable
+        array = array.base
+    assert type(array) is bytes
 
 
 # two rows of one feature that are not numbers, each with the dtype it is refused by

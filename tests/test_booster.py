@@ -467,6 +467,8 @@ class TestDegenerateData:
         left, right = trace.records[0].leaves
         assert left.members.size == 0
         assert (left.numerator, left.denominator, left.value) == (0.0, 0.0, 0.0)
+        # (0.0, 0.0, 0.0) also equals -0.0, which a model file would write as "gamma": -0.0
+        assert math.copysign(1.0, left.value) == 1.0
         np.testing.assert_array_equal(right.members, [0, 1, 2])
         assert right.value == pytest.approx(2.0 / 3.0, abs=1e-12)
         # every instance falls through the populated side

@@ -3,7 +3,6 @@
 import math
 import re
 import tempfile
-import tracemalloc
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from gradboost import DataError, Dataset, EmptyDatasetError, Model, load_csv
 from gradboost import dataset as dataset_module
 
-from conftest import NOT_NUMBERS, write_csv
+from conftest import COPIES, NOT_NUMBERS, assert_frozen_over_bytes, write_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -248,18 +247,26 @@ class TestDatasetInvariants:
             with pytest.raises(ValueError, match="WRITEABLE"):
                 array.setflags(write=True)
 
-    def test_loading_keeps_one_copy_of_the_matrix(self, tmp_path):
-        rng = np.random.default_rng(0)
-        rows = "".join(",".join(map(repr, row)) + "\n" for row in rng.normal(size=(4000, 6)).tolist())
-        path = _write(tmp_path, "a,b,c,d,e,f\n" + rows)
-        tracemalloc.start()
-        try:
-            dataset = load_csv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a second copy of the matrix would take the peak past twice its size
-        assert peak < 1.75 * dataset.features.nbytes
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    def test_every_copy_holds_frozen_copies_over_bytes(self, source, how, six_points, six_csv):
+        original = six_points if source == "built" else load_csv(six_csv)
+        dataset = COPIES[how](original)
+        assert type(dataset) is Dataset and dataset.feature_names == original.feature_names
+        for array, first in [(dataset.features, original.features), (dataset.labels, original.labels)]:
+            assert array.dtype == np.float64 and array.shape == first.shape
+            assert array.tobytes() == first.tobytes()
+            assert_frozen_over_bytes(array)
+        with pytest.raises(ValueError, match="read-only"):
+            dataset.labels[0] = 0.5
+        with pytest.raises(AttributeError):  # a base is an array or bytes, never a writable exporter
+            dataset.labels.base.obj[0] = 0.5
+        assert dataset.labels.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+
+    def test_an_unlabeled_copy_stays_unlabeled(self, six_points):
+        unlabeled = Dataset(six_points.features, None, ("x",))
+        for how, make in COPIES.items():
+            assert make(unlabeled).labels is None, how
 
 
 def _reference_parse_number(path, row_num, column, cell):

@@ -24,7 +24,7 @@ from gradboost import (
 from gradboost import leaf_values
 from gradboost.leaf_values import EXACT_LEAF_BOUND, EXACT_LEAF_TOL
 
-from conftest import NOT_NUMBERS
+from conftest import COPIES, NOT_NUMBERS, assert_frozen_over_bytes
 
 
 # zero of both signs, the smallest subnormal and normal, where exp(-|z|) leaves
@@ -217,6 +217,25 @@ class TestLeafSample:
         with pytest.raises(TypeError):
             LeafSample(np.array([1.0]), np.array([0.0]), np.array([0.5]))
 
+    def test_a_callers_arrays_are_copied(self):
+        labels, scores = np.array([1.0, 1.0, 0.0]), np.zeros(3)
+        sample = LeafSample(labels, scores)
+        values = newton_leaf_value(sample), leaf_loss(0.0, sample), exact_leaf_value(sample)
+        labels[:], scores[:] = 0.0, 5.0
+        assert (newton_leaf_value(sample), leaf_loss(0.0, sample), exact_leaf_value(sample)) == values
+        assert sample.labels.tolist() == [1.0, 1.0, 0.0] and sample.prior_scores.tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("how", COPIES)
+    def test_every_copy_holds_frozen_copies_over_bytes(self, how):
+        original = _sample([[1, 0], [0, 1]], [[0.5, -2.0], [3.0, 0.0]])
+        sample = COPIES[how](original)
+        assert type(sample) is LeafSample
+        for name in ("labels", "prior_scores", "prior_probs"):
+            array, first = getattr(sample, name), getattr(original, name)
+            assert array.dtype == np.float64 and array.shape == (4,)
+            assert array.tobytes() == first.tobytes()
+            assert_frozen_over_bytes(array)
+
 
 class TestNewtonStep:
     def test_two_thirds_on_fresh_mixed_leaf(self):
@@ -280,6 +299,8 @@ class TestNewtonStep:
     def test_raw_step_helper(self):
         assert newton_step(0.5, 0.75) == 0.5 / 0.75
         assert newton_step(1.0, 0.0) == 1.0 / NEWTON_DENOMINATOR_FLOOR
+        # an empty leaf's step: +0.0, which a model file writes as 0.0, not -0.0
+        assert math.copysign(1.0, newton_step(0.0, 0.0)) == 1.0
 
 
 class TestLeafLoss:

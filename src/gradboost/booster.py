@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataError, Dataset, valid_feature_names
+from .dataset import DataError, Dataset, float_array, valid_feature_names
 from .leaf_values import LeafSample  # not called here; bench/tracing.py wraps booster.LeafSample
 from .leaf_values import leaf_value_terms, newton_step, sigmoid, total_loss
 from .tree import (
@@ -134,7 +134,8 @@ class Model:
         cells, row_starts = matrix_cells(features, self.n_features)
         scores = np.zeros(len(row_starts))
         for tree in self.trees:
-            scores += self.learning_rate * np.array(tree.value).take(tree._route(cells, row_starts))
+            values = float_array(tree.value, "leaf values")
+            scores += self.learning_rate * values.take(tree._route(cells, row_starts))
         return scores
 
     def predict_proba(self, x) -> float:
@@ -252,9 +253,10 @@ def load_model(path) -> Model:
 class LeafRecord:
     """Audit record for one leaf of one iteration.
 
-    members holds ascending 0-based instance indices; denominator is the raw
-    p(1-p) sum before the division floor is applied.  Records compare and
-    hash by identity, as their array fields have no single truth value.
+    members holds ascending 0-based instance indices, read-only; denominator
+    is the raw p(1-p) sum before the division floor is applied.  Records
+    compare and hash by identity, as their array fields have no single truth
+    value.  setflags(write=True) on members is the caller's own act.
     """
 
     leaf_id: int
@@ -269,6 +271,8 @@ class IterationRecord:
     """Everything one boosting iteration computed, in the order it happened.
 
     labels is the data set's label array, the same object in every record.
+    Every array field is read-only, and prior_probs is the previous record's
+    probs, not a copy; setflags(write=True) on one is the caller's own act.
     residuals, leaf_ids and total_loss are derived from the other fields on
     each read, so a whole trace holds none of them and no round computes a
     loss nobody reads: a new value each time, bit-equal to what the round
@@ -329,14 +333,26 @@ def _leaf_terms(leaf_rows, y, probs) -> list[tuple[int, np.ndarray, float, float
     return terms
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array itself, flagged read-only with every array it views (np.flatnonzero
+    gives a view): a trace's arrays refuse writes, at no copy."""
+    view = array
+    while isinstance(view, np.ndarray):
+        view.setflags(write=False)
+        view = view.base
+    return array
+
+
 def _round(iteration, tree, terms, y, scores, prior_probs, learning_rate) -> IterationRecord:
     """One round's record: a copy of scores advanced by learning_rate times each
-    leaf's value over its members (terms and tree.leaves() run left to right)."""
+    leaf's value over its members (terms and tree.leaves() run left to right).
+    Its scores, probs and members are read-only once built."""
     scores, leaves = scores.copy(), []
     for (leaf_id, members, numerator, denominator), leaf in zip(terms, tree.leaves()):
         scores[members] += learning_rate * leaf.value
-        leaves.append(LeafRecord(leaf_id, members, numerator, denominator, leaf.value))
-    return IterationRecord(iteration, y, prior_probs, scores, sigmoid(scores), tuple(leaves))
+        leaves.append(LeafRecord(leaf_id, _read_only(members), numerator, denominator, leaf.value))
+    probs = _read_only(sigmoid(_read_only(scores)))
+    return IterationRecord(iteration, y, prior_probs, scores, probs, tuple(leaves))
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
@@ -357,7 +373,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
         for f, t in config.forced_splits or ()
         for stump in [RegressionTree(Split(f, t, Leaf(1, 0.0), Leaf(2, 0.0)), dataset.n_features)]
     ]
-    scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
+    scores, probs = np.zeros(dataset.n_rows), _read_only(np.full(dataset.n_rows, 0.5))
     trees, records = [], []
     for m in range(config.n_trees):
         tree, leaf_rows = stumps[m] if stumps else fit_tree(
@@ -384,7 +400,7 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
         raise ValueError("replay requires a labeled dataset")
     model.check_width(dataset.features)
     X, y = dataset.features, dataset.labels
-    scores, probs = np.zeros(dataset.n_rows), np.full(dataset.n_rows, 0.5)
+    scores, probs = np.zeros(dataset.n_rows), _read_only(np.full(dataset.n_rows, 0.5))
     records = []
     for m, tree in enumerate(model.trees, start=1):
         terms = _leaf_terms(tree.leaf_assignment(X).values(), y, probs)

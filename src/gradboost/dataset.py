@@ -18,15 +18,21 @@ class EmptyDatasetError(DataError):
     """A CSV file had a header row but no data rows; features is the header's (0, d) matrix."""
 
 
+# the dtype every native float64 array carries, the one float_array returns unconverted
+FLOAT64 = np.dtype(np.float64)
+
+
 def float_array(values, what: str, shape=None, finite: bool = False) -> np.ndarray:
-    """values as a float64 array, not copied when it is one, else a DataError naming
-    what is wrong: a dtype other than signed, unsigned or floating numbers (bools,
-    strings), a shape other than shape, when given (None in it matches any
-    length), or, with finite, a NaN or an infinity."""
+    """values as a float64 array, else a DataError naming what is wrong: a dtype
+    other than signed, unsigned or floating numbers (bools, strings), a shape
+    other than shape, when given (None in it matches any length), or, with
+    finite, a NaN or an infinity.  A native float64 array is returned itself,
+    with no dtype test and no conversion call."""
     array = np.asarray(values)
-    if array.dtype.kind not in "iuf":
-        raise DataError(f"{what} must hold numbers, got dtype {array.dtype}")
-    array = array.astype(np.float64, copy=False)
+    if array.dtype is not FLOAT64:
+        if array.dtype.kind not in "iuf":
+            raise DataError(f"{what} must hold numbers, got dtype {array.dtype}")
+        array = array.astype(np.float64, copy=False)
     # an equal shape settles it without the generator, which would double a row's check
     if shape is not None and array.shape != shape and (
         array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape))

@@ -193,7 +193,7 @@ class RegressionTree:
         # so a row stays there (feature -1 reads the previous cell, which decides nothing)
         n_nodes = len(self.feature)
         feature = np.array(self.feature, dtype=np.intp)
-        threshold = np.array(self.threshold, dtype=np.float64)
+        threshold = float_array(self.threshold, "thresholds")
         index, leaf = np.arange(n_nodes), feature < 0
         children = np.concatenate((np.where(leaf, index, self.right), index + ~leaf))
         nodes = np.zeros(len(row_starts), dtype=np.intp)

@@ -600,6 +600,24 @@ class TestReplay:
         assert leaf == leaf and leaf != again.records[0].leaves[0]
         assert len({hash(trace), hash(record), hash(leaf)}) == 3
 
+    @pytest.mark.parametrize("source", ["train", "replay"])
+    def test_every_record_array_refuses_a_write(self, six_points, source):
+        model, trace = train(six_points, TrainConfig(n_trees=3, max_depth=2))
+        if source == "replay":
+            trace = replay(model, six_points)
+        losses = [record.total_loss for record in trace.records]
+        for record in trace.records:
+            members = [leaf.members for leaf in record.leaves]
+            for array in (record.labels, record.prior_probs, record.scores, record.probs, *members):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:] = 50
+                while isinstance(array, np.ndarray):  # nor through an array it views
+                    assert not array.flags.writeable
+                    array = array.base
+        assert [record.total_loss for record in trace.records] == losses
+        for before, record in zip(trace.records, trace.records[1:]):
+            assert record.prior_probs is before.probs  # read-only in place, never copied
+
     def test_a_trace_of_no_rounds_has_no_final_loss(self):
         model = Model((), 0.1, 1, ("x",))
         trace = replay(model, Dataset(np.array([[1.0]]), np.array([1.0]), ("x",)))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gradboost import DataError, Dataset, EmptyDatasetError, Model, load_csv
 from gradboost import dataset as dataset_module
+from gradboost.dataset import FLOAT64, float_array
 
 from conftest import COPIES, NOT_NUMBERS, assert_frozen_over_bytes, write_csv
 
@@ -267,6 +268,81 @@ class TestDatasetInvariants:
         unlabeled = Dataset(six_points.features, None, ("x",))
         for how, make in COPIES.items():
             assert make(unlabeled).labels is None, how
+
+
+INTEGER_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]
+
+
+def _integer_cells(dtype):
+    info = np.iinfo(dtype)
+    return np.array([[info.min, 0], [1, info.max]], dtype=dtype)
+
+
+def _float_cells(dtype):
+    info = np.finfo(dtype)
+    cells = [[0.1, -0.0], [info.max, info.smallest_subnormal]]
+    return np.array(cells, dtype=dtype)
+
+
+class TestFloatArray:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.array([0.5, -1.0, 2.0]),
+            lambda: np.arange(12.0).reshape(4, 3),
+            lambda: Dataset(np.array([[1.0], [2.0]]), np.array([0.0, 1.0]), ("x",)).features,
+            lambda: np.arange(24.0).reshape(4, 6)[::2, 1::3],
+        ],
+        ids=["row", "matrix", "dataset-array", "strided-view"],
+    )
+    def test_a_native_float64_array_comes_back_itself(self, make):
+        array = make()
+        assert array.dtype is FLOAT64
+        assert float_array(array, "x") is array
+        assert float_array(array, "x", array.shape, finite=True) is array
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            *(pytest.param(_integer_cells(dtype), id=dtype) for dtype in INTEGER_DTYPES),
+            *(pytest.param(_float_cells(dtype), id=dtype) for dtype in ["float16", "float32", ">f8"]),
+            pytest.param([[1, 2.5], [-0.0, 1e300]], id="list"),
+            pytest.param(((1, 2.5), (-0.0, 1e300)), id="tuple"),
+        ],
+    )
+    def test_other_numbers_become_a_bit_equal_native_float64_array(self, values):
+        array = float_array(values, "x")
+        assert array.dtype is FLOAT64 and array.shape == np.shape(values)
+        # Python's float() of each cell, an exact conversion but for rounding an int64 or uint64 extreme
+        expected = [[float(cell) for cell in row] for row in np.asarray(values).tolist()]
+        assert array.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            *(param.values for param in NOT_NUMBERS),
+            (np.array([b"1.5", b"2.5"]), "|S3"),
+            (np.array([1.5 + 0j, 2.5]), "complex128"),
+        ],
+        ids=[*(param.id for param in NOT_NUMBERS), "bytes", "complex"],
+    )
+    def test_what_is_not_numbers_is_refused_naming_its_dtype(self, values, dtype):
+        with pytest.raises(DataError, match=re.escape(f"x must hold numbers, got dtype {dtype}")):
+            float_array(values, "x")
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"], ids=["native", "converted"])
+    def test_shape_and_finiteness_are_checked_on_both_branches(self, dtype):
+        cells = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=dtype)
+        assert float_array(cells, "x", (None, 2), finite=True).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        for shape, expected in [((None, 3), "(*, 3)"), ((2,), "(2,)"), ((3, None), "(3, *)")]:
+            with pytest.raises(DataError, match=re.escape(f"x must have shape {expected}, got (2, 2)")):
+                float_array(cells, "x", shape)
+        for bad in (np.nan, np.inf, -np.inf):
+            with_bad = cells.copy()
+            with_bad[1, 0] = bad
+            assert float_array(with_bad, "x", (2, 2)).shape == (2, 2)  # finite is opt-in
+            with pytest.raises(DataError, match="x must be finite, got a NaN or an infinity"):
+                float_array(with_bad, "x", (2, 2), finite=True)
 
 
 def _reference_parse_number(path, row_num, column, cell):

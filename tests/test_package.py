@@ -33,8 +33,8 @@ UNUSED_BUT_WRAPPED = {("booster", "LeafSample")}
 TEST_ORACLES = {"RegressionTree.apply"}
 
 # dataset.float_array reads every argument as float64, refusing what is not
-# numbers; RegressionTree._route converts the tree's own tuples
-FLOAT64_CONVERSIONS = {("dataset", "float_array"), ("tree", "RegressionTree._route")}
+# numbers: the tree's own threshold and value tuples go through it too
+FLOAT64_CONVERSIONS = {("dataset", "float_array")}
 
 # float_array(..., finite=True) is the one np.isfinite check of an array; a
 # single row sums its cells instead (tree.row_values), which is far cheaper
@@ -108,15 +108,18 @@ def test_every_public_name_has_a_caller():
 
 
 def _is_float64_conversion(call: ast.Call) -> bool:
-    """np.asarray or np.array with dtype np.float64 or float, or .astype(np.float64)."""
-    if ast.unparse(call.func) in ("np.asarray", "np.array"):
+    """np.asarray or np.array with dtype np.float64 or float, np.array with no
+    dtype, which makes float64 of floats, or .astype(np.float64)."""
+    function = ast.unparse(call.func)
+    if function in ("np.asarray", "np.array"):
         dtypes = call.args[1:2]
     elif isinstance(call.func, ast.Attribute) and call.func.attr == "astype":
         dtypes = call.args[:1]
     else:
         return False
     dtypes += [keyword.value for keyword in call.keywords if keyword.arg == "dtype"]
-    return any(ast.unparse(dtype) in ("np.float64", "float") for dtype in dtypes)
+    bare = function == "np.array" and not dtypes
+    return bare or any(ast.unparse(dtype) in ("np.float64", "float") for dtype in dtypes)
 
 
 def _scopes_calling(is_call):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -124,12 +125,20 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
     """Read a header-first CSV; a trailing "label" column becomes the labels.
 
     expect_labels requires that column to exist.  Rows are reported 1-based,
-    counting from the first data row.  Rows are parsed as they are read, so of
-    two faults the one earlier in the file is reported.  Raises
-    EmptyDatasetError when the file holds a header but no rows, and DataError
-    for every other violation.
+    counting from the first data row.  Raises EmptyDatasetError when the file
+    holds a header but no rows, and DataError for every other violation.
+
+    The body is parsed in one numpy pass (_parse_at_once).  A file that pass
+    refuses, or might read otherwise than the row parser, is read again by
+    _read_rows, which parses rows as it reads them, so of two faults the one
+    earlier in the file is reported.  It alone words every message.
     """
     with open(path, newline="", encoding="utf-8") as fh:
+        if fh.seekable():  # a pipe cannot be read a second time
+            dataset = _parse_at_once(path, fh, expect_labels)
+            if dataset is not None:
+                return dataset
+            fh.seek(0)
         try:
             return _read_rows(path, csv.reader(fh), expect_labels)
         except UnicodeDecodeError as exc:
@@ -138,17 +147,64 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
             raise DataError(f"{path}: {exc}") from None
 
 
-def _read_rows(path, reader, expect_labels: bool) -> Dataset:
+class _Declined(Exception):
+    """A file that the one-pass parse leaves to the row parser."""
+
+
+# lines np.loadtxt skips, where the row parser reads a row of no cells
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
+def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
+    """load_csv's Dataset from one np.loadtxt pass over the body of fh, or None
+    when the row parser must read the file: a fault of any kind (DataError,
+    UnicodeDecodeError and loadtxt's own refusals are ValueErrors), a header
+    with no rows (loadtxt's "input contained no data" UserWarning), or a line
+    the pass might read otherwise than csv.reader and float() do."""
+    limit = csv.field_size_limit()
+    n_lines = 0
+
+    def body():
+        nonlocal n_lines
+        for line in fh:
+            # a line longer than the field limit may hold a cell csv.reader
+            # refuses; loadtxt strips \x1c-\x1f from a cell as whitespace, float() does not
+            if (len(line) > limit or line in _BLANK_LINES
+                    or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+                raise _Declined
+            n_lines += 1
+            yield line
+
+    try:
+        header, has_labels = _read_header(path, csv.reader(fh), expect_labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            cells = np.loadtxt(body(), delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        if cells.shape != (n_lines, len(header)):
+            raise _Declined
+        d = len(header) - has_labels
+        # the constructor checks that every feature is finite and every label 0 or 1
+        return Dataset(cells[:, :d], cells[:, d] if has_labels else None, tuple(header[:d]))
+    except (ValueError, UserWarning, csv.Error, _Declined):
+        return None
+
+
+def _read_header(path, reader, expect_labels: bool) -> tuple[list[str], bool]:
+    """The header row and whether its last column, "label", holds the labels."""
     header = next(reader, None)
     if not header:
         raise DataError(f"{path}: empty file, expected a header row")
     has_labels = header[-1] == "label"
     if expect_labels and not has_labels:
         raise DataError(f'{path}: expected the last column to be named "label", got {header[-1]!r}')
-    feature_names = header[:-1] if has_labels else header
-    if not feature_names:
+    if header == ["label"]:
         raise DataError(f"{path}: no feature columns")
+    return header, has_labels
 
+
+def _read_rows(path, reader, expect_labels: bool) -> Dataset:
+    header, has_labels = _read_header(path, reader, expect_labels)
+    feature_names = header[:-1] if has_labels else header
     d, width = len(feature_names), len(header)
     features, labels = array("d"), array("d")
     for row_num, row in enumerate(reader, start=1):

@@ -366,6 +366,27 @@ class TestDataErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n"], ids=["header-only", "blank", "blanks"])
+    @pytest.mark.parametrize("command", ["train", "predict", "trace"])
+    def test_a_file_of_no_rows_gives_one_error_line_and_no_warning(
+        self, trained, tmp_path, capsys, command, body
+    ):
+        # numpy's loadtxt warns on a body with no data; load_csv hands such a
+        # file to its row parser, so only that parser's one line reaches stderr
+        data = _write(tmp_path, "x,label\n" + body)
+        argv = [command, "--data", str(data)] + ["--model", str(trained.model)] * (command != "train")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        if body:
+            expected = EXIT_DATA, f"error: {data}: row 1 has 0 cells, expected 2\n"
+        elif command == "predict":  # a header of the model's width is a matrix of no rows
+            expected = EXIT_OK, ""
+        else:
+            expected = EXIT_DATA, f"error: {data}: no data rows\n"
+        assert (code, capsys.readouterr().err) == expected
+        assert caught == []
+
     def test_trace_requires_labels(self, trained, tmp_path, capsys):
         data = _write(tmp_path, "x\n1\n")
         code = main(["trace", "--model", str(trained.model), "--data", str(data)])

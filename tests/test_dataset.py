@@ -1,8 +1,12 @@
 """Dataset loading, validation, and CSV round-trip behavior."""
 
+import csv
 import math
+import os
 import re
 import tempfile
+import threading
+import tracemalloc
 from array import array
 from pathlib import Path
 from unittest import mock
@@ -405,20 +409,43 @@ def _outcome(path, expect_labels):
         return type(exc), str(exc)
 
 
+def _row_parser_outcome(path, expect_labels, read_rows=dataset_module._read_rows):
+    """_outcome with the one-pass parse switched off, so read_rows reads every row."""
+    with mock.patch.object(dataset_module, "_parse_at_once", return_value=None):
+        with mock.patch.object(dataset_module, "_read_rows", read_rows):
+            return _outcome(path, expect_labels)
+
+
+def _one_pass(path):
+    """The one-pass parse alone: load_csv's Dataset, or None where it defers."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return dataset_module._parse_at_once(path, fh, False)
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
-    st.integers(1_000, 10**9).map("{:_}".format),  # 1_000-style cells
     st.floats(-1e3, 1e3).map(lambda v: f" {v!r}\t"),  # padded cells
     st.sampled_from(["1e308", "-1e308", "1.7e308", "0", "-0.0", "+1", ".5", "1E-320"]),
 )
-_FAULTS = ("oops", "nan", "inf", "-inf", "NaN", "", "2", "label", "drop", "extra")
+# cells the two parsers might read apart: quotes, comments, digits float()
+# takes and loadtxt does not, a BOM, non-finite spellings, subnormals, and
+# padding float() refuses that loadtxt strips as whitespace
+_HAZARDS = (
+    '"1"', '"0,5"', "#1", "1#", "1_0", "1_000_000", "\uff11", "\ufeff1", "Infinity", "-iNF", "1e999",
+    "5e-324", "-0", " ", "\t1 ", "\x1c1", "1\x1f", "1\x00",
+)
+_FAULTS = ("oops", "nan", "inf", "-inf", "NaN", "", "2", "label", "drop", "extra", *_HAZARDS)
+# rows cut into no cells or whitespace alone, which loadtxt skips or reads apart
+_LINE_FAULTS = ((), (" ",), ("\t ",))
 
 
 @st.composite
 def csv_texts(draw):
-    """(CSV text, expect_labels): a labeled or unlabeled file of 1 to 6 rows,
-    with up to two cells replaced by a fault or a row cut short or made long."""
+    """(CSV text, expect_labels, field limit or None): a labeled or unlabeled
+    file of 1 to 6 rows, with up to two cells replaced by a fault or a row cut
+    short or made long, up to two blank or whitespace lines, any line ending,
+    and perhaps a BOM or a csv field limit some cells pass."""
     d = draw(st.integers(1, 3))
     has_labels = draw(st.booleans())
     header = [f"f{j}" for j in range(d)] + (["label"] if has_labels else [])
@@ -438,21 +465,131 @@ def csv_texts(draw):
             rows[r].append("1")
         elif c < len(rows[r]):
             rows[r][c] = fault
-    text = "".join(",".join(row) + "\n" for row in [header, *rows])
-    return text, has_labels and draw(st.booleans())
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(_LINE_FAULTS))))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(",".join(row) for row in [header, *rows])
+    text = "\ufeff" * draw(st.booleans()) + text + ending * draw(st.booleans())
+    limit = draw(st.sampled_from([None, None, None, 12, 24]))
+    return text, has_labels and draw(st.booleans()), limit
 
 
-@settings(max_examples=150)
+@settings(max_examples=400)
 @given(csv_texts())
 def test_one_parse_per_row_matches_the_cell_by_cell_reader(case):
-    text, expect_labels = case
+    # the reference runs the row parser alone, the real one and the
+    # cell-by-cell one: load_csv, one-pass parse first, gives the same bits
+    # or the same error text, whatever it leaves to the row parser
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_the_parsers_agree(Path(tmp), *case)
+
+
+def _assert_the_parsers_agree(tmp_path, text, expect_labels, limit=None):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    default_limit = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        loaded = _outcome(path, expect_labels)
+        row_parser = _row_parser_outcome(path, expect_labels)
+        reference = _row_parser_outcome(path, expect_labels, _reference_read_rows)
+    finally:
+        csv.field_size_limit(default_limit)
+    assert loaded == row_parser == reference
+
+
+_HAZARD_FILES = [
+    *(("a,b\n1,2\n{},3\n".format(cell), False) for cell in _HAZARDS),
+    *(("a,b\n1,2\n3,{}\n".format(cell), False) for cell in _HAZARDS),
+    *(("a,label\n1,0\n2,{}\n".format(cell), True) for cell in _HAZARDS),
+    *((f"a{end}1{end}{line}{end}2{end}", False) for end in "\n\r" for line in ("", " ", "\t ")),
+    *((f"a{end}1{end}{line}{end}", False) for end in ("\n", "\r\n", "\r") for line in ("", " ")),
+    ("\ufeffa,b\n1,2\n", False),
+    ("a,b\n1,2\n\ufeff3,4\n", False),
+]
+
+
+@pytest.mark.parametrize("text, expect_labels", _HAZARD_FILES, ids=map(repr, range(len(_HAZARD_FILES))))
+def test_a_hazard_in_a_clean_file_is_read_as_the_row_parser_reads_it(tmp_path, text, expect_labels):
+    _assert_the_parsers_agree(tmp_path, text, expect_labels)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n1234567890123,1\n",  # a cell one past a limit of 12
+    "a,b\n123456789012,123456789012\n",  # two cells at it, on a line past it
+    "a\n1234567890123",  # a last line, with no line ending, one past it
+])
+def test_a_lowered_field_limit_is_read_as_the_row_parser_reads_it(tmp_path, text):
+    default_limit = csv.field_size_limit()
+    _assert_the_parsers_agree(tmp_path, text, False, limit=12)
+    assert csv.field_size_limit() == default_limit
+
+
+def test_a_clean_file_is_read_by_the_one_pass_parse_alone(tmp_path):
+    texts = ["x,y,label\n1,-0.0,0\n2.5,1e-320,1\n", "x\r\n1\r\n2\r\n", "x,y\r1,2\r3,4"]
+    with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError("row parser ran")):
+        for n, text in enumerate(texts):
+            path = tmp_path / f"{n}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _fields(load_csv(path)) == _row_parser_outcome(path, False)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text", ["x,label\n1,0\n2,1\n", "x,label\n1,0\n2,7\n"], ids=["clean", "fault"])
+def test_a_pipe_is_read_once_by_the_row_parser(tmp_path, text):
+    # a pipe cannot be read a second time, so no one-pass parse may consume it first
+    pipe, regular = tmp_path / "pipe.csv", _write(tmp_path, text)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer.start()
+    piped = _outcome(pipe, True)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    expected = _outcome(regular, True)
+    if expected[0] is DataError:
+        expected = DataError, expected[1].replace(str(regular), str(pipe))
+    assert piped == expected
+
+
+_SIGNIFICANDS = st.integers(17, 40).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+_EXACT_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]).map(repr),
+    st.builds(  # 17 to 40 significant digits, whose rounding float() settles
+        lambda sign, digits, exponent: f"{sign}{str(digits)[0]}.{str(digits)[1:]}e{exponent}",
+        st.sampled_from(["", "-", "+"]), _SIGNIFICANDS, st.integers(-340, 307),
+    ),
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), st.integers(2**53 + 1, 10**300)),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_EXACT_CELLS, min_size=1, max_size=20))
+def test_the_one_pass_parse_reads_each_cell_to_the_bits_float_gives(cells):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
-        path.write_text(text, encoding="utf-8")
-        loaded = _outcome(path, expect_labels)
-        with mock.patch.object(dataset_module, "_read_rows", _reference_read_rows):
-            reference = _outcome(path, expect_labels)
-    assert loaded == reference
+        path.write_text("x\n" + "".join(f"{cell}\n" for cell in cells), encoding="utf-8")
+        dataset = _one_pass(path)
+    assert dataset is not None
+    assert dataset.features.tobytes() == array("d", map(float, cells)).tobytes()
+
+
+def test_load_csv_peaks_at_most_three_matrices(tmp_path):
+    # measured: the row parser peaks at 2.1 times the matrix, the one-pass
+    # parse at 2.0, and np.loadtxt over the whole body read into one string at 13.5
+    rows = np.random.default_rng(0).normal(size=(10_000, 6)).tolist()
+    path = tmp_path / "data.csv"
+    path.write_text("a,b,c,d,e,f\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    tracemalloc.start()
+    try:
+        dataset = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.features.shape == (10_000, 6)
+    assert peak <= 3 * dataset.features.nbytes
 
 
 def test_a_row_of_finite_cells_whose_sum_overflows_is_read(tmp_path):

@@ -2,8 +2,9 @@
 and read by the package, a demo, the benchmark or the README's code, as is
 every public method and property of an exported class; no module of the
 package, its tests or demos imports a name it never uses; values become
-float64, and are checked finite, in one place; the suite's one hypothesis
-profile; and the README's library quickstart runs."""
+float64, are checked finite, and a CSV body is parsed by numpy, in one place
+each; the suite's one hypothesis profile; and the README's library
+quickstart runs."""
 
 import ast
 import contextlib
@@ -39,6 +40,10 @@ FLOAT64_CONVERSIONS = {("dataset", "float_array")}
 # float_array(..., finite=True) is the one np.isfinite check of an array; a
 # single row sums its cells instead (tree.row_values), which is far cheaper
 FINITENESS_CHECKS = {("dataset", "float_array")}
+
+# load_csv parses a CSV body with numpy in one place, which defers every file
+# it might read otherwise than the row parser, _read_rows, to that parser
+BODY_PARSES = {("dataset", "_parse_at_once")}
 
 
 def test_all_lists_each_exported_name_once():
@@ -147,6 +152,10 @@ def test_values_become_float64_only_through_float_array():
 
 def test_arrays_are_checked_finite_only_in_float_array():
     assert _scopes_calling(lambda call: ast.unparse(call.func) == "np.isfinite") == FINITENESS_CHECKS
+
+
+def test_numpy_parses_a_csv_body_only_in_load_csvs_one_pass():
+    assert _scopes_calling(lambda call: ast.unparse(call.func).endswith("loadtxt")) == BODY_PARSES
 
 
 def test_the_readme_library_quickstart_runs(monkeypatch):

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import DataError, Dataset, float_array, valid_feature_names
+from .dataset import DataError, Dataset, float_array, frozen_copy, valid_feature_names
 from .leaf_values import LeafSample  # not called here; bench/tracing.py wraps booster.LeafSample
 from .leaf_values import leaf_value_terms, newton_step, sigmoid, total_loss
 from .tree import (
@@ -253,10 +253,10 @@ def load_model(path) -> Model:
 class LeafRecord:
     """Audit record for one leaf of one iteration.
 
-    members holds ascending 0-based instance indices, read-only; denominator
-    is the raw p(1-p) sum before the division floor is applied.  Records
-    compare and hash by identity, as their array fields have no single truth
-    value.  setflags(write=True) on members is the caller's own act.
+    members holds ascending 0-based instance indices as a frozen_copy;
+    denominator is the raw p(1-p) sum before the division floor is applied.
+    Records compare and hash by identity, as their array fields have no
+    single truth value.
     """
 
     leaf_id: int
@@ -271,8 +271,8 @@ class IterationRecord:
     """Everything one boosting iteration computed, in the order it happened.
 
     labels is the data set's label array, the same object in every record.
-    Every array field is read-only, and prior_probs is the previous record's
-    probs, not a copy; setflags(write=True) on one is the caller's own act.
+    Every array field is a frozen_copy, and prior_probs is the previous
+    record's probs, the same object.
     residuals, leaf_ids and total_loss are derived from the other fields on
     each read, so a whole trace holds none of them and no round computes a
     loss nobody reads: a new value each time, bit-equal to what the round
@@ -333,25 +333,16 @@ def _leaf_terms(leaf_rows, y, probs) -> list[tuple[int, np.ndarray, float, float
     return terms
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """array itself, flagged read-only with every array it views (np.flatnonzero
-    gives a view): a trace's arrays refuse writes, at no copy."""
-    view = array
-    while isinstance(view, np.ndarray):
-        view.setflags(write=False)
-        view = view.base
-    return array
-
-
 def _round(iteration, tree, terms, y, scores, prior_probs, learning_rate) -> IterationRecord:
     """One round's record: a copy of scores advanced by learning_rate times each
     leaf's value over its members (terms and tree.leaves() run left to right).
-    Its scores, probs and members are read-only once built."""
+    Its scores, probs and members are each stored as a frozen_copy."""
     scores, leaves = scores.copy(), []
     for (leaf_id, members, numerator, denominator), leaf in zip(terms, tree.leaves()):
         scores[members] += learning_rate * leaf.value
-        leaves.append(LeafRecord(leaf_id, _read_only(members), numerator, denominator, leaf.value))
-    probs = _read_only(sigmoid(_read_only(scores)))
+        leaves.append(LeafRecord(leaf_id, frozen_copy(members), numerator, denominator, leaf.value))
+    scores = frozen_copy(scores)
+    probs = frozen_copy(sigmoid(scores))
     return IterationRecord(iteration, y, prior_probs, scores, probs, tuple(leaves))
 
 
@@ -373,7 +364,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Model, TrainingTrace]:
         for f, t in config.forced_splits or ()
         for stump in [RegressionTree(Split(f, t, Leaf(1, 0.0), Leaf(2, 0.0)), dataset.n_features)]
     ]
-    scores, probs = np.zeros(dataset.n_rows), _read_only(np.full(dataset.n_rows, 0.5))
+    scores, probs = np.zeros(dataset.n_rows), frozen_copy(np.full(dataset.n_rows, 0.5))
     trees, records = [], []
     for m in range(config.n_trees):
         tree, leaf_rows = stumps[m] if stumps else fit_tree(
@@ -392,15 +383,16 @@ def replay(model: Model, dataset: Dataset) -> TrainingTrace:
     """Recompute the per-iteration bookkeeping of a model on a labeled dataset.
 
     Each round groups the rows by leaf, sums every leaf's Newton terms, reads
-    its value off the model and advances the scores.  Each record's
-    prior_probs is the previous record's probs array, not a copy.  Over the
-    training data this is exactly the trace train returns.
+    its value off the model and advances the scores.  Every array a record
+    holds is a frozen_copy, and each record's prior_probs is the previous
+    record's probs, the same object.  Over the training data this is exactly
+    the trace train returns.
     """
     if dataset.labels is None:
         raise ValueError("replay requires a labeled dataset")
     model.check_width(dataset.features)
     X, y = dataset.features, dataset.labels
-    scores, probs = np.zeros(dataset.n_rows), _read_only(np.full(dataset.n_rows, 0.5))
+    scores, probs = np.zeros(dataset.n_rows), frozen_copy(np.full(dataset.n_rows, 0.5))
     records = []
     for m, tree in enumerate(model.trees, start=1):
         terms = _leaf_terms(tree.leaf_assignment(X).values(), y, probs)

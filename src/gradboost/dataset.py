@@ -61,9 +61,10 @@ def valid_feature_names(names, n_features: int) -> tuple[str, ...]:
 
 
 def frozen_copy(array: np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of a float64 array, over a bytes object: no flag
-    makes it writable, and no array reachable through its base can be written."""
-    return np.frombuffer(array.tobytes()).reshape(array.shape)
+    """A read-only copy of an array of any dtype, with its dtype and shape, over
+    a bytes object: no flag makes it writable, and no array reachable through
+    its base can be written."""
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
 
 
 @dataclass(frozen=True, eq=False)

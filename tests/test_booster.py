@@ -28,7 +28,7 @@ from gradboost import (
     train,
 )
 
-from conftest import NOT_NUMBERS
+from conftest import NOT_NUMBERS, assert_frozen_over_bytes
 
 # Every constant below was produced by an independent arbitrary-precision
 # walk of the three forced rounds (thresholds 3.5, 2.25, 5.25, shrinkage 0.1)
@@ -602,21 +602,26 @@ class TestReplay:
 
     @pytest.mark.parametrize("source", ["train", "replay"])
     def test_every_record_array_refuses_a_write(self, six_points, source):
-        model, trace = train(six_points, TrainConfig(n_trees=3, max_depth=2))
-        if source == "replay":
-            trace = replay(model, six_points)
-        losses = [record.total_loss for record in trace.records]
-        for record in trace.records:
-            members = [leaf.members for leaf in record.leaves]
-            for array in (record.labels, record.prior_probs, record.scores, record.probs, *members):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[:] = 50
-                while isinstance(array, np.ndarray):  # nor through an array it views
-                    assert not array.flags.writeable
-                    array = array.base
-        assert [record.total_loss for record in trace.records] == losses
-        for before, record in zip(trace.records, trace.records[1:]):
-            assert record.prior_probs is before.probs  # read-only in place, never copied
+        configs = [
+            TrainConfig(n_trees=3, max_depth=2),
+            TrainConfig(n_trees=1, forced_splits=((0, 100.0),)),  # its right leaf holds no rows
+        ]
+        for config in configs:
+            model, trace = train(six_points, config)
+            if source == "replay":
+                trace = replay(model, six_points)
+            final_loss, losses = trace.final_loss, [record.total_loss for record in trace.records]
+            for record in trace.records:
+                members = [leaf.members for leaf in record.leaves]
+                for array in (record.labels, record.prior_probs, record.scores, record.probs, *members):
+                    assert_frozen_over_bytes(array)  # setflags(write=True) raises
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[:] = 50
+            assert trace.final_loss == final_loss
+            assert [record.total_loss for record in trace.records] == losses
+            for before, record in zip(trace.records, trace.records[1:]):
+                assert record.prior_probs is before.probs  # the same object, not a copy
+        assert trace.records[0].leaves[1].members.size == 0  # an empty members array was checked
 
     def test_a_trace_of_no_rounds_has_no_final_loss(self):
         model = Model((), 0.1, 1, ("x",))

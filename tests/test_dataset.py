@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gradboost import DataError, Dataset, EmptyDatasetError, Model, load_csv
 from gradboost import dataset as dataset_module
-from gradboost.dataset import FLOAT64, float_array
+from gradboost.dataset import FLOAT64, float_array, frozen_copy
 
 from conftest import COPIES, NOT_NUMBERS, assert_frozen_over_bytes, write_csv
 
@@ -272,6 +272,19 @@ class TestDatasetInvariants:
         unlabeled = Dataset(six_points.features, None, ("x",))
         for how, make in COPIES.items():
             assert make(unlabeled).labels is None, how
+
+    @pytest.mark.parametrize("array", [
+        pytest.param(np.array([1.5, -0.0, 5e-324]), id="float64"),
+        pytest.param(np.array([0, 3, 5], dtype=np.intp), id="intp"),  # a trace leaf's members
+        pytest.param(np.array([], dtype=np.intp), id="empty-intp"),  # an empty leaf's members
+        pytest.param(np.arange(6.0).reshape(2, 3), id="2d-float64"),
+        pytest.param(np.arange(6.0).reshape(2, 3).T, id="2d-float64-transposed"),
+    ])
+    def test_frozen_copy_keeps_dtype_shape_and_bytes(self, array):
+        copy = frozen_copy(array)
+        assert copy.dtype == array.dtype and copy.shape == array.shape
+        assert copy.tobytes() == array.tobytes()
+        assert_frozen_over_bytes(copy)
 
 
 INTEGER_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64"]

@@ -45,6 +45,10 @@ FINITENESS_CHECKS = {("dataset", "float_array")}
 # it might read otherwise than the row parser, _read_rows, to that parser
 BODY_PARSES = {("dataset", "_parse_at_once")}
 
+# dataset.frozen_copy is the one way an array is frozen: a copy over a bytes
+# object, which no flag reopens, so no scope flags an array with setflags
+FREEZES = {("dataset", "frozen_copy")}
+
 
 def test_all_lists_each_exported_name_once():
     names = gradboost.__all__
@@ -156,6 +160,15 @@ def test_arrays_are_checked_finite_only_in_float_array():
 
 def test_numpy_parses_a_csv_body_only_in_load_csvs_one_pass():
     assert _scopes_calling(lambda call: ast.unparse(call.func).endswith("loadtxt")) == BODY_PARSES
+
+
+def _calls_method(name):
+    return lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == name
+
+
+def test_arrays_are_frozen_only_through_frozen_copy():
+    assert _scopes_calling(_calls_method("setflags")) == set()
+    assert _scopes_calling(_calls_method("tobytes")) == FREEZES
 
 
 def test_the_readme_library_quickstart_runs(monkeypatch):

@@ -69,7 +69,7 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     n = idx.size
     if n < 2 or n < 2 * min_count:
         return None
-    if np.all(node_res == node_res[0]):
+    if (node_res == node_res[0]).all():
         return None  # SSE is already zero, nothing to reduce
     total = math.fsum(node_res.tolist())
     total_sq = math.fsum((node_res * node_res).tolist())
@@ -77,27 +77,28 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     best, best_sse = None, max(0.0, total_sq - total * total / n)
     for f in range(X.shape[1]):
         col = X[idx, f]
-        order = np.argsort(col, kind="stable")
+        order = col.argsort(kind="stable")
         xs = col[order]
         rs = node_res[order]
         rs_sq = rs * rs
-        prefix = np.cumsum(rs)
-        prefix_sq = np.cumsum(rs_sq)
+        prefix = rs.cumsum()
+        prefix_sq = rs_sq.cumsum()
         # accumulate the right side from its own elements rather than
         # subtracting from the node total: subtraction leaves cancellation
         # noise that can perturb exactly tied candidates off the documented
         # lowest-feature/lowest-threshold tie-break
-        suffix = np.cumsum(rs[::-1])[::-1]
-        suffix_sq = np.cumsum(rs_sq[::-1])[::-1]
+        suffix = rs[::-1].cumsum()[::-1]
+        suffix_sq = rs_sq[::-1].cumsum()[::-1]
         # cut i sends rows :i left: xs[i - 1] != xs[i], and min_count <= i <= n - min_count
-        cut = min_count + np.flatnonzero((xs[:-1] != xs[1:])[min_count - 1 : n - min_count])
+        cut = min_count + (xs[:-1] != xs[1:])[min_count - 1 : n - min_count].nonzero()[0]
         last = cut - 1
         # memoryviews hand out Python ints and floats one at a time, building no list of them
         cuts = cut, prefix[last], prefix_sq[last], suffix[cut], suffix_sq[cut], xs[last], xs[cut]
         for i, left_sum, left_sq, right_sum, right_sq, lower, upper in zip(*map(memoryview, cuts)):
-            sse = max(0.0, left_sq - left_sum * left_sum / i) + max(
-                0.0, right_sq - right_sum * right_sum / (n - i)
-            )
+            left = left_sq - left_sum * left_sum / i
+            right = right_sq - right_sum * right_sum / (n - i)
+            # each side as max(0.0, v), the same float for every v, NaN included, with no call
+            sse = (left if left > 0.0 else 0.0) + (right if right > 0.0 else 0.0)
             if sse < best_sse:
                 threshold = (lower + upper) / 2.0
                 if not lower <= threshold < upper:

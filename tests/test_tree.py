@@ -319,6 +319,24 @@ class TestBestSplit:
         assert [rows.tolist() for rows in leaf_rows] == [[0], [1]]
         assert [members.tolist() for members in tree.leaf_assignment(x).values()] == [[0], [1]]
 
+    def test_a_side_whose_sse_rounds_below_zero_counts_as_zero(self):
+        # the left side of the cut at 2.5 computes -3.469446951953614e-18
+        x = np.arange(4.0).reshape(-1, 1)
+        r = np.array([0.1, 0.1, 0.1, 0.9])
+        found = best_split(x, r, np.arange(4))
+        assert _bits(found) == _bits(_reference_best_split(x, r, np.arange(4)))
+        assert _bits(found) == (0, (2.5).hex(), (0.0).hex())
+
+    def test_a_side_whose_sse_is_nan_counts_as_zero(self):
+        # every square overflows, so each side computes inf - inf = NaN
+        x = np.arange(1.0, 5.0).reshape(-1, 1)
+        r = np.array([1e160, -1e160, 1e160, -1e160])
+        with np.errstate(over="ignore", invalid="ignore"):
+            found = best_split(x, r, np.arange(4))
+            expected = _reference_best_split(x, r, np.arange(4))
+        assert _bits(found) == _bits(expected)
+        assert _bits(found) == (0, (1.5).hex(), (0.0).hex())
+
     def test_refuses_features_that_are_not_a_matrix(self):
         message = re.escape("features must have shape (*, *), got (3,)")
         with pytest.raises(ValueError, match=message):

@@ -3,6 +3,7 @@ pairs, on canned lines: no benchmark runs."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,10 +22,10 @@ def _load_tool():
 ab_pairs = _load_tool()
 
 
-def _line(attempted, setup_s, cli_call_s, p50, rss):
+def _line(attempted, setup_s, cli_call_s, p50, rss, failed=0):
     values = {"setup_s": setup_s, "cli_call_s": cli_call_s, "predict_one_us.p50": p50, "peak_rss_mb": rss}
     metrics = {name: {"value": value, "unit": "-"} for name, value in values.items()}
-    return json.dumps({"correct": True, "attempted": attempted, "failed": 0, "metrics": metrics})
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics})
 
 
 PARENT = [
@@ -43,10 +44,10 @@ def test_the_summary_gives_both_medians_their_ratio_and_the_pairs_won():
     parent = [ab_pairs.parse_result(line, METRICS) for line in PARENT]
     change = [ab_pairs.parse_result(line, METRICS) for line in CHANGE]
     assert parent[1] == {
-        "attempted": 76000, "failed": 0, "setup_s": 0.70, "cli_call_s": 0.330,
+        "correct": True, "attempted": 76000, "failed": 0, "setup_s": 0.70, "cli_call_s": 0.330,
         "predict_one_us.p50": 3.0, "peak_rss_mb": 45.5,
     }
-    header, *rows = ab_pairs.summary(METRICS, parent, change)
+    header, *rows, failures = ab_pairs.summary(METRICS, parent, change)
     assert header.split()[:6] == ["metric", "unit", "parent", "change", "ratio", "parent"]
     table = {row.split()[0]: row.split()[1:] for row in rows}
     assert list(table) == [metric["name"] for metric in METRICS]
@@ -56,12 +57,13 @@ def test_the_summary_gives_both_medians_their_ratio_and_the_pairs_won():
     # a tie (3.1 and 3.1) counts for neither side
     assert table["predict_one_us.p50"] == ["us", "3.1", "3.1", "x1.000", "0.1", "1/3"]
     assert table["peak_rss_mb"] == ["MB", "45.2", "48", "x1.062", "0.25", "0/3"]
+    assert failures == "failed operations: parent 0 of 240000, change 0 of 374000"
 
 
 def test_each_run_prints_attempted_failed_and_every_metric():
     values = ab_pairs.parse_result(CHANGE[0], METRICS)
     assert ab_pairs.run_line(0, "change", values, METRICS) == (
-        "pair  1 change attempted=120000 failed=0 setup_s=0.55 cli_call_s=0.195 "
+        "pair  1 change correct=true attempted=120000 failed=0 setup_s=0.55 cli_call_s=0.195 "
         "predict_one_us.p50=3.1 peak_rss_mb=48"
     )
 
@@ -75,9 +77,49 @@ def test_each_run_prints_attempted_failed_and_every_metric():
         PARENT[0].replace('"peak_rss_mb"', '"peak_rss"'),
         PARENT[0].replace('"attempted": 80000', '"attempted": "many"'),
         "[1, 2]",
+        PARENT[0].replace('"correct": true', '"correct": 1'),
     ],
-    ids=["empty", "not-json", "no-metrics", "a-metric-missing", "attempted-not-a-number", "not-an-object"],
+    ids=["empty", "not-json", "no-metrics", "a-metric-missing", "attempted-not-a-number", "not-an-object",
+         "correct-not-a-bool"],
 )
 def test_a_line_that_is_not_a_result_is_refused(line):
     with pytest.raises(ValueError, match="not a benchmark result line"):
         ab_pairs.parse_result(line, METRICS)
+
+
+def _main(tmp_path, monkeypatch, capsys, parent_lines, change_lines, *options):
+    """ab_pairs.main over canned result lines in place of run.py runs: (exit
+    code, stdout, stderr, the (side, seed) of each run in order)."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs, lines = [], {"parent": iter(parent_lines), "change": iter(change_lines)}
+
+    def run_once(checkout, workload, seed, metrics):
+        runs.append((checkout.name, seed))
+        return ab_pairs.parse_result(next(lines[checkout.name]), metrics)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                                      "--workload", "fit-wide", "--pairs", str(len(parent_lines)), *options])
+    code = ab_pairs.main()
+    out, err = capsys.readouterr()
+    return code, out, err, runs
+
+
+def test_the_sides_alternate_and_the_seed_is_passed_only_when_given(tmp_path, monkeypatch, capsys):
+    code, out, err, runs = _main(tmp_path, monkeypatch, capsys, PARENT, CHANGE)
+    assert (code, err) == (0, "")
+    assert runs == [("parent", None), ("change", None), ("change", None), ("parent", None),
+                    ("parent", None), ("change", None)]
+    assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 0 of 374000"
+    assert _main(tmp_path / "seeded", monkeypatch, capsys, PARENT[:1], CHANGE[:1], "--seed", "1")[3] == [
+        ("parent", 1), ("change", 1)]
+
+
+def test_a_run_with_failed_operations_makes_the_tool_fail(tmp_path, monkeypatch, capsys):
+    change = [CHANGE[0], _line(130000, 0.5, 0.190, 3.1, 48.0, failed=2), CHANGE[2]]
+    code, out, err, _ = _main(tmp_path, monkeypatch, capsys, PARENT, change)
+    assert code == 1
+    assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 2 of 364000"
+    assert err == "error: runs that reported correct: false: change pair 2\n"

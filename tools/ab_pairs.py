@@ -1,21 +1,25 @@
 """Run the benchmark of two checkouts in alternating pairs and compare their
 end-to-end metrics.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload fit-wide --pairs 10 [--seconds 20] [--seed 0]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload fit-wide --pairs 10 [--seed N]
 
 PARENT and CHANGE are checkout directories.  Each run is
-`python3 <checkout>/bench/run.py --workload W --seconds S --seed N`, and its
-last stdout line is read as the result JSON.  The parent runs first; after
-that the side that runs first alternates from pair to pair (parent, change,
-change, parent, parent, ...), so neither side always follows the other.  A
-run that exits nonzero, or whose last line is not a result, stops the tool
-with an error.
+`<this interpreter> <checkout>/bench/run.py --workload W [--seed N]`, so
+run.py's own defaults set the run length and, unless --seed is given, the
+seed; its last stdout line is read as the result JSON.  The parent runs
+first; after that the side that runs first alternates from pair to pair
+(parent, change, change, parent, parent, ...), so neither side always
+follows the other.  A run that exits nonzero, or whose last line is not a
+result, stops the tool with an error.
 
-For each run it prints attempted, failed and every end-to-end metric named in
-CHANGE/BENCHMARK.json.  It then prints, for each metric, the parent's and the
-change's medians, their ratio (change / parent), the distance between the
-parent's quartiles, and how many pairs the change won by the metric's
-"better" direction; a tie counts for neither side.
+For each run it prints correct, attempted, failed and every end-to-end metric
+named in CHANGE/BENCHMARK.json.  It then prints, for each metric, the
+parent's and the change's medians, their ratio (change / parent), the
+distance between the parent's quartiles, and how many pairs the change won
+by the metric's "better" direction; a tie counts for neither side.  A last
+line gives each side's failed operations out of those attempted.  If any run
+reported `correct: false`, the tool names those runs on stderr and exits 1,
+since a speed-up measured while operations fail shows nothing.
 """
 
 import argparse
@@ -27,11 +31,15 @@ from pathlib import Path
 
 
 def parse_result(line: str, metrics) -> dict:
-    """A run's result line as {"attempted", "failed", and each metric name:
-    its value}; a ValueError when it is not JSON or lacks any of them."""
+    """A run's result line as {"correct", "attempted", "failed", and each
+    metric name: its value}; a ValueError when it is not JSON or lacks any of
+    them."""
     try:
         result = json.loads(line)
-        values = {"attempted": int(result["attempted"]), "failed": int(result["failed"])}
+        if not isinstance(result["correct"], bool):
+            raise TypeError(f"correct is {result['correct']!r}, not a bool")
+        values = {"correct": result["correct"], "attempted": int(result["attempted"]),
+                  "failed": int(result["failed"])}
         for metric in metrics:
             values[metric["name"]] = float(result["metrics"][metric["name"]]["value"])
     except (ValueError, TypeError, KeyError) as exc:
@@ -39,9 +47,10 @@ def parse_result(line: str, metrics) -> dict:
     return values
 
 
-def run_once(checkout: Path, workload: str, seconds: float, seed: int, metrics) -> dict:
-    command = ["python3", str(checkout / "bench" / "run.py"), "--workload", workload]
-    command += ["--seconds", str(seconds), "--seed", str(seed)]
+def run_once(checkout: Path, workload: str, seed, metrics) -> dict:
+    command = [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload]
+    if seed is not None:
+        command += ["--seed", str(seed)]
     done = subprocess.run(command, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(command)} exited {done.returncode}:\n{done.stderr[-2000:]}")
@@ -53,7 +62,8 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int, metrics) 
 
 
 def run_line(pair: int, side: str, values: dict, metrics) -> str:
-    cells = [f"attempted={values['attempted']}", f"failed={values['failed']}"]
+    cells = [f"correct={str(values['correct']).lower()}", f"attempted={values['attempted']}",
+             f"failed={values['failed']}"]
     cells += [f"{metric['name']}={values[metric['name']]:.6g}" for metric in metrics]
     return f"pair {pair + 1:>2} {side:<6} " + " ".join(cells)
 
@@ -61,7 +71,8 @@ def run_line(pair: int, side: str, values: dict, metrics) -> str:
 def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     """One line per metric over the pairs (parent[k], change[k]): both
     medians, the change's over the parent's, the parent's interquartile
-    distance and the pairs the change won."""
+    distance and the pairs the change won; then each side's failed
+    operations out of those attempted."""
     columns = ("parent", ">11"), ("change", ">11"), ("ratio", ">8"), ("parent IQR", ">11"), ("won", ">7")
     lines = [f"{'metric':<20} {'unit':<5} " + " ".join(f"{name:{spec}}" for name, spec in columns)]
     for metric in metrics:
@@ -77,6 +88,9 @@ def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
             f"{name:<20} {metric['unit']:<5} {median_before:>11.6g} {median_after:>11.6g} "
             f"{ratio:>8} {q3 - q1:>11.3g} {won:>3}/{len(before):<3}"
         )
+    totals = [f"{side} {sum(v['failed'] for v in runs)} of {sum(v['attempted'] for v in runs)}"
+              for side, runs in (("parent", parent), ("change", change))]
+    lines.append("failed operations: " + ", ".join(totals))
     return lines
 
 
@@ -86,8 +100,7 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, help="passed to run.py; run.py's default when omitted")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -96,10 +109,15 @@ def main() -> int:
     for pair in range(args.pairs):
         sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in sides:
-            values = run_once(getattr(args, side), args.workload, args.seconds, args.seed, metrics)
+            values = run_once(getattr(args, side), args.workload, args.seed, metrics)
             results[side].append(values)
             print(run_line(pair, side, values, metrics), flush=True)
     print("\n".join(summary(metrics, results["parent"], results["change"])))
+    incorrect = [f"{side} pair {k + 1}" for side, runs in results.items()
+                 for k, values in enumerate(runs) if not values["correct"]]
+    if incorrect:
+        print(f"error: runs that reported correct: false: {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 

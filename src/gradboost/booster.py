@@ -182,18 +182,43 @@ def _split_dict(feature_index: int, threshold: float, left: dict, right: dict) -
     return {"feature_index": feature_index, "threshold": threshold, "left": left, "right": right}
 
 
-def _read_node(obj) -> Split | Leaf:
-    """A model file's node as a Leaf, or a Split whose children are still to be read."""
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
+# the keys a model file's objects may hold: the document's, and a leaf's or a split's
+_MODEL_KEYS = frozenset(("format_version", "learning_rate", "n_features", "feature_names", "trees"))
+_NODE_KEYS = frozenset(("leaf_id", "gamma", "feature_index", "threshold", "left", "right"))
+
+
+def _refuse_keys(pairs: tuple, what: str, known: frozenset) -> None:
+    """Raise a ModelFormatError at the first key of a JSON object's (key,
+    value) pairs that repeats an earlier one or is not in known."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ModelFormatError(f"{what} repeats key {key!r}")
+        if key not in known:
+            raise ModelFormatError(f"{what} holds unknown key {key!r}")
+        seen.add(key)
+
+
+def _read_node(pairs) -> Split | Leaf:
+    """A model file's node, a JSON object read as its (key, value) pairs, as a
+    Leaf, or a Split whose children are still to be read."""
+    if not isinstance(pairs, tuple):
+        raise ModelFormatError(f"tree node must be a JSON object, got {type(pairs).__name__}")
+    obj = dict(pairs)
     if "leaf_id" in obj:
         if "gamma" not in obj:
             raise ModelFormatError("leaf node missing 'gamma'")
-        return Leaf(obj["leaf_id"], obj["gamma"])
-    for key in ("feature_index", "threshold", "left", "right"):
-        if key not in obj:
-            raise ModelFormatError(f"internal node missing {key!r}")
-    return Split(obj["feature_index"], obj["threshold"], obj["left"], obj["right"])
+        node, n_keys = Leaf(obj["leaf_id"], obj["gamma"]), 2
+    else:
+        for key in ("feature_index", "threshold", "left", "right"):
+            if key not in obj:
+                raise ModelFormatError(f"internal node missing {key!r}")
+        node, n_keys = Split(obj["feature_index"], obj["threshold"], obj["left"], obj["right"]), 4
+    # it holds every key of its kind, so any more pairs repeat a key or add another
+    if len(pairs) != n_keys:
+        _refuse_keys(pairs, "tree node", _NODE_KEYS)
+        raise ModelFormatError("tree node holds both leaf keys and split keys")
+    return node
 
 
 def deserialize_model(text: str) -> Model:
@@ -201,11 +226,14 @@ def deserialize_model(text: str) -> Model:
 
     An unknown format_version is rejected before anything else is read; a
     malformed document raises ModelFormatError naming the problem (parse
-    failures include the byte offset).  The loader reads only the JSON
-    shape; RegressionTree and Model refuse values no model may hold.
+    failures include the byte offset), and so does an object that repeats a
+    key or holds one the format does not name, and a node that holds both
+    leaf and split keys.  The loader reads only the JSON shape;
+    RegressionTree and Model refuse values no model may hold.
     """
     try:
-        document = json.loads(text)
+        # each object as its (key, value) pairs, in which a repeated key still shows
+        pairs = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"model file is not valid JSON: {exc.msg} (byte offset {exc.pos})"
@@ -214,13 +242,15 @@ def deserialize_model(text: str) -> Model:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
     except RecursionError:
         raise ModelFormatError("model file is nested deeper than the recursion limit") from None
-    if not isinstance(document, dict):
+    if not isinstance(pairs, tuple):
         raise ModelFormatError("model document must be a JSON object")
+    document = dict(pairs)
     version = document.get("format_version")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
+    _refuse_keys(pairs, "model document", _MODEL_KEYS)
     for key in ("learning_rate", "n_features", "feature_names", "trees"):
         if key not in document:
             raise ModelFormatError(f"model document missing {key!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from array import array
@@ -131,15 +132,17 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
 
     The body is parsed in one numpy pass (_parse_at_once).  A file that pass
     refuses, or might read otherwise than the row parser, is read again by
-    _read_rows, which parses rows as it reads them, so of two faults the one
-    earlier in the file is reported.  It alone words every message.
+    _read_rows, which parses each cell as it reads it, so of two faults the
+    one earlier in the file is reported.  It alone words every message.  A
+    pipe is read into memory first, as bytes, and then read as a file is.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        if fh.seekable():  # a pipe cannot be read a second time
-            dataset = _parse_at_once(path, fh, expect_labels)
-            if dataset is not None:
-                return dataset
-            fh.seek(0)
+        if not fh.seekable():  # a pipe cannot be read a second time; its bytes can
+            fh = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), encoding="utf-8", newline="")
+        dataset = _parse_at_once(path, fh, expect_labels)
+        if dataset is not None:
+            return dataset
+        fh.seek(0)
         try:
             return _read_rows(path, csv.reader(fh), expect_labels)
         except UnicodeDecodeError as exc:
@@ -152,16 +155,13 @@ class _Declined(Exception):
     """A file that the one-pass parse leaves to the row parser."""
 
 
-# lines np.loadtxt skips, where the row parser reads a row of no cells
-_BLANK_LINES = ("\n", "\r\n", "\r")
-
-
 def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
     """load_csv's Dataset from one np.loadtxt pass over the body of fh, or None
     when the row parser must read the file: a fault of any kind (DataError,
     UnicodeDecodeError and loadtxt's own refusals are ValueErrors), a header
-    with no rows (loadtxt's "input contained no data" UserWarning), or a line
-    the pass might read otherwise than csv.reader and float() do."""
+    with no rows (loadtxt's "input contained no data" UserWarning), a blank
+    line, which loadtxt skips, so that the matrix has fewer rows than the
+    lines read, or a line it might read otherwise than csv.reader and float() do."""
     limit = csv.field_size_limit()
     n_lines = 0
 
@@ -170,8 +170,7 @@ def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
         for line in fh:
             # a line longer than the field limit may hold a cell csv.reader
             # refuses; loadtxt strips \x1c-\x1f from a cell as whitespace, float() does not
-            if (len(line) > limit or line in _BLANK_LINES
-                    or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
+            if len(line) > limit or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
                 raise _Declined
             n_lines += 1
             yield line
@@ -211,15 +210,7 @@ def _read_rows(path, reader, expect_labels: bool) -> Dataset:
     for row_num, row in enumerate(reader, start=1):
         if len(row) != width:
             raise DataError(f"{path}: row {row_num} has {len(row)} cells, expected {width}")
-        # one parse per row; only a row this refuses, or whose sum is not
-        # finite, is parsed again cell by cell to name its first bad cell (a
-        # row of finite cells whose sum overflows passes that parse and is read)
-        try:
-            values = list(map(float, row))
-        except ValueError:
-            values = None
-        if values is None or not math.isfinite(sum(values)):
-            values = [_parse_number(path, row_num, name, cell) for name, cell in zip(header, row)]
+        values = [_parse_number(path, row_num, name, cell) for name, cell in zip(header, row)]
         if has_labels:
             label = values.pop()
             if label not in (0.0, 1.0):

@@ -51,13 +51,58 @@ def test_the_summary_gives_both_medians_their_ratio_and_the_pairs_won():
     assert header.split()[:6] == ["metric", "unit", "parent", "change", "ratio", "parent"]
     table = {row.split()[0]: row.split()[1:] for row in rows}
     assert list(table) == [metric["name"] for metric in METRICS]
-    # unit, parent median, change median, ratio, parent quartile distance, pairs won
-    assert table["setup_s"] == ["s", "0.65", "0.55", "x0.846", "0.05", "2/3"]
-    assert table["cli_call_s"] == ["s", "0.325", "0.195", "x0.600", "0.005", "3/3"]
+    # unit, parent median, change median, ratio, parent quartile distance, pairs won, verdict
+    assert table["setup_s"] == ["s", "0.65", "0.55", "x0.846", "0.05", "2/3", "same"]
+    assert table["cli_call_s"] == ["s", "0.325", "0.195", "x0.600", "0.005", "3/3", "gain"]
     # a tie (3.1 and 3.1) counts for neither side
-    assert table["predict_one_us.p50"] == ["us", "3.1", "3.1", "x1.000", "0.1", "1/3"]
-    assert table["peak_rss_mb"] == ["MB", "45.2", "48", "x1.062", "0.25", "0/3"]
+    assert table["predict_one_us.p50"] == ["us", "3.1", "3.1", "x1.000", "0.1", "1/3", "same"]
+    assert table["peak_rss_mb"] == ["MB", "45.2", "48", "x1.062", "0.25", "0/3", "same"]
     assert failures == "failed operations: parent 0 of 240000, change 0 of 374000"
+
+
+# one metric of each verdict: setup_s x1.31 past its bound of 0.25; cli_call_s
+# better in every pair by more than the parent's IQR; predict_one_us.p50's
+# parent IQR, 1.0, wider than its bound, 0.25 of 3.0; peak_rss_mb within noise
+VERDICT_PARENT = [
+    _line(80000, 0.60, 0.325, 2.0, 45.0),
+    _line(80000, 0.62, 0.330, 3.0, 45.5),
+    _line(80000, 0.61, 0.320, 4.0, 45.2),
+]
+VERDICT_CHANGE = [
+    _line(80000, 0.80, 0.195, 3.1, 45.1),
+    _line(80000, 0.79, 0.200, 2.9, 45.4),
+    _line(80000, 0.81, 0.190, 3.0, 45.3),
+]
+
+
+def test_each_metric_gets_the_verdict_its_bound_and_the_parents_spread_give():
+    parent = [ab_pairs.parse_result(line, METRICS) for line in VERDICT_PARENT]
+    change = [ab_pairs.parse_result(line, METRICS) for line in VERDICT_CHANGE]
+    header, *rows, _ = ab_pairs.summary(METRICS, parent, change)
+    assert header.split()[-1] == "verdict"
+    assert {row.split()[0]: row.split()[-1] for row in rows} == {
+        "setup_s": "worse", "cli_call_s": "gain", "predict_one_us.p50": "unresolved", "peak_rss_mb": "same",
+    }
+
+
+@pytest.mark.parametrize(
+    "better, before, after, expected",
+    [
+        # a spread wider than the bound is resolved when every change run beats every parent run
+        ("lower", [1.0, 1.05, 3.0], [0.9, 0.95, 0.99], "same"),
+        ("lower", [1.0, 1.05, 3.0], [0.9, 0.95, 1.01], "unresolved"),
+        ("higher", [1.0, 1.0, 1.0], [2.0, 2.0, 2.0], "gain"),
+        ("higher", [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], "worse"),
+        # 8 pairs won of 10 is no gain, however far apart the medians
+        ("lower", [2.0] * 10, [1.0] * 8 + [3.0] * 2, "same"),
+    ],
+    ids=["all-beat-all", "one-overlaps", "higher-gain", "higher-worse", "eight-of-ten"],
+)
+def test_each_verdict_rule_at_its_edge(better, before, after, expected):
+    metric = {"name": "m", "unit": "-", "better": better, "bound": 0.2}
+    lines = ab_pairs.summary([metric], [{"m": v, "failed": 0, "attempted": 1} for v in before],
+                             [{"m": v, "failed": 0, "attempted": 1} for v in after])
+    assert lines[1].split()[-1] == expected
 
 
 def test_each_run_prints_attempted_failed_and_every_metric():

@@ -817,6 +817,57 @@ class TestModelVersion:
         assert "format_version" in capsys.readouterr().err
 
 
+def _found_model_text(document, fault):
+    """The trained model's text with one fault the loader once read as another
+    model: a split that also holds leaf keys (read as a leaf of 5.0, its subtree
+    dropped), a gamma given twice (read as the last, 99.0), or a misspelled key
+    (ignored)."""
+    document = json.loads(json.dumps(document))
+    if fault == "mixed-node":
+        document["trees"][0].update(leaf_id=1, gamma=5.0)
+    elif fault == "repeated-key":
+        document["trees"][0]["left"]["gamma"] = "repeat-here"
+    else:
+        document["learning_rte"] = 0.5
+    return json.dumps(document).replace('"repeat-here"', '1.0, "gamma": 99.0')
+
+
+class TestStrictModelFile:
+    @pytest.mark.parametrize("fault, message", [
+        ("mixed-node", "tree node holds both leaf keys and split keys"),
+        ("repeated-key", "tree node repeats key 'gamma'"),
+        ("unknown-key", "model document holds unknown key 'learning_rte'"),
+    ], ids=["mixed-node", "repeated-key", "unknown-key"])
+    def test_a_model_file_read_otherwise_before_is_refused(self, trained, tmp_path, capsys, fault, message):
+        document = json.loads(trained.model.read_text(encoding="utf-8"))
+        edited = _write(tmp_path, _found_model_text(document, fault), "edited.json")
+        code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
+        assert (code, capsys.readouterr().err) == (EXIT_IO, f"error: {message}\n")
+        # the version is still read first, whatever else the file holds
+        document["format_version"] = 2
+        edited.write_text(_found_model_text(document, fault), encoding="utf-8")
+        code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
+        assert code == EXIT_MODEL_VERSION and "format_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"format_version": 1,', '"format_version": 1, "trees": [],', "model document repeats key 'trees'"),
+        ('"leaf_id": 1,', '"leaf_id": 1, "weight": 2,', "tree node holds unknown key 'weight'"),
+        ('"threshold": 0.5,', '"threshold": 0.5, "gamma": 0.0,', "tree node holds both leaf keys and split keys"),
+        ('"threshold": 0.5,', '"threshold": 0.5, "left": 7,', "tree node repeats key 'left'"),
+    ], ids=["document-repeats", "node-unknown", "split-with-gamma", "split-repeats"])
+    def test_a_key_fault_is_named(self, old, new, message):
+        document = {
+            "format_version": 1, "learning_rate": 0.1, "n_features": 1, "feature_names": ["x"],
+            "trees": [{"feature_index": 0, "threshold": 0.5, "left": {"leaf_id": 1, "gamma": 0.0},
+                       "right": {"leaf_id": 2, "gamma": 1.0}}],
+        }
+        text = json.dumps(document)
+        assert old in text
+        with pytest.raises(ModelFormatError) as caught:
+            deserialize_model(text.replace(old, new, 1))
+        assert str(caught.value) == message
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, trained):
         first = load_model(trained.model)

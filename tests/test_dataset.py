@@ -377,8 +377,8 @@ def _reference_parse_number(path, row_num, column, cell):
 
 
 def _reference_read_rows(path, reader, expect_labels):
-    """The cell-by-cell reader that load_csv's one-parse-per-row reader must
-    match, field for field and message for message."""
+    """A cell-by-cell reader written apart from load_csv, which its row parser
+    must match, field for field and message for message."""
     header = next(reader, None)
     if not header:
         raise DataError(f"{path}: empty file, expected a header row")
@@ -548,21 +548,45 @@ def test_a_clean_file_is_read_by_the_one_pass_parse_alone(tmp_path):
             assert _fields(load_csv(path)) == _row_parser_outcome(path, False)
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("text", ["x,label\n1,0\n2,1\n", "x,label\n1,0\n2,7\n"], ids=["clean", "fault"])
-def test_a_pipe_is_read_once_by_the_row_parser(tmp_path, text):
-    # a pipe cannot be read a second time, so no one-pass parse may consume it first
-    pipe, regular = tmp_path / "pipe.csv", _write(tmp_path, text)
+def _piped_outcome(pipe, data):
+    """_outcome of load_csv(pipe, expect_labels=True) while a thread writes data into the named pipe."""
     os.mkfifo(pipe)
-    writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
     writer.start()
     piped = _outcome(pipe, True)
     writer.join(timeout=10)
     assert not writer.is_alive()
+    return piped
+
+
+_PIPED = {
+    "clean": b"x,label\n1,0\n2,1\n",
+    "fault": b"x,label\n1,0\n2,7\n",
+    "header-only": b"x,label\n",
+    "blank-line-mid-body": b"x,label\n1,0\n\n2,1\n",
+    "blank-crlf-line-at-end": b"x,label\r\n1,0\r\n2,1\r\n\r\n",
+    "bad-cell-then-not-utf8": b"x,label\nz,0\n2,1\n3\xff,1\n",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("data", _PIPED.values(), ids=_PIPED.keys())
+def test_a_pipe_is_read_as_a_file_of_its_bytes(tmp_path, data):
+    # a pipe cannot be read twice, so its bytes are held in memory and then
+    # take a file's steps: the numpy pass and, on a refusal, the row parser
+    pipe, regular = tmp_path / "pipe.csv", tmp_path / "data.csv"
+    regular.write_bytes(data)
     expected = _outcome(regular, True)
-    if expected[0] is DataError:
-        expected = DataError, expected[1].replace(str(regular), str(pipe))
-    assert piped == expected
+    if isinstance(expected[1], str):  # an error, (type, text), which names its path
+        expected = expected[0], expected[1].replace(str(regular), str(pipe))
+    assert _piped_outcome(pipe, data) == expected
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_clean_pipe_is_read_by_the_one_pass_parse_alone(tmp_path):
+    with mock.patch.object(dataset_module, "_read_rows", side_effect=AssertionError("row parser ran")):
+        piped = _piped_outcome(tmp_path / "pipe.csv", _PIPED["clean"])
+    assert piped == (("x",), [1.0.hex(), 2.0.hex()], [0.0.hex(), 1.0.hex()])
 
 
 _SIGNIFICANDS = st.integers(17, 40).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))

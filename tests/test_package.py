@@ -2,9 +2,10 @@
 and read by the package, a demo, the benchmark or the README's code, as is
 every public method and property of an exported class; no module of the
 package, its tests or demos imports a name it never uses; values become
-float64, are checked finite, and a CSV body is parsed by numpy, in one place
-each; best_split's candidate loop makes no call but to record a winner; the
-suite's one hypothesis profile; and the README's library quickstart runs."""
+float64, are checked finite, a CSV body is parsed by numpy, and a CSV cell
+by float(), in one place each; best_split's candidate loop makes no call
+but to record a winner; the suite's one hypothesis profile; and the
+README's library quickstart runs."""
 
 import ast
 import contextlib
@@ -44,6 +45,10 @@ FINITENESS_CHECKS = {("dataset", "float_array")}
 # load_csv parses a CSV body with numpy in one place, which defers every file
 # it might read otherwise than the row parser, _read_rows, to that parser
 BODY_PARSES = {("dataset", "_parse_at_once")}
+
+# dataset._parse_number is the row parser's one number rule: it reads each
+# cell with float() once, and no other scope of dataset.py reads float
+NUMBER_READS = {("dataset", "_parse_number")}
 
 # dataset.frozen_copy is the one way an array is frozen: a copy over a bytes
 # object, which no flag reopens, so no scope flags an array with setflags
@@ -131,9 +136,9 @@ def _is_float64_conversion(call: ast.Call) -> bool:
     return bare or any(ast.unparse(dtype) in ("np.float64", "float") for dtype in dtypes)
 
 
-def _scopes_calling(is_call):
-    """(module, qualified name of the enclosing function) of each call in src/
-    that is_call(call) picks."""
+def _scopes_of(picks):
+    """(module, qualified name of the enclosing function) of each node in src/
+    that picks(node) picks."""
     found = set()
 
     def visit(path, node, scope):
@@ -141,13 +146,17 @@ def _scopes_calling(is_call):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(path, child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and is_call(child):
+            if picks(child):
                 found.add((path.stem, ".".join(scope)))
             visit(path, child, scope)
 
     for path in SOURCES:
         visit(path, ast.parse(path.read_text(encoding="utf-8")), ())
     return found
+
+
+def _scopes_calling(is_call):
+    return _scopes_of(lambda node: isinstance(node, ast.Call) and is_call(node))
 
 
 def test_values_become_float64_only_through_float_array():
@@ -160,6 +169,14 @@ def test_arrays_are_checked_finite_only_in_float_array():
 
 def test_numpy_parses_a_csv_body_only_in_load_csvs_one_pass():
     assert _scopes_calling(lambda call: ast.unparse(call.func).endswith("loadtxt")) == BODY_PARSES
+
+
+def test_the_row_parser_reads_a_number_only_through_parse_number():
+    # the row parser runs only on files the numpy pass refuses, and words the
+    # refusal; a second number rule beside _parse_number would have to agree
+    # with it on every cell
+    reads = _scopes_of(lambda node: isinstance(node, ast.Name) and node.id == "float")
+    assert {scope for scope in reads if scope[0] == "dataset"} == NUMBER_READS
 
 
 def _calls_method(name):

@@ -15,9 +15,10 @@ result, stops the tool with an error.
 For each run it prints correct, attempted, failed and every end-to-end metric
 named in CHANGE/BENCHMARK.json.  It then prints, for each metric, the
 parent's and the change's medians, their ratio (change / parent), the
-distance between the parent's quartiles, and how many pairs the change won
-by the metric's "better" direction; a tie counts for neither side.  A last
-line gives each side's failed operations out of those attempted.  If any run
+distance between the parent's quartiles, how many pairs the change won by
+the metric's "better" direction (a tie counts for neither side), and a
+verdict read with the metric's "bound" (see verdict).  A last line gives
+each side's failed operations out of those attempted.  If any run
 reported `correct: false`, the tool names those runs on stderr and exits 1,
 since a speed-up measured while operations fail shows nothing.
 """
@@ -68,12 +69,37 @@ def run_line(pair: int, side: str, values: dict, metrics) -> str:
     return f"pair {pair + 1:>2} {side:<6} " + " ".join(cells)
 
 
+def verdict(metric, before: list[float], after: list[float], won: int, iqr: float) -> str:
+    """One metric's verdict over the pairs (before[k], after[k]), given won,
+    the pairs the change won, and iqr, the parent's quartile distance; the
+    metric's bound is a fraction of the parent's median:
+
+    gain        the change won at least 9 pairs in 10 and its median beats the
+                parent's by more than iqr;
+    worse       its median is worse than the parent's by more than the bound;
+    unresolved  iqr is wider than the bound, unless every change run beats
+                every parent run;
+    same        anything else."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0  # sign * value: lower is better
+    median_before = statistics.median(before)
+    margin = sign * (median_before - statistics.median(after))  # > 0 when the change is better
+    bound = metric["bound"] * median_before
+    if 10 * won >= 9 * len(before) and margin > iqr:
+        return "gain"
+    if -margin > bound:
+        return "worse"
+    if iqr > bound and max(sign * a for a in after) >= min(sign * b for b in before):
+        return "unresolved"
+    return "same"
+
+
 def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     """One line per metric over the pairs (parent[k], change[k]): both
     medians, the change's over the parent's, the parent's interquartile
-    distance and the pairs the change won; then each side's failed
-    operations out of those attempted."""
-    columns = ("parent", ">11"), ("change", ">11"), ("ratio", ">8"), ("parent IQR", ">11"), ("won", ">7")
+    distance, the pairs the change won and its verdict; then each side's
+    failed operations out of those attempted."""
+    columns = (("parent", ">11"), ("change", ">11"), ("ratio", ">8"), ("parent IQR", ">11"), ("won", ">7"),
+               ("verdict", ""))
     lines = [f"{'metric':<20} {'unit':<5} " + " ".join(f"{name:{spec}}" for name, spec in columns)]
     for metric in metrics:
         name = metric["name"]
@@ -86,7 +112,8 @@ def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
         q1, q3 = (0.0, 0.0) if len(before) < 2 else statistics.quantiles(before, n=4, method="inclusive")[::2]
         lines.append(
             f"{name:<20} {metric['unit']:<5} {median_before:>11.6g} {median_after:>11.6g} "
-            f"{ratio:>8} {q3 - q1:>11.3g} {won:>3}/{len(before):<3}"
+            f"{ratio:>8} {q3 - q1:>11.3g} {won:>3}/{len(before):<3} "
+            + verdict(metric, before, after, won, q3 - q1)
         )
     totals = [f"{side} {sum(v['failed'] for v in runs)} of {sum(v['attempted'] for v in runs)}"
               for side, runs in (("parent", parent), ("change", change))]

@@ -187,24 +187,32 @@ _MODEL_KEYS = frozenset(("format_version", "learning_rate", "n_features", "featu
 _NODE_KEYS = frozenset(("leaf_id", "gamma", "feature_index", "threshold", "left", "right"))
 
 
-def _refuse_keys(pairs: tuple, what: str, known: frozenset) -> None:
-    """Raise a ModelFormatError at the first key of a JSON object's (key,
-    value) pairs that repeats an earlier one or is not in known."""
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ModelFormatError(f"{what} repeats key {key!r}")
+def _json_object(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; when the object repeats a
+    key, the first key repeated is also stored under None, which no JSON key
+    can be."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        obj[None] = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return obj
+
+
+def _refuse_keys(obj: dict, what: str, known: frozenset) -> None:
+    """Raise a ModelFormatError when a JSON object read by _json_object
+    repeats a key, else at its first key not in known."""
+    if None in obj:
+        raise ModelFormatError(f"{what} repeats key {obj[None]!r}")
+    for key in obj:
         if key not in known:
             raise ModelFormatError(f"{what} holds unknown key {key!r}")
-        seen.add(key)
 
 
-def _read_node(pairs) -> Split | Leaf:
-    """A model file's node, a JSON object read as its (key, value) pairs, as a
-    Leaf, or a Split whose children are still to be read."""
-    if not isinstance(pairs, tuple):
-        raise ModelFormatError(f"tree node must be a JSON object, got {type(pairs).__name__}")
-    obj = dict(pairs)
+def _read_node(obj) -> Split | Leaf:
+    """A model file's node, a JSON object read by _json_object, as a Leaf, or
+    a Split whose children are still to be read."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf_id" in obj:
         if "gamma" not in obj:
             raise ModelFormatError("leaf node missing 'gamma'")
@@ -214,9 +222,9 @@ def _read_node(pairs) -> Split | Leaf:
             if key not in obj:
                 raise ModelFormatError(f"internal node missing {key!r}")
         node, n_keys = Split(obj["feature_index"], obj["threshold"], obj["left"], obj["right"]), 4
-    # it holds every key of its kind, so any more pairs repeat a key or add another
-    if len(pairs) != n_keys:
-        _refuse_keys(pairs, "tree node", _NODE_KEYS)
+    # it holds every key of its kind, so any more entries repeat a key or add another
+    if len(obj) != n_keys:
+        _refuse_keys(obj, "tree node", _NODE_KEYS)
         raise ModelFormatError("tree node holds both leaf keys and split keys")
     return node
 
@@ -232,8 +240,8 @@ def deserialize_model(text: str) -> Model:
     RegressionTree and Model refuse values no model may hold.
     """
     try:
-        # each object as its (key, value) pairs, in which a repeated key still shows
-        pairs = json.loads(text, object_pairs_hook=tuple)
+        # each object as a dict, on which a repeated key still shows
+        document = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"model file is not valid JSON: {exc.msg} (byte offset {exc.pos})"
@@ -242,15 +250,14 @@ def deserialize_model(text: str) -> Model:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
     except RecursionError:
         raise ModelFormatError("model file is nested deeper than the recursion limit") from None
-    if not isinstance(pairs, tuple):
+    if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
-    document = dict(pairs)
     version = document.get("format_version")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
             f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
-    _refuse_keys(pairs, "model document", _MODEL_KEYS)
+    _refuse_keys(document, "model document", _MODEL_KEYS)
     for key in ("learning_rate", "n_features", "feature_names", "trees"):
         if key not in document:
             raise ModelFormatError(f"model document missing {key!r}")

@@ -93,19 +93,21 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
         cut = min_count + (xs[:-1] != xs[1:])[min_count - 1 : n - min_count].nonzero()[0]
         last = cut - 1
         # memoryviews hand out Python ints and floats one at a time, building no list of them
-        cuts = cut, prefix[last], prefix_sq[last], suffix[cut], suffix_sq[cut], xs[last], xs[cut]
-        for i, left_sum, left_sq, right_sum, right_sq, lower, upper in zip(*map(memoryview, cuts)):
+        cuts = cut, prefix[last], prefix_sq[last], suffix[cut], suffix_sq[cut]
+        for i, left_sum, left_sq, right_sum, right_sq in zip(*map(memoryview, cuts)):
             left = left_sq - left_sum * left_sum / i
             right = right_sq - right_sum * right_sum / (n - i)
             # each side as max(0.0, v), the same float for every v, NaN included, with no call
             sse = (left if left > 0.0 else 0.0) + (right if right > 0.0 else 0.0)
             if sse < best_sse:
-                threshold = (lower + upper) / 2.0
-                if not lower <= threshold < upper:
-                    threshold = lower  # the sum overflowed, or rounded up to upper
-                best, best_sse = SplitCandidate(f, threshold, sse), sse
+                best, best_sse = (f, i, xs), sse  # the winning cut; its threshold is read once, below
         del cuts  # before the next feature gathers its own
-    return best
+    if best is None:
+        return None
+    f, i, xs = best
+    lower, upper = xs[i - 1 : i + 1].tolist()
+    threshold = (lower + upper) / 2.0  # lower when the sum overflows, or rounds up to upper
+    return SplitCandidate(f, threshold if lower <= threshold < upper else lower, best_sse)
 
 
 @dataclass(frozen=True, init=False)

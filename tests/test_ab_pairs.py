@@ -168,3 +168,11 @@ def test_a_run_with_failed_operations_makes_the_tool_fail(tmp_path, monkeypatch,
     assert code == 1
     assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 2 of 364000"
     assert err == "error: runs that reported correct: false: change pair 2\n"
+
+
+def test_a_metric_whose_verdict_is_worse_makes_the_tool_fail(tmp_path, monkeypatch, capsys):
+    # VERDICT_CHANGE's setup_s reads worse, and every run is correct
+    code, out, err, _ = _main(tmp_path, monkeypatch, capsys, VERDICT_PARENT, VERDICT_CHANGE)
+    assert code == 1
+    assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 0 of 240000"
+    assert err == "error: metrics whose verdict is worse: setup_s\n"

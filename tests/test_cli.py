@@ -868,6 +868,35 @@ class TestStrictModelFile:
         assert str(caught.value) == message
 
 
+class TestObjectWhereAValueBelongs:
+    @pytest.mark.parametrize("path, message", [
+        (("learning_rate",), "learning_rate must be a real number, got dict"),
+        (("n_features",), "n_features must be an integer >= 1, got {'a': 1}"),
+        (("trees", 0, "threshold"), "threshold must be a real number, got dict"),
+        (("trees", 0, "left", "gamma"), "leaf value must be a real number, got dict"),
+        (("trees", 0, "feature_index"), "split on feature {'a': 1} of a 1-feature tree"),
+        (("trees", 0, "left", "leaf_id"), "leaf id {'a': 1} out of order, expected 1"),
+    ], ids=["learning-rate", "n-features", "threshold", "gamma", "feature-index", "leaf-id"])
+    def test_a_json_object_is_named_as_a_dict(self, trained, tmp_path, capsys, path, message):
+        document = json.loads(trained.model.read_text(encoding="utf-8"))
+        *parents, key = path
+        place = document
+        for step in parents:
+            place = place[step]
+        place[key] = {"a": 1}
+        edited = _write(tmp_path, json.dumps(document), "edited.json")
+        code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
+        assert (code, capsys.readouterr().err) == (EXIT_IO, f"error: {message}\n")
+
+    def test_a_repeated_key_is_named_before_an_unknown_key_in_one_object(self):
+        text = json.dumps({
+            "format_version": 1, "learning_rate": 0.1, "n_features": 1, "feature_names": ["x"],
+            "trees": [{"leaf_id": 1, "gamma": 0.0}],
+        }).replace('"gamma": 0.0', '"weight": 2, "gamma": 0.0, "leaf_id": 1')
+        with pytest.raises(ModelFormatError, match="^tree node repeats key 'leaf_id'$"):
+            deserialize_model(text)
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, trained):
         first = load_model(trained.model)

@@ -724,7 +724,7 @@ class TestFitTree:
         assert tuple(roots) == REFERENCE_SPLITS
 
 
-class TestApplyBatch:
+class TestLeafAssignment:
     """leaf_assignment routes a whole matrix at once as apply routes each row."""
 
     @settings(max_examples=200)

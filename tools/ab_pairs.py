@@ -20,7 +20,8 @@ the metric's "better" direction (a tie counts for neither side), and a
 verdict read with the metric's "bound" (see verdict).  A last line gives
 each side's failed operations out of those attempted.  If any run
 reported `correct: false`, the tool names those runs on stderr and exits 1,
-since a speed-up measured while operations fail shows nothing.
+since a speed-up measured while operations fail shows nothing; so it does,
+naming them, if any metric's verdict is `worse`.
 """
 
 import argparse
@@ -139,13 +140,17 @@ def main() -> int:
             values = run_once(getattr(args, side), args.workload, args.seed, metrics)
             results[side].append(values)
             print(run_line(pair, side, values, metrics), flush=True)
-    print("\n".join(summary(metrics, results["parent"], results["change"])))
+    lines = summary(metrics, results["parent"], results["change"])
+    print("\n".join(lines))
     incorrect = [f"{side} pair {k + 1}" for side, runs in results.items()
                  for k, values in enumerate(runs) if not values["correct"]]
     if incorrect:
         print(f"error: runs that reported correct: false: {', '.join(incorrect)}", file=sys.stderr)
-        return 1
-    return 0
+    # between the header and the totals, one row per metric, ending with its verdict
+    worse = [row.split()[0] for row in lines[1:-1] if row.split()[-1] == "worse"]
+    if worse:
+        print(f"error: metrics whose verdict is worse: {', '.join(worse)}", file=sys.stderr)
+    return 1 if incorrect or worse else 0
 
 
 if __name__ == "__main__":

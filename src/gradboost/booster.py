@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -187,30 +187,30 @@ _MODEL_KEYS = frozenset(("format_version", "learning_rate", "n_features", "featu
 _NODE_KEYS = frozenset(("leaf_id", "gamma", "feature_index", "threshold", "left", "right"))
 
 
-def _json_object(pairs: list) -> dict:
-    """A JSON object's (key, value) pairs as a dict; when the object repeats a
-    key, the first key repeated is also stored under None, which no JSON key
-    can be."""
+def _json_object(repeats: dict, pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict.  When the object repeats a
+    key, repeats maps its id to (the object, the first key repeated): holding
+    the object keeps its id from passing to another while the document is read."""
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen = set()
-        obj[None] = next(key for key, _ in pairs if key in seen or seen.add(key))
+        repeats[id(obj)] = obj, next(key for key, _ in pairs if key in seen or seen.add(key))
     return obj
 
 
-def _refuse_keys(obj: dict, what: str, known: frozenset) -> None:
-    """Raise a ModelFormatError when a JSON object read by _json_object
-    repeats a key, else at its first key not in known."""
-    if None in obj:
-        raise ModelFormatError(f"{what} repeats key {obj[None]!r}")
+def _refuse_keys(obj: dict, what: str, known: frozenset, repeats: dict) -> None:
+    """Raise a ModelFormatError naming obj's repeated key when _json_object
+    recorded one in repeats, else at obj's first key not in known."""
+    if id(obj) in repeats:
+        raise ModelFormatError(f"{what} repeats key {repeats[id(obj)][1]!r}")
     for key in obj:
         if key not in known:
             raise ModelFormatError(f"{what} holds unknown key {key!r}")
 
 
-def _read_node(obj) -> Split | Leaf:
-    """A model file's node, a JSON object read by _json_object, as a Leaf, or
-    a Split whose children are still to be read."""
+def _read_node(repeats: dict, obj) -> Split | Leaf:
+    """A model file's node, a JSON object read by _json_object into repeats, as
+    a Leaf, or a Split whose children are still to be read."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf_id" in obj:
@@ -222,9 +222,9 @@ def _read_node(obj) -> Split | Leaf:
             if key not in obj:
                 raise ModelFormatError(f"internal node missing {key!r}")
         node, n_keys = Split(obj["feature_index"], obj["threshold"], obj["left"], obj["right"]), 4
-    # it holds every key of its kind, so any more entries repeat a key or add another
-    if len(obj) != n_keys:
-        _refuse_keys(obj, "tree node", _NODE_KEYS)
+    # it holds every key of its kind, so a repeat or any more entries are a fault
+    if len(obj) != n_keys or id(obj) in repeats:
+        _refuse_keys(obj, "tree node", _NODE_KEYS, repeats)
         raise ModelFormatError("tree node holds both leaf keys and split keys")
     return node
 
@@ -239,9 +239,9 @@ def deserialize_model(text: str) -> Model:
     leaf and split keys.  The loader reads only the JSON shape;
     RegressionTree and Model refuse values no model may hold.
     """
+    repeats: dict = {}  # this document's objects that repeat a key, by id
     try:
-        # each object as a dict, on which a repeated key still shows
-        document = json.loads(text, object_pairs_hook=_json_object)
+        document = json.loads(text, object_pairs_hook=partial(_json_object, repeats))
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"model file is not valid JSON: {exc.msg} (byte offset {exc.pos})"
@@ -257,7 +257,7 @@ def deserialize_model(text: str) -> Model:
         raise ModelVersionError(
             f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
-    _refuse_keys(document, "model document", _MODEL_KEYS)
+    _refuse_keys(document, "model document", _MODEL_KEYS, repeats)
     for key in ("learning_rate", "n_features", "feature_names", "trees"):
         if key not in document:
             raise ModelFormatError(f"model document missing {key!r}")
@@ -265,7 +265,8 @@ def deserialize_model(text: str) -> Model:
         raise ModelFormatError("'trees' must be a list")
     n_features = document["n_features"]
     try:
-        trees = tuple(RegressionTree._read(t, n_features, _read_node) for t in document["trees"])
+        read = partial(_read_node, repeats)
+        trees = tuple(RegressionTree._read(t, n_features, read) for t in document["trees"])
         return Model(trees, document["learning_rate"], n_features, document["feature_names"])
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None

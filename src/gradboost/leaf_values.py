@@ -135,7 +135,6 @@ def exact_leaf_value(sample: LeafSample) -> float:
     d_hi = leaf_loss_derivative(hi, sample)
     if d_lo >= 0.0 or d_hi <= 0.0:
         return lo if abs(d_lo) <= abs(d_hi) else hi
-    mid = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         d_mid = leaf_loss_derivative(mid, sample)

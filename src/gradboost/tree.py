@@ -67,7 +67,7 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     idx = idx.astype(np.intp, copy=False)  # an empty list reads as float64
     node_res = float_array(residuals, "residuals", (X.shape[0],))[idx]
     n = idx.size
-    if n < 2 or n < 2 * min_count:
+    if n < 2 * min_count:  # min_count >= 1, so this takes every node of fewer than two rows
         return None
     if (node_res == node_res[0]).all():
         return None  # SSE is already zero, nothing to reduce
@@ -148,36 +148,31 @@ class RegressionTree:
         leaf ids other than 1, 2, ... left to right, or a path of more than
         MAX_TREE_DEPTH splits."""
         positive_int(n_features, "n_features")
-        columns = ([], [], [], [])
-        feature, threshold, right, value = columns
+        rows = []  # one [feature, threshold, right, value] per node, in preorder
         # (node still to be read, the split whose right child it is or -1, its depth)
         depth, n_leaves, pending = 0, 0, [(root, -1, 0)]
         while pending:
             node, parent, d = pending.pop()
-            node, i, depth = read(node), len(feature), max(depth, d)
+            node, i, depth = read(node), len(rows), max(depth, d)
             if parent >= 0:
-                right[parent] = i
+                rows[parent][2] = i
             if isinstance(node, Leaf):
                 # preorder, left subtree first, meets the leaves left to right
                 n_leaves += 1
                 if not (is_int(node.leaf_id) and node.leaf_id == n_leaves):
                     raise ValueError(f"leaf id {node.leaf_id!r} out of order, expected {n_leaves}")
-                entries = (-1, 0.0, -1, finite_real(node.value, "leaf value"))
+                rows.append([-1, 0.0, -1, finite_real(node.value, "leaf value")])
             elif not isinstance(node, Split):
                 raise ValueError(f"tree node must be a Split or a Leaf, got {type(node).__name__}")
             elif d == MAX_TREE_DEPTH:
                 raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
             elif is_int(node.feature_index) and 0 <= node.feature_index < n_features:
+                rows.append([int(node.feature_index), finite_real(node.threshold, "threshold"), -1, 0.0])
                 # the left child is popped next, as it is pushed last
-                split_at = finite_real(node.threshold, "threshold")
-                entries = (int(node.feature_index), split_at, -1, 0.0)
                 pending += [(node.right, i, d + 1), (node.left, -1, d + 1)]
             else:
                 raise ValueError(f"split on feature {node.feature_index!r} of a {n_features}-feature tree")
-            for column, entry in zip(columns, entries):
-                column.append(entry)
-        columns = tuple(map(tuple, columns))
-        for f, attribute in zip(fields(self), (n_features, *columns, depth)):
+        for f, attribute in zip(fields(self), (n_features, *zip(*rows), depth)):  # rows to columns
             object.__setattr__(self, f.name, attribute)
 
     def apply(self, x) -> tuple[int, float]:
@@ -336,7 +331,7 @@ def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1):
     def grow(node: tuple[np.ndarray, int]) -> Split | Leaf:
         """Rows and depth as a leaf, or as their best split into two sides still to grow."""
         idx, depth = node
-        best = depth < max_depth and idx.size >= 2 and best_split(X, res, idx, min_count=min_leaf)
+        best = depth < max_depth and best_split(X, res, idx, min_count=min_leaf)
         if not best:
             leaf_rows.append(idx)
             return Leaf(len(leaf_rows), 0.0)

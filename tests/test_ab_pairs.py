@@ -162,6 +162,17 @@ def test_the_sides_alternate_and_the_seed_is_passed_only_when_given(tmp_path, mo
         ("parent", 1), ("change", 1)]
 
 
+def test_each_sides_median_attempted_comes_before_the_table(tmp_path, monkeypatch, capsys):
+    # peak_rss_mb grows with the operations a run attempts, so it is read beside them
+    code, out, _, _ = _main(tmp_path, monkeypatch, capsys, PARENT, CHANGE)
+    lines = out.splitlines()
+    # six run lines, then this one, then the table's header
+    assert code == 0 and lines[6] == "median attempted: parent 80000, change 120000"
+    assert lines[7].split()[:2] == ["metric", "unit"]
+    out = _main(tmp_path / "two", monkeypatch, capsys, PARENT[:2], CHANGE[:2])[1]
+    assert "median attempted: parent 78000, change 130000" in out.splitlines()
+
+
 def test_a_run_with_failed_operations_makes_the_tool_fail(tmp_path, monkeypatch, capsys):
     change = [CHANGE[0], _line(130000, 0.5, 0.190, 3.1, 48.0, failed=2), CHANGE[2]]
     code, out, err, _ = _main(tmp_path, monkeypatch, capsys, PARENT, change)

@@ -869,24 +869,34 @@ class TestStrictModelFile:
 
 
 class TestObjectWhereAValueBelongs:
-    @pytest.mark.parametrize("path, message", [
-        (("learning_rate",), "learning_rate must be a real number, got dict"),
-        (("n_features",), "n_features must be an integer >= 1, got {'a': 1}"),
-        (("trees", 0, "threshold"), "threshold must be a real number, got dict"),
-        (("trees", 0, "left", "gamma"), "leaf value must be a real number, got dict"),
-        (("trees", 0, "feature_index"), "split on feature {'a': 1} of a 1-feature tree"),
-        (("trees", 0, "left", "leaf_id"), "leaf id {'a': 1} out of order, expected 1"),
-    ], ids=["learning-rate", "n-features", "threshold", "gamma", "feature-index", "leaf-id"])
-    def test_a_json_object_is_named_as_a_dict(self, trained, tmp_path, capsys, path, message):
+    @pytest.mark.parametrize("path, value, message", [
+        (("learning_rate",), '{"a": 1}', "learning_rate must be a real number, got dict"),
+        (("n_features",), '{"a": 1}', "n_features must be an integer >= 1, got {'a': 1}"),
+        (("trees", 0, "threshold"), '{"a": 1}', "threshold must be a real number, got dict"),
+        (("trees", 0, "left", "gamma"), '{"a": 1}', "leaf value must be a real number, got dict"),
+        (("trees", 0, "feature_index"), '{"a": 1}', "split on feature {'a': 1} of a 1-feature tree"),
+        (("trees", 0, "left", "leaf_id"), '{"a": 1}', "leaf id {'a': 1} out of order, expected 1"),
+        # an object that repeats a key shows as read, with its last value
+        (("n_features",), '{"a": 1, "a": 2}', "n_features must be an integer >= 1, got {'a': 2}"),
+        (("trees", 0, "feature_index"), '{"a": 1, "a": 2}', "split on feature {'a': 2} of a 1-feature tree"),
+        (("trees", 0, "left", "leaf_id"), '{"a": 1, "a": 2}', "leaf id {'a': 2} out of order, expected 1"),
+    ], ids=["learning-rate", "n-features", "threshold", "gamma", "feature-index", "leaf-id",
+            "n-features-repeats", "feature-index-repeats", "leaf-id-repeats"])
+    def test_a_json_object_is_named_as_a_dict(self, trained, tmp_path, capsys, path, value, message):
         document = json.loads(trained.model.read_text(encoding="utf-8"))
         *parents, key = path
         place = document
         for step in parents:
             place = place[step]
-        place[key] = {"a": 1}
-        edited = _write(tmp_path, json.dumps(document), "edited.json")
+        place[key] = "value-here"
+        text = json.dumps(document).replace('"value-here"', value)
+        edited = _write(tmp_path, text, "edited.json")
         code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
         assert (code, capsys.readouterr().err) == (EXIT_IO, f"error: {message}\n")
+        # the version is still read first
+        edited.write_text(text.replace('"format_version": 1', '"format_version": 2'), encoding="utf-8")
+        code = main(["predict", "--model", str(edited), "--data", str(trained.data)])
+        assert code == EXIT_MODEL_VERSION and "format_version" in capsys.readouterr().err
 
     def test_a_repeated_key_is_named_before_an_unknown_key_in_one_object(self):
         text = json.dumps({

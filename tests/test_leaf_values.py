@@ -258,6 +258,9 @@ class TestNewtonStep:
         num, den = leaf_value_terms(sample.labels, sample.prior_probs)
         assert den < NEWTON_DENOMINATOR_FLOOR
         assert newton_leaf_value(sample) == num / NEWTON_DENOMINATOR_FLOOR
+        # the floor README states: sum(r) / max(sum(p*(1-p)), 1e-12)
+        assert NEWTON_DENOMINATOR_FLOOR == 1e-12
+        assert newton_step(1.0, 0.0) == 1e12
 
     def test_matches_gradient_over_hessian(self):
         rng = np.random.default_rng(3)

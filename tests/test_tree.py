@@ -226,13 +226,15 @@ class TestBestSplit:
         assert best_split(x, np.full(10, 0.18691333659165826), np.arange(10)) is None
 
     def test_a_cut_that_only_ties_the_node_is_no_split(self):
-        # the one cut leaves SSE 4.0 on each side of 0.5 together, as the node has
+        # the one cut leaves, on its two sides of 0.5 together, the node's own SSE:
+        # 4.0 for residuals of mean zero, and 0.25 for ones of mean 0.25, which a
+        # starting best other than the node's SSE would take for a gain
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
-        r = np.array([1.0, -1.0, 1.0, -1.0])
-        assert best_split(x, r, np.arange(4)) is None
-        tree, leaf_rows = fit_tree(x, r, max_depth=3)
-        assert tree == RegressionTree(Leaf(1, 0.0), 1)
-        assert [rows.tolist() for rows in leaf_rows] == [[0, 1, 2, 3]]
+        for r in ([1.0, -1.0, 1.0, -1.0], [0.0, 0.5, 0.0, 0.5]):
+            assert best_split(x, np.array(r), np.arange(4)) is None
+            tree, leaf_rows = fit_tree(x, np.array(r), max_depth=3)
+            assert tree == RegressionTree(Leaf(1, 0.0), 1)
+            assert [rows.tolist() for rows in leaf_rows] == [[0, 1, 2, 3]]
 
     def test_constant_feature_yields_no_split(self):
         x = np.full((4, 1), 2.0)

@@ -13,11 +13,13 @@ follows the other.  A run that exits nonzero, or whose last line is not a
 result, stops the tool with an error.
 
 For each run it prints correct, attempted, failed and every end-to-end metric
-named in CHANGE/BENCHMARK.json.  It then prints, for each metric, the
-parent's and the change's medians, their ratio (change / parent), the
-distance between the parent's quartiles, how many pairs the change won by
-the metric's "better" direction (a tie counts for neither side), and a
-verdict read with the metric's "bound" (see verdict).  A last line gives
+named in CHANGE/BENCHMARK.json.  It then prints each side's median operations
+attempted per run, which the harness's share of peak_rss_mb grows with
+(ROADMAP item 1).  After that, for each metric, it prints the parent's and
+the change's medians, their ratio (change / parent), the distance between
+the parent's quartiles, how many pairs the change won by the metric's
+"better" direction (a tie counts for neither side), and a verdict read with
+the metric's "bound" (see verdict).  A last line gives
 each side's failed operations out of those attempted.  If any run
 reported `correct: false`, the tool names those runs on stderr and exits 1,
 since a speed-up measured while operations fail shows nothing; so it does,
@@ -140,6 +142,8 @@ def main() -> int:
             values = run_once(getattr(args, side), args.workload, args.seed, metrics)
             results[side].append(values)
             print(run_line(pair, side, values, metrics), flush=True)
+    medians = [statistics.median(v["attempted"] for v in runs) for runs in results.values()]
+    print("median attempted: parent {:.0f}, change {:.0f}".format(*medians))
     lines = summary(metrics, results["parent"], results["change"])
     print("\n".join(lines))
     incorrect = [f"{side} pair {k + 1}" for side, runs in results.items()

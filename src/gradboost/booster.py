@@ -208,22 +208,20 @@ def _refuse_keys(obj: dict, what: str, known: frozenset, repeats: dict) -> None:
             raise ModelFormatError(f"{what} holds unknown key {key!r}")
 
 
-def _read_node(repeats: dict, obj) -> Split | Leaf:
+def _read_node(repeats: dict, obj) -> tuple:
     """A model file's node, a JSON object read by _json_object into repeats, as
-    a Leaf, or a Split whose children are still to be read."""
+    a leaf's (leaf_id, gamma), or a split's (feature_index, threshold, left,
+    right) whose children are still to be read."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node must be a JSON object, got {type(obj).__name__}")
-    if "leaf_id" in obj:
-        if "gamma" not in obj:
-            raise ModelFormatError("leaf node missing 'gamma'")
-        node, n_keys = Leaf(obj["leaf_id"], obj["gamma"]), 2
-    else:
-        for key in ("feature_index", "threshold", "left", "right"):
-            if key not in obj:
-                raise ModelFormatError(f"internal node missing {key!r}")
-        node, n_keys = Split(obj["feature_index"], obj["threshold"], obj["left"], obj["right"]), 4
+    leaf = "leaf_id" in obj
+    try:  # a tuple's items are read left to right, so the first missing key is named
+        node = (obj["leaf_id"], obj["gamma"]) if leaf else (
+            obj["feature_index"], obj["threshold"], obj["left"], obj["right"])
+    except KeyError as missing:
+        raise ModelFormatError(f"{'leaf' if leaf else 'internal'} node missing {missing.args[0]!r}") from None
     # it holds every key of its kind, so a repeat or any more entries are a fault
-    if len(obj) != n_keys or id(obj) in repeats:
+    if len(obj) != len(node) or repeats and id(obj) in repeats:
         _refuse_keys(obj, "tree node", _NODE_KEYS, repeats)
         raise ModelFormatError("tree node holds both leaf keys and split keys")
     return node
@@ -266,7 +264,9 @@ def deserialize_model(text: str) -> Model:
     n_features = document["n_features"]
     try:
         read = partial(_read_node, repeats)
-        trees = tuple(RegressionTree._read(t, n_features, read) for t in document["trees"])
+        trees = tuple(
+            RegressionTree.__new__(RegressionTree)._compile(t, n_features, read) for t in document["trees"]
+        )
         return Model(trees, document["learning_rate"], n_features, document["feature_names"])
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
@@ -373,12 +373,13 @@ def _leaf_terms(leaf_rows, y, probs) -> list[tuple[int, np.ndarray, float, float
 
 def _round(iteration, tree, terms, y, scores, prior_probs, learning_rate) -> IterationRecord:
     """One round's record: a copy of scores advanced by learning_rate times each
-    leaf's value over its members (terms and tree.leaves() run left to right).
-    Its scores, probs and members are each stored as a frozen_copy."""
+    leaf's value over its members (terms and the leaves of tree.value's preorder
+    run left to right).  Its scores, probs and members are each stored as a frozen_copy."""
     scores, leaves = scores.copy(), []
-    for (leaf_id, members, numerator, denominator), leaf in zip(terms, tree.leaves()):
-        scores[members] += learning_rate * leaf.value
-        leaves.append(LeafRecord(leaf_id, frozen_copy(members), numerator, denominator, leaf.value))
+    values = (value for feature, value in zip(tree.feature, tree.value) if feature < 0)
+    for (leaf_id, members, numerator, denominator), value in zip(terms, values):
+        scores[members] += learning_rate * value
+        leaves.append(LeafRecord(leaf_id, frozen_copy(members), numerator, denominator, value))
     scores = frozen_copy(scores)
     probs = frozen_copy(sigmoid(scores))
     return IterationRecord(iteration, y, prior_probs, scores, probs, tuple(leaves))

@@ -132,48 +132,52 @@ class RegressionTree:
 
     def __init__(self, root: Split | Leaf, n_features: int):
         """Compile root, a Split or a Leaf, as _compile does."""
-        self._compile(root, n_features, lambda node: node)
+        self._compile(root, n_features, _node_fields)
 
-    @classmethod
-    def _read(cls, root, n_features: int, read) -> "RegressionTree":
-        (tree := cls.__new__(cls))._compile(root, n_features, read)
-        return tree
-
-    def _compile(self, root, n_features: int, read) -> None:
-        """Compile into the columns, in one preorder pass, the tree read builds
-        from root: read(node) gives a Leaf, or a Split whose children are still
-        to be read.  Refuses what a model file could not hold: n_features not an
-        integer >= 1, a split feature not an integer in [0, n_features), a node
-        neither a Split nor a Leaf, a threshold or leaf value not a finite real,
+    def _compile(self, root, n_features: int, read) -> "RegressionTree":
+        """Compile into the columns, in one preorder pass, the tree read gives
+        from root, and return self: read(node) gives a leaf's (leaf_id, value),
+        or a split's (feature, threshold, left, right) whose children are still
+        to be read.  Checks each node as it is read, refusing what a model file
+        could not hold: n_features not an integer >= 1, a split feature not an
+        integer in [0, n_features), a threshold or leaf value not a finite real,
         leaf ids other than 1, 2, ... left to right, or a path of more than
         MAX_TREE_DEPTH splits."""
         positive_int(n_features, "n_features")
         rows = []  # one [feature, threshold, right, value] per node, in preorder
-        # (node still to be read, the split whose right child it is or -1, its depth)
-        depth, n_leaves, pending = 0, 0, [(root, -1, 0)]
+        # (a right child still to be read, its parent's row or None at the root, its depth)
+        depth, n_leaves, pending = 0, 0, [(root, None, 0)]
         while pending:
             node, parent, d = pending.pop()
-            node, i, depth = read(node), len(rows), max(depth, d)
-            if parent >= 0:
-                rows[parent][2] = i
-            if isinstance(node, Leaf):
-                # preorder, left subtree first, meets the leaves left to right
-                n_leaves += 1
-                if not (is_int(node.leaf_id) and node.leaf_id == n_leaves):
-                    raise ValueError(f"leaf id {node.leaf_id!r} out of order, expected {n_leaves}")
-                rows.append([-1, 0.0, -1, finite_real(node.value, "leaf value")])
-            elif not isinstance(node, Split):
-                raise ValueError(f"tree node must be a Split or a Leaf, got {type(node).__name__}")
-            elif d == MAX_TREE_DEPTH:
-                raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
-            elif is_int(node.feature_index) and 0 <= node.feature_index < n_features:
-                rows.append([int(node.feature_index), finite_real(node.threshold, "threshold"), -1, 0.0])
-                # the left child is popped next, as it is pushed last
-                pending += [(node.right, i, d + 1), (node.left, -1, d + 1)]
-            else:
-                raise ValueError(f"split on feature {node.feature_index!r} of a {n_features}-feature tree")
+            if parent is not None:
+                parent[2] = len(rows)
+            while True:  # down the left spine, as preorder reads the left subtree first
+                node = read(node)
+                if len(node) == 2:  # a leaf's (leaf_id, value)
+                    leaf_id, value = node
+                    # preorder meets the leaves left to right; the deepest node is a leaf
+                    n_leaves, depth = n_leaves + 1, max(depth, d)
+                    # an exact int or float skips the calls that check any other type
+                    if not ((type(leaf_id) is int or is_int(leaf_id)) and leaf_id == n_leaves):
+                        raise ValueError(f"leaf id {leaf_id!r} out of order, expected {n_leaves}")
+                    if type(value) is not float or value - value != 0.0:  # inf - inf and NaN are NaN
+                        value = finite_real(value, "leaf value")
+                    rows.append([-1, 0.0, -1, value])
+                    break
+                if d == MAX_TREE_DEPTH:
+                    raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
+                feature, threshold, node, right = node  # the left child is read next
+                column = feature if type(feature) is int else int(feature) if is_int(feature) else -1
+                if not 0 <= column < n_features:
+                    raise ValueError(f"split on feature {feature!r} of a {n_features}-feature tree")
+                if type(threshold) is not float or threshold - threshold != 0.0:
+                    threshold = finite_real(threshold, "threshold")
+                rows.append(row := [column, threshold, -1, 0.0])
+                d += 1
+                pending.append((right, row, d))
         for f, attribute in zip(fields(self), (n_features, *zip(*rows), depth)):  # rows to columns
             object.__setattr__(self, f.name, attribute)
+        return self
 
     def apply(self, x) -> tuple[int, float]:
         """Route one instance to its leaf; returns (leaf_id, value)."""
@@ -262,6 +266,13 @@ class RegressionTree:
         return folded[0]
 
 
+def _node_fields(node) -> tuple:
+    """A Split's or a Leaf's fields in order, as RegressionTree._compile reads a node."""
+    if not isinstance(node, (Split, Leaf)):
+        raise ValueError(f"tree node must be a Split or a Leaf, got {type(node).__name__}")
+    return tuple(getattr(node, f.name) for f in fields(node))
+
+
 def row_values(x, n_features: int) -> list[float]:
     """One row, given as a 1-d array, list or tuple of n_features finite
     numbers, as a list of Python floats.  Anything else, a bare number, a
@@ -328,15 +339,15 @@ def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1):
         raise ValueError("features must hold at least one row")
     leaf_rows: list[np.ndarray] = []
 
-    def grow(node: tuple[np.ndarray, int]) -> Split | Leaf:
-        """Rows and depth as a leaf, or as their best split into two sides still to grow."""
+    def grow(node: tuple[np.ndarray, int]) -> tuple:
+        """Rows and depth as a leaf's fields, or as their best cut and its two sides still to grow."""
         idx, depth = node
         best = depth < max_depth and best_split(X, res, idx, min_count=min_leaf)
         if not best:
             leaf_rows.append(idx)
-            return Leaf(len(leaf_rows), 0.0)
+            return len(leaf_rows), 0.0
         go_left = X[idx, best.feature_index] <= best.threshold
-        sides = (idx[go_left], depth + 1), (idx[~go_left], depth + 1)
-        return Split(best.feature_index, best.threshold, *sides)
+        return best.feature_index, best.threshold, (idx[go_left], depth + 1), (idx[~go_left], depth + 1)
 
-    return RegressionTree._read((np.arange(X.shape[0], dtype=np.intp), 0), X.shape[1], grow), leaf_rows
+    root = np.arange(X.shape[0], dtype=np.intp), 0
+    return RegressionTree.__new__(RegressionTree)._compile(root, X.shape[1], grow), leaf_rows

@@ -167,10 +167,10 @@ def test_each_sides_median_attempted_comes_before_the_table(tmp_path, monkeypatc
     code, out, _, _ = _main(tmp_path, monkeypatch, capsys, PARENT, CHANGE)
     lines = out.splitlines()
     # six run lines, then this one, then the table's header
-    assert code == 0 and lines[6] == "median attempted: parent 80000, change 120000"
+    assert code == 0 and lines[6] == "median attempted: parent 80000, change 120000 (x1.500)"
     assert lines[7].split()[:2] == ["metric", "unit"]
     out = _main(tmp_path / "two", monkeypatch, capsys, PARENT[:2], CHANGE[:2])[1]
-    assert "median attempted: parent 78000, change 130000" in out.splitlines()
+    assert "median attempted: parent 78000, change 130000 (x1.667)" in out.splitlines()
 
 
 def test_a_run_with_failed_operations_makes_the_tool_fail(tmp_path, monkeypatch, capsys):

@@ -943,9 +943,26 @@ class TestSerialization:
                  "right": {"leaf_id": 2, "gamma": 0.0}},
                 "split on feature 3 of a 1-feature tree",
             ),
+            # a value is checked as its node is read, before any child is
+            (
+                {"feature_index": 0, "threshold": "0.5", "left": {"leaf_id": 1},
+                 "right": {"leaf_id": 2, "gamma": 0.0}},
+                "threshold must be a real number, got str",
+            ),
+            (
+                {"feature_index": 0, "threshold": 0.5, "left": {"leaf_id": 1, "gamma": True},
+                 "right": []},
+                "leaf value must be a real number, got bool",
+            ),
+            (
+                {"feature_index": 1.0, "threshold": 0.5, "left": {"leaf_id": 1, "gamma": 0.0},
+                 "right": {"feature_index": 0}},
+                "split on feature 1.0 of a 1-feature tree",
+            ),
         ],
         ids=["not-an-object", "leaf-without-gamma", "split-without-right", "id-then-not-an-object",
-             "no-gamma-then-string-gamma", "feature-then-not-an-object"],
+             "no-gamma-then-string-gamma", "feature-then-not-an-object", "string-threshold-then-no-gamma",
+             "bool-gamma-then-not-an-object", "float-feature-then-bad-right"],
     )
     def test_a_bad_tree_names_its_first_fault_in_preorder(self, tree, message):
         document = {

@@ -4,8 +4,9 @@ every public method and property of an exported class; no module of the
 package, its tests or demos imports a name it never uses; values become
 float64, are checked finite, a CSV body is parsed by numpy, and a CSV cell
 by float(), in one place each; best_split's candidate loop makes no call
-but to record a winner; the suite's one hypothesis profile; and the
-README's library quickstart runs."""
+but to record a winner; trees are grown, loaded and replayed with no Split
+or Leaf per node; the suite's one hypothesis profile; and the README's
+library quickstart runs."""
 
 import ast
 import contextlib
@@ -53,6 +54,13 @@ NUMBER_READS = {("dataset", "_parse_number")}
 # dataset.frozen_copy is the one way an array is frozen: a copy over a bytes
 # object, which no flag reopens, so no scope flags an array with setflags
 FREEZES = {("dataset", "frozen_copy")}
+
+# the only scopes that build a Split or a Leaf, or call leaves(), which builds
+# a Leaf per leaf: train's forced stumps and leaves() itself.  fit_tree, the
+# model reader (_read_node, deserialize_model), RegressionTree._compile and
+# _round hand over or read plain node fields; tree.root and fold build nodes
+# through the classes they are given, with no call here
+NODE_BUILDERS = {("booster", "train"), ("tree", "RegressionTree.leaves")}
 
 
 def test_all_lists_each_exported_name_once():
@@ -217,6 +225,15 @@ def test_the_split_search_loop_makes_no_call():
     assert all(
         statement.lineno > node.end_lineno for node in ast.walk(function) if isinstance(node, ast.For)
     )
+
+
+def test_trees_are_grown_loaded_and_replayed_with_no_split_or_leaf():
+    # a Split or a Leaf per node took most of deserialize_model's time on a
+    # 2,314-node model: the one preorder walk takes each node's fields instead
+    def builds_nodes(call):
+        return ast.unparse(call.func) in ("Split", "Leaf") or _calls_method("leaves")(call)
+
+    assert _scopes_calling(builds_nodes) == NODE_BUILDERS
 
 
 def test_the_readme_library_quickstart_runs(monkeypatch):

@@ -14,8 +14,9 @@ result, stops the tool with an error.
 
 For each run it prints correct, attempted, failed and every end-to-end metric
 named in CHANGE/BENCHMARK.json.  It then prints each side's median operations
-attempted per run, which the harness's share of peak_rss_mb grows with
-(ROADMAP item 1).  After that, for each metric, it prints the parent's and
+attempted per run and their ratio (change / parent): the harness's share of
+peak_rss_mb grows with them (ROADMAP item 1), so a peak_rss_mb move is read
+against the extra operations a faster change fits into a run.  After that, for each metric, it prints the parent's and
 the change's medians, their ratio (change / parent), the distance between
 the parent's quartiles, how many pairs the change won by the metric's
 "better" direction (a tie counts for neither side), and a verdict read with
@@ -142,8 +143,9 @@ def main() -> int:
             values = run_once(getattr(args, side), args.workload, args.seed, metrics)
             results[side].append(values)
             print(run_line(pair, side, values, metrics), flush=True)
-    medians = [statistics.median(v["attempted"] for v in runs) for runs in results.values()]
-    print("median attempted: parent {:.0f}, change {:.0f}".format(*medians))
+    before, after = [statistics.median(v["attempted"] for v in runs) for runs in results.values()]
+    ratio = f"x{after / before:.3f}" if before else "-"
+    print(f"median attempted: parent {before:.0f}, change {after:.0f} ({ratio})")
     lines = summary(metrics, results["parent"], results["change"])
     print("\n".join(lines))
     incorrect = [f"{side} pair {k + 1}" for side, runs in results.items()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import sys
 
@@ -170,7 +171,10 @@ def cmd_trace(args) -> None:
         write_trace(fh, dataset, trace)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a build takes about ten
+    times as long as a parse, and a parse, failed or not, leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="gradboost",
         description="Train and run gradient boosted stump/tree classifiers over CSV data.",

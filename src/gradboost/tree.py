@@ -51,6 +51,8 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     Ties break toward the lowest feature index, then the lowest threshold.
     min_count restricts candidates to those leaving at least that many
     instances on each side; only these distinct cut points are scanned.
+    Each column's residuals are summed in one order, whatever numpy's sort
+    kernel: by feature value, tied values by their place in instance_set.
     features must be a matrix of numbers (float_array), residuals one number
     per row of it and instance_set a 1-d array of integer rows of it (an empty
     list too), or a ValueError names what is wrong; finite features and
@@ -77,8 +79,12 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     best, best_sse = None, max(0.0, total_sq - total * total / n)
     for f in range(X.shape[1]):
         col = X[idx, f]
-        order = col.argsort(kind="stable")
+        order = col.argsort()  # numpy's default (SIMD) sort, which may leave ties in any order
         xs = col[order]
+        # distinct values sort one way only; a tie (-0.0 beside 0.0 too) or a NaN takes the stable sort
+        if not (xs[:-1] < xs[1:]).all():
+            order = col.argsort(kind="stable")
+            xs = col[order]
         rs = node_res[order]
         rs_sq = rs * rs
         prefix = rs.cumsum()

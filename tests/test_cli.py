@@ -330,6 +330,35 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: threshold 1.5 is not in (0, 1)\n"
 
 
+class TestOneParserPerProcess:
+    def test_calls_through_one_parser_match_calls_through_fresh_ones(self, tmp_path, capsys):
+        # main reuses build_parser's one parser: a train, a usage error that
+        # fails inside the train subparser, and a predict, run in one process,
+        # give the codes, output and files a fresh parser per call gives
+        data = _write(tmp_path, SIX_CSV)
+
+        def session(fresh):
+            model, predictions = tmp_path / f"model{fresh}.json", tmp_path / f"pred{fresh}.csv"
+            calls = (
+                ["train", "--data", str(data), "--trees", "3", "--max-depth", "2", "--out", str(model)],
+                ["train", "--data", str(data), "--trees", "three"],
+                ["predict", "--model", str(model), "--data", str(data), "--out", str(predictions)],
+            )
+            results = []
+            for argv in calls:
+                if fresh:
+                    build_parser.cache_clear()
+                results.append((main(argv), *capsys.readouterr()))
+            return results, model.read_bytes(), predictions.read_bytes()
+
+        build_parser.cache_clear()
+        reused = session(fresh=False)
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in reused[0]] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert "invalid int value: 'three'" in reused[0][1][2]
+        assert reused == session(fresh=True)
+
+
 class TestDataErrors:
     def test_train_requires_label_column(self, trained, tmp_path, capsys):
         data = _write(tmp_path, "x\n1\n2\n")

@@ -4,7 +4,8 @@ every public method and property of an exported class; no module of the
 package, its tests or demos imports a name it never uses; values become
 float64, are checked finite, a CSV body is parsed by numpy, and a CSV cell
 by float(), in one place each; best_split's candidate loop makes no call
-but to record a winner; trees are grown, loaded and replayed with no Split
+but to record a winner, and it sorts a column stably only when the column
+has a tie; trees are grown, loaded and replayed with no Split
 or Leaf per node; the suite's one hypothesis profile; and the README's
 library quickstart runs."""
 
@@ -196,17 +197,23 @@ def test_arrays_are_frozen_only_through_frozen_copy():
     assert _scopes_calling(_calls_method("tobytes")) == FREEZES
 
 
-def test_the_split_search_loop_makes_no_call():
-    # best_split's candidate loop runs once per cut point of every column of
-    # every node, so a call there is paid per candidate: two max calls for the
-    # clamps made fit-wide's train call take ×1.7 as long.  The loop only
-    # searches; the winner's threshold and its SplitCandidate come after it.
+def _best_split():
+    """tree.best_split's FunctionDef."""
     tree = next(path for path in SOURCES if path.stem == "tree")
     (function,) = [
         node
         for node in ast.walk(ast.parse(tree.read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef) and node.name == "best_split"
     ]
+    return function
+
+
+def test_the_split_search_loop_makes_no_call():
+    # best_split's candidate loop runs once per cut point of every column of
+    # every node, so a call there is paid per candidate: two max calls for the
+    # clamps made fit-wide's train call take ×1.7 as long.  The loop only
+    # searches; the winner's threshold and its SplitCandidate come after it.
+    function = _best_split()
     (loop,) = [
         node
         for node in ast.walk(function)
@@ -225,6 +232,33 @@ def test_the_split_search_loop_makes_no_call():
     assert all(
         statement.lineno > node.end_lineno for node in ast.walk(function) if isinstance(node, ast.For)
     )
+
+
+def test_the_split_search_sorts_stably_only_a_column_with_a_tie():
+    # numpy's default argsort sorts 4,000 floats several times faster than its
+    # stable sort, but may leave tied values in any order, and the order of
+    # the rows sets the bits of every running sum.  best_split sorts each
+    # column the default way, and its one stable sort sits under the branch
+    # for a sorted column that is not strictly increasing: neither may go.
+    function = _best_split()
+    argsorts = [
+        node
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("argsort")
+    ]
+    (stable,) = [
+        call
+        for call in argsorts
+        if [(k.arg, ast.unparse(k.value)) for k in call.keywords] == [("kind", "'stable'")]
+    ]
+    (default,) = [call for call in argsorts if not call.args and not call.keywords]
+    (branch,) = [
+        node
+        for node in ast.walk(function)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "not (xs[:-1] < xs[1:]).all()"
+    ]
+    assert stable in [node for statement in branch.body for node in ast.walk(statement)]
+    assert default.lineno < branch.lineno
 
 
 def test_trees_are_grown_loaded_and_replayed_with_no_split_or_leaf():

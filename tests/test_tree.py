@@ -1,9 +1,13 @@
 """Regression-tree split search and tree growth."""
 
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,38 @@ def _frame_depth():
         depth, frame = depth + 1, frame.f_back
     return depth
 
+
+# Fits a tree on a fixed tie-heavy matrix (integer, signed-zero and
+# eighths columns beside a continuous one) and prints, as one JSON line, its
+# four columns, each column's best root split and whether numpy has each of
+# NPY_DISABLE_CPU_FEATURES's names on (null where it does not know the name).
+# Residuals over six orders of magnitude round their running sums apart in
+# each order of the tied rows, which moves a root split's sse_after bits far
+# more often than a threshold of the tree.  No sigmoid or exp enters.
+KERNEL_FIT = """
+import json, os
+import numpy as np
+from gradboost import best_split, fit_tree
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    __cpu_features__ = {}
+rng = np.random.default_rng(38)
+n = 2000
+X = np.column_stack([
+    rng.integers(0, 4, n), rng.choice((-0.0, 0.0, 1.0), n), rng.integers(0, 8, n) / 8,
+    rng.uniform(-1, 1, n),
+])
+r = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 1, n)
+tree, _ = fit_tree(X, r, max_depth=3)
+roots = [best_split(X[:, [f]], r, np.arange(n)) for f in range(X.shape[1])]
+disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+print(json.dumps({
+    "columns": [tree.feature, [t.hex() for t in tree.threshold], tree.right, [v.hex() for v in tree.value]],
+    "roots": [[c.threshold.hex(), c.sse_after.hex()] for c in roots],
+    "features": {name: __cpu_features__.get(name) for name in disabled},
+}))
+"""
 
 # the leaf values of a right_chain of the deepest allowed depth: leaf j holds j / 4
 DEEPEST_CHAIN_VALUES = [j / 4 for j in range(1, MAX_TREE_DEPTH + 2)]
@@ -374,6 +410,32 @@ class TestBestSplit:
         found = best_split(X, r, instance_set, min_count=min_count)
         assert _bits(found) == _bits(_reference_best_split(X, r, instance_set, min_count))
 
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["rows-in-order", "rows-shuffled"])
+    @pytest.mark.parametrize(
+        "values",
+        [(0.0, 1.0, 2.0, 3.0), (-0.0, 0.0, 1.0), None],
+        ids=["integers-0-to-3", "signed-zeros", "distinct"],
+    )
+    def test_sums_tied_rows_in_instance_set_order_at_any_size(self, values, shuffled):
+        # whether numpy's default sort keeps ties in place on the property's
+        # few rows depends on its kernel (its insertion sort does); on
+        # thousands every kernel may move them, and the tied rows must still
+        # be summed in instance-set order, as the reference's stable sort has them
+        # (one draw can round the winning cut's sums alike in both orders:
+        # four rarely all do)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = 2000
+            column = rng.uniform(-1.0, 1.0, n) if values is None else rng.choice(values, n)
+            # residuals over six orders of magnitude: each order of the rows
+            # rounds its running sums apart
+            r = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 1, n)
+            instance_set = rng.permutation(n) if shuffled else np.arange(n)
+            X = column.reshape(-1, 1)
+            found = best_split(X, r, instance_set)
+            assert found is not None
+            assert _bits(found) == _bits(_reference_best_split(X, r, instance_set))
+
     @pytest.mark.parametrize(
         "instance_set, message",
         [
@@ -576,6 +638,33 @@ class TestFitTree:
         X, r, max_depth, min_leaf = case
         tree, _ = fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)
         assert tree == RegressionTree(_recursive_fit_root(X, r, max_depth, min_leaf), X.shape[1])
+
+    @pytest.mark.parametrize(
+        "disabled",
+        ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"],
+        ids=["avx2-sort", "baseline-sort"],
+    )
+    def test_the_tree_does_not_depend_on_numpys_sort_kernel(self, disabled, capsys):
+        # numpy's default sort takes its AVX-512 kernel where the CPU has one,
+        # else its AVX2 kernel, else its baseline one, and on an AVX-512 host
+        # each puts the tied rows of a 2,000-row 0..3 column in its own
+        # order: a run with the faster kernels turned off must grow the same
+        # tree and find the same root splits.  On a host without AVX-512 or
+        # AVX2 the kernels coincide and this proves less.  Only names numpy
+        # dispatches may be given: any other makes it raise an ImportWarning.
+        exec(KERNEL_FIT, {})
+        here = json.loads(capsys.readouterr().out)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", KERNEL_FIT], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        there = json.loads(done.stdout)
+        assert (there["columns"], there["roots"]) == (here["columns"], here["roots"])
+        # the subprocess ran with every named feature off
+        left_on = [name for name, on in there["features"].items() if on]
+        assert left_on == [], f"NPY_DISABLE_CPU_FEATURES left {left_on} on"
 
     def test_growing_and_rewriting_the_deepest_tree_need_no_call_stack(self):
         # alternating residuals over sorted distinct x leave a cut at every level

@@ -15,6 +15,8 @@ import functools
 import io
 import sys
 
+import numpy as np
+
 from .booster import (
     Model,
     ModelFormatError,
@@ -72,6 +74,42 @@ def write_predictions(fh, model: Model, features, threshold: float) -> None:
         fh.write("%d,%.6f,%.6f,%d\n" * (stop - start) % tuple(cells))
 
 
+# Why a residual-table digit from _residual_digits is %.6f's digit.  Take |x|
+# <= 1 and t = |x| * 1e6 in floating point: 10**6 is exact in binary and t is
+# below 2**20, so t is within 6e-11 of the exact product.  t + 0.5 rounds by at
+# most as much again, and floor is exact, so floor(t + 0.5) is the product
+# rounded half up, which is %.6f's correctly rounded, round-half-even result
+# unless the product lies within ~2e-10 of a half-integer.  A round with a t
+# closer than HALF_INTEGER_MARGIN to one, on either side, is formatted with %
+# instead: an exact tie such as 1/128 (7812.5 millionths) among them.
+HALF_INTEGER_MARGIN = 1e-7
+# the place value of each of a cell's 7 digits, d.dddddd
+DIGIT_PLACES = 10 ** np.arange(6, -1, -1)
+# where the 7 digits of a d.dddddd cell lie, counted from the byte after it
+DIGIT_OFFSETS = np.array([-8, -6, -5, -4, -3, -2, -1], dtype=np.intp)
+
+
+def _residual_digits(prior_probs, residuals, negative):
+    """The digits %.6f prints for each row's p_prev and r cells, as an (n, 2,
+    7) integer array; None when they cannot be proven here.
+
+    That is when a cell is not within [-1, 1] (a NaN is not), when a p_prev
+    has its sign bit set, when the rows whose r has its sign bit set are not
+    exactly those of negative (r = +0.0 on a 0 label, once its p underflowed
+    to 0.0), or when a cell lies near a rounding tie (HALF_INTEGER_MARGIN).
+    """
+    magnitudes = np.abs(np.column_stack([prior_probs, residuals]))
+    if not (magnitudes <= 1.0).all() or np.signbit(prior_probs).any():
+        return None
+    if not np.array_equal(np.signbit(residuals), negative):
+        return None
+    t = magnitudes * 1e6
+    if (np.abs(t - np.floor(t) - 0.5) < HALF_INTEGER_MARGIN).any():
+        return None
+    millionths = np.floor(t + 0.5).astype(np.int64)  # at most 10**6, cast once every cell is in range
+    return millionths[:, :, None] // DIGIT_PLACES % 10
+
+
 def write_trace(fh, dataset: Dataset, trace: TrainingTrace) -> None:
     """Trace CSV: per-iteration sections separated by blank lines.
 
@@ -79,12 +117,25 @@ def write_trace(fh, dataset: Dataset, trace: TrainingTrace) -> None:
     (index, one column per feature, y, p_prev, r), then a leaf table
     (iteration, leaf_id, members, numerator, denominator, gamma).  Instance
     indices and member lists are 1-based; members are space-separated.
+    A ValueError, before anything is written, when dataset's labels are not
+    the trace's, in row count or in value.
 
     Only the column header can need CSV quoting (feature names are free
-    text); every other cell is a number or a member list, so each round's
-    residual table is formatted with one % over 3 cells per row: the row's
-    prefix (index, features, label), formatted once, then p_prev and r.
+    text); every other cell is a number or a member list.  The residual table
+    is formatted once per call with % over 3 cells per row: the row's prefix
+    (index, features, label), then p_prev = 0.0 and r = -0.0 on a 0 label,
+    0.0 on a 1 label.  Each round copies those bytes and writes its p_prev
+    and r digits over the zeros (_residual_digits); a round whose digits
+    cannot be proven there is formatted with the same % over its own cells.
     """
+    if dataset.labels is None:
+        raise ValueError("a trace is written over a labeled data set")
+    if trace.records:
+        labels = trace.records[0].labels  # the same array in every record
+        if labels.shape != dataset.labels.shape:
+            raise ValueError(f"the trace is of {labels.size} rows, the data set of {dataset.n_rows}")
+        if not np.array_equal(labels, dataset.labels):
+            raise ValueError("the trace's labels differ from the data set's")
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerow(["index", *dataset.feature_names, "y", "p_prev", "r"])
     header = buffer.getvalue()
@@ -97,10 +148,24 @@ def write_trace(fh, dataset: Dataset, trace: TrainingTrace) -> None:
         for index, features, label in rows
     ]
     table = "%s,%.6f,%.6f\n" * dataset.n_rows
+    negative = dataset.labels == 0.0  # r = y - p is -p on a 0 label
+    cells[1::3], cells[2::3] = [0.0] * dataset.n_rows, np.where(negative, -0.0, 0.0).tolist()
+    template = (table % tuple(cells)).encode("ascii")
+    # a row's r cell ends at its newline, and its p_prev cell at the comma before r's
+    # 8 bytes and, on a 0 label, r's minus sign
+    ends = np.flatnonzero(np.frombuffer(template, np.uint8) == ord("\n"))
+    digit_at = np.column_stack([ends - 9 - negative, ends])[:, :, None] + DIGIT_OFFSETS
     for record in trace.records:
         fh.write(f"iteration {record.iteration}\n{header}")
-        cells[1::3], cells[2::3] = record.prior_probs.tolist(), record.residuals.tolist()
-        fh.write(table % tuple(cells))
+        residuals = record.residuals
+        digits = _residual_digits(record.prior_probs, residuals, negative)
+        if digits is None:
+            cells[1::3], cells[2::3] = record.prior_probs.tolist(), residuals.tolist()
+            fh.write(table % tuple(cells))
+        else:
+            text = bytearray(template)
+            np.frombuffer(text, np.uint8)[digit_at] = digits + ord("0")
+            fh.write(text.decode("ascii"))
         fh.write("\niteration,leaf_id,members,numerator,denominator,gamma\n")
         for leaf in record.leaves:
             members = " ".join(map(indices.__getitem__, leaf.members.tolist()))
@@ -126,8 +191,9 @@ def _parse_force_splits(text: str) -> tuple[tuple[int, float], ...]:
 
 
 def _open_output(path):
-    """The named file opened for writing, or stdout when no path is given."""
-    if path:
+    """The named file opened for writing, or stdout when no path is given; an
+    empty path is a path like any other, which open refuses."""
+    if path is not None:
         return open(path, "w", newline="", encoding="utf-8")
     return contextlib.nullcontext(sys.stdout)
 
@@ -143,9 +209,9 @@ def cmd_train(args) -> None:
     )
     dataset = load_csv(args.data, expect_labels=True)
     model, trace = train(dataset, config)
-    if args.out:
+    if args.out is not None:
         save_model(model, args.out)
-    if args.trace:
+    if args.trace is not None:
         with _open_output(args.trace) as fh:
             write_trace(fh, dataset, trace)
     print(f"{trace.final_loss:.6f}")

@@ -1,6 +1,9 @@
 import copy
 import csv
+import importlib.util
 import pickle
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ SIX_CSV = """x,label
 """
 
 REFERENCE_SPLITS = ((0, 3.5), (0, 2.25), (0, 5.25))
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _two_pass_sse(values):
@@ -170,6 +175,19 @@ def no_round(monkeypatch):
         raise AssertionError("a boosting round ran")
 
     monkeypatch.setattr(booster, "leaf_value_terms", leaf_value_terms)
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded from its file: the benchmark's seeded inputs
+    (prepare) and the CLI call of each workload.  Only reads bench/."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it puts src/ first
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -132,21 +132,23 @@ def test_a_line_that_is_not_a_result_is_refused(line):
         ab_pairs.parse_result(line, METRICS)
 
 
-def _main(tmp_path, monkeypatch, capsys, parent_lines, change_lines, *options):
-    """ab_pairs.main over canned result lines in place of run.py runs: (exit
-    code, stdout, stderr, the (side, seed) of each run in order)."""
+def _main(tmp_path, monkeypatch, capsys, parent_lines, change_lines, *options, workloads=("fit-wide",)):
+    """ab_pairs.main over canned result lines in place of run.py runs, each
+    side's lines for every workload in turn: (exit code, stdout, stderr, the
+    (side, workload, seed) of each run in order)."""
     for side in ("parent", "change"):
         (tmp_path / side).mkdir(parents=True)
     (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs, lines = [], {"parent": iter(parent_lines), "change": iter(change_lines)}
 
     def run_once(checkout, workload, seed, metrics):
-        runs.append((checkout.name, seed))
+        runs.append((checkout.name, workload, seed))
         return ab_pairs.parse_result(next(lines[checkout.name]), metrics)
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    pairs = len(parent_lines) // len(workloads)
     monkeypatch.setattr(sys, "argv", ["ab_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
-                                      "--workload", "fit-wide", "--pairs", str(len(parent_lines)), *options])
+                                      *(f"--workload={w}" for w in workloads), "--pairs", str(pairs), *options])
     code = ab_pairs.main()
     out, err = capsys.readouterr()
     return code, out, err, runs
@@ -155,20 +157,20 @@ def _main(tmp_path, monkeypatch, capsys, parent_lines, change_lines, *options):
 def test_the_sides_alternate_and_the_seed_is_passed_only_when_given(tmp_path, monkeypatch, capsys):
     code, out, err, runs = _main(tmp_path, monkeypatch, capsys, PARENT, CHANGE)
     assert (code, err) == (0, "")
-    assert runs == [("parent", None), ("change", None), ("change", None), ("parent", None),
-                    ("parent", None), ("change", None)]
+    assert runs == [(side, "fit-wide", None) for side in ("parent", "change", "change", "parent", "parent", "change")]
     assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 0 of 374000"
     assert _main(tmp_path / "seeded", monkeypatch, capsys, PARENT[:1], CHANGE[:1], "--seed", "1")[3] == [
-        ("parent", 1), ("change", 1)]
+        ("parent", "fit-wide", 1), ("change", "fit-wide", 1)]
 
 
 def test_each_sides_median_attempted_comes_before_the_table(tmp_path, monkeypatch, capsys):
     # peak_rss_mb grows with the operations a run attempts, so it is read beside them
     code, out, _, _ = _main(tmp_path, monkeypatch, capsys, PARENT, CHANGE)
     lines = out.splitlines()
-    # six run lines, then this one, then the table's header
-    assert code == 0 and lines[6] == "median attempted: parent 80000, change 120000 (x1.500)"
-    assert lines[7].split()[:2] == ["metric", "unit"]
+    # the block's first line, six run lines, then this one, then the table's header
+    assert code == 0 and lines[0] == "workload fit-wide"
+    assert lines[7] == "median attempted: parent 80000, change 120000 (x1.500)"
+    assert lines[8].split()[:2] == ["metric", "unit"]
     out = _main(tmp_path / "two", monkeypatch, capsys, PARENT[:2], CHANGE[:2])[1]
     assert "median attempted: parent 78000, change 130000 (x1.667)" in out.splitlines()
 
@@ -178,7 +180,7 @@ def test_a_run_with_failed_operations_makes_the_tool_fail(tmp_path, monkeypatch,
     code, out, err, _ = _main(tmp_path, monkeypatch, capsys, PARENT, change)
     assert code == 1
     assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 2 of 364000"
-    assert err == "error: runs that reported correct: false: change pair 2\n"
+    assert err == "error: fit-wide: runs that reported correct: false: change pair 2\n"
 
 
 def test_a_metric_whose_verdict_is_worse_makes_the_tool_fail(tmp_path, monkeypatch, capsys):
@@ -186,4 +188,35 @@ def test_a_metric_whose_verdict_is_worse_makes_the_tool_fail(tmp_path, monkeypat
     code, out, err, _ = _main(tmp_path, monkeypatch, capsys, VERDICT_PARENT, VERDICT_CHANGE)
     assert code == 1
     assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 0 of 240000"
-    assert err == "error: metrics whose verdict is worse: setup_s\n"
+    assert err == "error: fit-wide: metrics whose verdict is worse: setup_s\n"
+
+
+def test_each_workload_runs_its_pairs_in_turn_and_prints_its_own_block(tmp_path, monkeypatch, capsys):
+    code, out, err, runs = _main(tmp_path, monkeypatch, capsys, PARENT[:2] + PARENT[1:], CHANGE[:2] + CHANGE[1:],
+                                 workloads=("fit-wide", "audit-replay"))
+    assert (code, err) == (0, "")
+    order = ("parent", "change", "change", "parent")
+    assert runs == [(side, "fit-wide", None) for side in order] + [(side, "audit-replay", None) for side in order]
+    lines = out.splitlines()
+    # each block: its name, four run lines, median attempted, the table (a header, a row per metric, the totals)
+    block = 1 + 4 + 1 + 1 + len(METRICS) + 1
+    assert len(lines) == 2 * block
+    assert (lines[0], lines[block]) == ("workload fit-wide", "workload audit-replay")
+    assert lines[block - 1] == "failed operations: parent 0 of 156000, change 0 of 260000"
+    assert lines[-1] == "failed operations: parent 0 of 160000, change 0 of 254000"
+
+
+@pytest.mark.parametrize("fault", ["worse", "incorrect"])
+def test_one_failing_block_fails_the_tool_after_every_block_ran(tmp_path, monkeypatch, capsys, fault):
+    # the first workload's block fails; the second still runs and prints
+    if fault == "worse":
+        parent, change = VERDICT_PARENT + PARENT, VERDICT_CHANGE + CHANGE
+        message = "error: fit-wide: metrics whose verdict is worse: setup_s\n"
+    else:
+        parent, change = PARENT + PARENT, [CHANGE[0], _line(130000, 0.5, 0.190, 3.1, 48.0, failed=2), CHANGE[2], *CHANGE]
+        message = "error: fit-wide: runs that reported correct: false: change pair 2\n"
+    code, out, err, runs = _main(tmp_path, monkeypatch, capsys, parent, change,
+                                 workloads=("fit-wide", "score-batch"))
+    assert (code, err) == (1, message)
+    assert len(runs) == 12 and "workload score-batch" in out.splitlines()
+    assert out.splitlines()[-1] == "failed operations: parent 0 of 240000, change 0 of 374000"

@@ -8,27 +8,15 @@ trace CSV fails here too.  It only reads bench/.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 import gradboost.cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up in sys.modules while the class is built
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # it puts src/ first
-    spec.loader.exec_module(module)
-    return module
+from conftest import BENCH
 
 
 def _sha256(path: Path) -> str:
@@ -36,14 +24,13 @@ def _sha256(path: Path) -> str:
 
 
 @pytest.mark.parametrize("name", ["fit-wide", "score-batch", "audit-replay"])
-def test_outputs_match_the_recorded_fingerprints(name, tmp_path, monkeypatch):
-    workloads = _load_workloads(monkeypatch)
+def test_outputs_match_the_recorded_fingerprints(name, tmp_path, bench_workloads):
     recorded = json.loads((BENCH / "fingerprints.json").read_text(encoding="utf-8"))
-    assert recorded["seed"] == workloads.DEFAULT_SEED
-    assert set(recorded) == {"seed", *workloads.WORKLOADS}
-    workload = workloads.WORKLOADS[name]
+    assert recorded["seed"] == bench_workloads.DEFAULT_SEED
+    assert set(recorded) == {"seed", *bench_workloads.WORKLOADS}
+    workload = bench_workloads.WORKLOADS[name]
     inputs, out = tmp_path / "inputs", tmp_path / workload.output
-    workloads.prepare(workload, workloads.DEFAULT_SEED, inputs)
+    bench_workloads.prepare(workload, bench_workloads.DEFAULT_SEED, inputs)
     with contextlib.redirect_stdout(io.StringIO()):
         assert gradboost.cli.main(workload.argv(inputs, out)) == 0
     # a train call's model is its output, so fit-wide has one fingerprint

@@ -450,6 +450,21 @@ class TestIOErrors:
         assert code == EXIT_IO
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("train", "--out"), ("train", "--trace"), ("predict", "--out"), ("trace", "--out")],
+    )
+    def test_an_empty_output_path_is_an_error(self, trained, capsys, command, option):
+        # an absent option writes no file (train) or writes to stdout; an empty one is a path open refuses
+        if command == "train":
+            argv = ["train", "--data", str(trained.data), "--force-splits", FORCED]
+        else:
+            argv = [command, "--model", str(trained.model), "--data", str(trained.data)]
+        code = main([*argv, option, ""])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def _set(key, value):
     return lambda document: document.update({key: value})

@@ -1,8 +1,9 @@
 """The trace CSV writer against a csv.writer reference, byte for byte.
 
-cli.write_trace joins each round's residual table into one string; the
-reference below is the plain csv.writer form it replaced, kept here as the
-oracle.  The property runs derandomized with a bounded number of examples.
+cli.write_trace writes each round's residual table from numpy digits, or
+with one % over its cells when it cannot prove them; the reference below is
+the plain csv.writer form it replaced, kept here as the oracle.  The
+properties run derandomized with a bounded number of examples.
 """
 
 import contextlib
@@ -12,11 +13,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradboost import Dataset, TrainConfig, load_csv, train
-from gradboost.cli import main, write_trace
+from gradboost import Dataset, IterationRecord, TrainConfig, TrainingTrace, load_csv, load_model, replay, train
+from gradboost.cli import _residual_digits, main, write_trace
 
 from conftest import write_csv
 
@@ -126,3 +128,94 @@ def test_every_trace_command_writes_the_reference_bytes(run):
         assert (root / "train.csv").read_bytes() == expected
         assert (root / "trace.csv").read_bytes() == expected
         assert stdout.getvalue().encode("utf-8") == expected
+
+
+def _hand_built(labels, *priors):
+    """A one-feature data set of these labels, and a trace of one round per
+    prior_probs array over it, built directly: no leaves, scores of 0."""
+    labels = np.array(labels, dtype=float)
+    dataset = Dataset(np.arange(labels.size, dtype=float)[:, None], labels, ("x",))
+    records = [
+        IterationRecord(m, dataset.labels, np.array(prior), np.zeros(labels.size), np.array(prior), ())
+        for m, prior in enumerate(priors, start=1)
+    ]
+    return dataset, TrainingTrace(tuple(records))
+
+
+# p_prev values at and beside the cases the digit routine must refuse or get
+# right: 0 and 1, every j/128 (an exact tie in millionths when j is odd),
+# values that round up to 1.000000, near-ties at 0.5 and 1.5 millionths, subnormals
+EDGES = (0.0, 1.0, *(j / 128 for j in range(129)), 0.9999995, 1 - 4e-7, 5e-7, 1.5e-6, 5e-324, 2.2e-308)
+PRIORS = st.one_of(
+    st.sampled_from(EDGES),
+    st.sampled_from(EDGES).map(lambda v: float(np.nextafter(v, -1.0))),  # -5e-324 beside 0.0
+    st.sampled_from(EDGES).map(lambda v: float(np.nextafter(v, 2.0))),  # past 1.0 beside 1.0
+    st.floats(0.0, 1.0),
+    st.sampled_from([-0.0, 10.5, float("nan")]),  # only a hand-built record holds these
+)
+
+
+@st.composite
+def hand_built_traces(draw):
+    """Labels of one class or both (a 0 label may be -0.0, so that r = -0.0
+    where p_prev = 0.0, and r = +0.0 on a +0.0 label), and rounds of drawn
+    p_prev values."""
+    n = draw(st.integers(1, 6))
+    classes = draw(st.sampled_from([(0.0,), (1.0,), (0.0, -0.0, 1.0)]))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    rounds = draw(st.lists(st.lists(PRIORS, min_size=n, max_size=n), min_size=1, max_size=3))
+    return _hand_built(labels, *rounds)
+
+
+@settings(max_examples=60)
+@given(hand_built_traces())
+@example(_hand_built([0.0, 1.0], [1 / 128, 0.5]))  # a tie, formatted with %
+@example(_hand_built([0.0, 1.0], [0.25, 0.75]))  # digits from numpy
+@example(_hand_built([0.0, -0.0, 1.0], [0.0, 0.0, 1.0]))  # r = +0.0 on a 0 label, -0.0, +0.0
+@example(_hand_built([1.0, 1.0], [-5e-324, 0.5], [10.5, float("nan")]))  # a signed p_prev, |x| > 1, NaN
+def test_the_digits_and_the_fallback_match_the_reference_writer(run):
+    dataset, trace = run
+    fh = io.StringIO()
+    write_trace(fh, dataset, trace)
+    assert fh.getvalue() == _reference_text(dataset, trace)
+
+
+def test_every_audit_replay_round_takes_the_digits_and_a_tie_falls_back(bench_workloads, tmp_path):
+    """The seed-0 audit-replay trace writes all its rounds from numpy digits,
+    so a change that sends every round to % fails here, not only in the
+    benchmark.  A p_prev of exactly 1/128 is 7812.5 millionths: rounding half
+    up would print 0.007813 where %.6f rounds half to even, 0.007812."""
+    workload = bench_workloads.WORKLOADS["audit-replay"]
+    bench_workloads.prepare(workload, bench_workloads.DEFAULT_SEED, tmp_path)
+    dataset = load_csv(str(tmp_path / "data.csv"), expect_labels=True)
+    trace = replay(load_model(str(tmp_path / "model.json")), dataset)
+    assert len(trace.records) == 100
+    negative = dataset.labels == 0.0
+    assert all(_residual_digits(r.prior_probs, r.residuals, negative) is not None for r in trace.records)
+
+    dataset, trace = _hand_built([0.0, 1.0], [1 / 128, 0.5])
+    (record,) = trace.records
+    assert np.floor(1 / 128 * 1e6 + 0.5) == 7813
+    assert _residual_digits(record.prior_probs, record.residuals, dataset.labels == 0.0) is None
+    fh = io.StringIO()
+    write_trace(fh, dataset, trace)
+    assert fh.getvalue() == _reference_text(dataset, trace)
+    assert "1,0.000000,0,0.007812,-0.007812\n" in fh.getvalue()
+
+
+@pytest.mark.parametrize(
+    "dataset, message",
+    [
+        (Dataset(np.array([[1.0], [2.0]]), np.array([0.0, 1.0]), ("x",)), "the trace is of 3 rows, the data set of 2"),
+        (Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 0.0]), ("x",)),
+         "the trace's labels differ from the data set's"),
+        (Dataset(np.array([[1.0], [2.0], [3.0]]), None, ("x",)), "a trace is written over a labeled data set"),
+    ],
+    ids=["fewer-rows", "other-labels", "no-labels"],
+)
+def test_a_data_set_that_is_not_the_traces_is_refused_before_any_write(dataset, message):
+    _, trace = train(EMPTY_SIDE, TrainConfig(n_trees=2))
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        write_trace(fh, dataset, trace)
+    assert fh.getvalue() == ""

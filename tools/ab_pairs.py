@@ -1,9 +1,11 @@
 """Run the benchmark of two checkouts in alternating pairs and compare their
 end-to-end metrics.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload fit-wide --pairs 10 [--seed N]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload fit-wide [--workload W ...] --pairs 10 [--seed N]
 
-PARENT and CHANGE are checkout directories.  Each run is
+PARENT and CHANGE are checkout directories.  Each --workload runs its pairs
+in turn, in the order given, and prints a block of its own, which opens with
+a line "workload W" and holds what is described below.  Each run is
 `<this interpreter> <checkout>/bench/run.py --workload W [--seed N]`, so
 run.py's own defaults set the run length and, unless --seed is given, the
 seed; its last stdout line is read as the result JSON.  The parent runs
@@ -22,9 +24,11 @@ the parent's quartiles, how many pairs the change won by the metric's
 "better" direction (a tie counts for neither side), and a verdict read with
 the metric's "bound" (see verdict).  A last line gives
 each side's failed operations out of those attempted.  If any run
-reported `correct: false`, the tool names those runs on stderr and exits 1,
-since a speed-up measured while operations fail shows nothing; so it does,
-naming them, if any metric's verdict is `worse`.
+reported `correct: false`, the tool names those runs and their workload on
+stderr and exits 1, since a speed-up measured while operations fail shows
+nothing; so it does, naming them, if any metric's verdict is `worse`.  Every
+block is run and printed before the tool exits, so one invocation judges every
+workload a change must not regress.
 """
 
 import argparse
@@ -125,38 +129,46 @@ def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
     return lines
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, help="passed to run.py; run.py's default when omitted")
-    args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+def run_block(args, workload: str, metrics) -> bool:
+    """Run one workload's pairs and print its block; True when a run reported
+    correct: false or a metric's verdict is worse, each named on stderr."""
+    print(f"workload {workload}", flush=True)
     results = {"parent": [], "change": []}
     for pair in range(args.pairs):
         sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in sides:
-            values = run_once(getattr(args, side), args.workload, args.seed, metrics)
+            values = run_once(getattr(args, side), workload, args.seed, metrics)
             results[side].append(values)
             print(run_line(pair, side, values, metrics), flush=True)
     before, after = [statistics.median(v["attempted"] for v in runs) for runs in results.values()]
     ratio = f"x{after / before:.3f}" if before else "-"
     print(f"median attempted: parent {before:.0f}, change {after:.0f} ({ratio})")
     lines = summary(metrics, results["parent"], results["change"])
-    print("\n".join(lines))
+    print("\n".join(lines), flush=True)
     incorrect = [f"{side} pair {k + 1}" for side, runs in results.items()
                  for k, values in enumerate(runs) if not values["correct"]]
     if incorrect:
-        print(f"error: runs that reported correct: false: {', '.join(incorrect)}", file=sys.stderr)
+        print(f"error: {workload}: runs that reported correct: false: {', '.join(incorrect)}", file=sys.stderr)
     # between the header and the totals, one row per metric, ending with its verdict
     worse = [row.split()[0] for row in lines[1:-1] if row.split()[-1] == "worse"]
     if worse:
-        print(f"error: metrics whose verdict is worse: {', '.join(worse)}", file=sys.stderr)
-    return 1 if incorrect or worse else 0
+        print(f"error: {workload}: metrics whose verdict is worse: {', '.join(worse)}", file=sys.stderr)
+    return bool(incorrect or worse)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", action="append", required=True, help="repeat to run several in turn")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, help="passed to run.py; run.py's default when omitted")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    failed = [run_block(args, workload, metrics) for workload in args.workload]  # a list: every block runs
+    return 1 if any(failed) else 0
 
 
 if __name__ == "__main__":

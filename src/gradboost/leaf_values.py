@@ -20,16 +20,15 @@ def sigmoid(z):
     which is never above 1, as 1 / (1 + e) for z >= 0 and e / (1 + e) below.
 
     Accepts a scalar or an array of numbers (float_array); returns a float for
-    scalar input.  A scalar takes the same formula on Python floats, bit for
-    bit the array result: it calls numpy's exp, not math.exp, which differs in
-    the last bit on some arguments.  NaN gives NaN.
+    scalar input.  A scalar takes the same formula with e a Python float, bit
+    for bit the array result: it calls numpy's exp, not math.exp, which
+    differs in the last bit on some arguments.  NaN gives NaN.
     """
     if type(z) is not float:  # a Python float, the common case, skips float_array's ~1 us
         z = float_array(z, "z")
         if z.ndim:
             e = np.exp(-np.abs(z))
             return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-        z = float(z)
     e = float(np.exp(-abs(z)))
     return 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
 

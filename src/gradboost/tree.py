@@ -76,7 +76,7 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     total = math.fsum(node_res.tolist())
     total_sq = math.fsum((node_res * node_res).tolist())
     # a candidate must beat the best so far, which starts as the unsplit node
-    best, best_sse = None, max(0.0, total_sq - total * total / n)
+    best, best_sse = None, total_sq - total * total / n
     for f in range(X.shape[1]):
         col = X[idx, f]
         order = col.argsort()  # numpy's default (SIMD) sort, which may leave ties in any order
@@ -151,36 +151,34 @@ class RegressionTree:
         MAX_TREE_DEPTH splits."""
         positive_int(n_features, "n_features")
         rows = []  # one [feature, threshold, right, value] per node, in preorder
-        # (a right child still to be read, its parent's row or None at the root, its depth)
+        # (a node still to be read, the parent's row to patch when it is a right child, its depth)
         depth, n_leaves, pending = 0, 0, [(root, None, 0)]
-        while pending:
+        while pending:  # the left child is pushed last, so preorder reads the left subtree first
             node, parent, d = pending.pop()
             if parent is not None:
                 parent[2] = len(rows)
-            while True:  # down the left spine, as preorder reads the left subtree first
-                node = read(node)
-                if len(node) == 2:  # a leaf's (leaf_id, value)
-                    leaf_id, value = node
-                    # preorder meets the leaves left to right; the deepest node is a leaf
-                    n_leaves, depth = n_leaves + 1, max(depth, d)
-                    # an exact int or float skips the calls that check any other type
-                    if not ((type(leaf_id) is int or is_int(leaf_id)) and leaf_id == n_leaves):
-                        raise ValueError(f"leaf id {leaf_id!r} out of order, expected {n_leaves}")
-                    if type(value) is not float or value - value != 0.0:  # inf - inf and NaN are NaN
-                        value = finite_real(value, "leaf value")
-                    rows.append([-1, 0.0, -1, value])
-                    break
-                if d == MAX_TREE_DEPTH:
-                    raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
-                feature, threshold, node, right = node  # the left child is read next
-                column = feature if type(feature) is int else int(feature) if is_int(feature) else -1
-                if not 0 <= column < n_features:
-                    raise ValueError(f"split on feature {feature!r} of a {n_features}-feature tree")
-                if type(threshold) is not float or threshold - threshold != 0.0:
-                    threshold = finite_real(threshold, "threshold")
-                rows.append(row := [column, threshold, -1, 0.0])
-                d += 1
-                pending.append((right, row, d))
+            node = read(node)
+            if len(node) == 2:  # a leaf's (leaf_id, value)
+                leaf_id, value = node
+                # preorder meets the leaves left to right; the deepest node is a leaf
+                n_leaves, depth = n_leaves + 1, max(depth, d)
+                # an exact int or float skips the calls that check any other type
+                if not ((type(leaf_id) is int or is_int(leaf_id)) and leaf_id == n_leaves):
+                    raise ValueError(f"leaf id {leaf_id!r} out of order, expected {n_leaves}")
+                if type(value) is not float or value - value != 0.0:  # inf - inf and NaN are NaN
+                    value = finite_real(value, "leaf value")
+                rows.append([-1, 0.0, -1, value])
+                continue
+            if d == MAX_TREE_DEPTH:
+                raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
+            feature, threshold, left, right = node
+            column = feature if type(feature) is int else int(feature) if is_int(feature) else -1
+            if not 0 <= column < n_features:
+                raise ValueError(f"split on feature {feature!r} of a {n_features}-feature tree")
+            if type(threshold) is not float or threshold - threshold != 0.0:
+                threshold = finite_real(threshold, "threshold")
+            rows.append(row := [column, threshold, -1, 0.0])
+            pending += (right, row, d + 1), (left, None, d + 1)
         for f, attribute in zip(fields(self), (n_features, *zip(*rows), depth)):  # rows to columns
             object.__setattr__(self, f.name, attribute)
         return self
@@ -210,11 +208,6 @@ class RegressionTree:
             go_left = cells.take(at) <= threshold.take(nodes)
             nodes = children.take(nodes + go_left * n_nodes)
         return nodes
-
-    def leaves(self) -> list[Leaf]:
-        """All leaves in left-to-right order."""
-        values = [v for f, v in zip(self.feature, self.value) if f < 0]
-        return [Leaf(leaf_id, v) for leaf_id, v in enumerate(values, start=1)]
 
     @property
     def n_leaves(self) -> int:

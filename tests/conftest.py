@@ -106,6 +106,11 @@ def tree_depth(tree):
     return tree.fold(lambda *_: 0, lambda feature, threshold, left, right: 1 + max(left, right))
 
 
+def tree_leaves(tree):
+    """The tree's leaves as Leafs, left to right, folded from its columns."""
+    return tree.fold(lambda *leaf: [Leaf(*leaf)], lambda feature, threshold, left, right: left + right)
+
+
 def write_csv(dataset, path):
     """Write dataset as load_csv reads it and return path: a header of its
     feature names, and "label" when it has labels, then one line per row, the

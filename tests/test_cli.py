@@ -5,7 +5,9 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gradboost import Dataset, Leaf, Model, RegressionTree, Split, TrainConfig, booster, train
+from gradboost import (
+    DataError, Dataset, Leaf, Model, RegressionTree, Split, TrainConfig, booster, train
+)
 from gradboost.booster import (
-    ModelFormatError, deserialize_model, load_model, save_model, serialize_model
+    ModelFormatError, ModelVersionError, deserialize_model, load_model, save_model, serialize_model
 )
 from gradboost.cli import (
-    EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, build_parser, main,
+    EXIT_CODES, EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION, EXIT_OK, EXIT_USAGE, build_parser, main,
     write_predictions,
 )
 from gradboost.leaf_values import sigmoid
@@ -290,6 +294,7 @@ class TestUsageErrors:
             ["--min-leaf", "0"],
             ["--force-splits", "0:3.5"],  # three trees need three pairs
             ["--force-splits", "0:3.5;nope;0:5.25"],
+            ["--trees", "2", "--force-splits", "0:3.5;nope;0:5.25"],  # two good pairs, one bad
             ["--force-splits", ""],  # an empty list, not an absent one
             ["--force-splits", FORCED, "--max-depth", "2"],
             ["--force-splits", FORCED, "--min-leaf", "4"],  # a forced leaf holds 2 rows
@@ -359,6 +364,17 @@ class TestOneParserPerProcess:
         assert reused == session(fresh=True)
 
 
+def test_the_readme_exit_code_table_is_the_clis():
+    # the codes are a documented contract: a test that compares only with the
+    # constants passes whatever numbers they hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    assert {int(code) for code in re.findall(r"^\| (\d+) ", table, flags=re.MULTILINE)} == {0, 2, 3, 4, 5}
+    assert (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_IO, EXIT_MODEL_VERSION) == (0, 2, 3, 4, 5)
+    errors = ModelVersionError, ModelFormatError, OSError, DataError, ValueError
+    assert [dict(EXIT_CODES)[error] for error in errors] == [5, 4, 4, 3, 2]
+
+
 class TestDataErrors:
     def test_train_requires_label_column(self, trained, tmp_path, capsys):
         data = _write(tmp_path, "x\n1\n2\n")
@@ -415,6 +431,13 @@ class TestDataErrors:
             expected = EXIT_DATA, f"error: {data}: no data rows\n"
         assert (code, capsys.readouterr().err) == expected
         assert caught == []
+
+    def test_trace_rejects_feature_count_mismatch(self, trained, tmp_path, capsys):
+        data = _write(tmp_path, "a,b,label\n1,2,1\n3,4,0\n")
+        assert main(["trace", "--model", str(trained.model), "--data", str(data)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err == "error: data has 2 feature columns, model expects 1\n"
+        assert captured.out == ""
 
     def test_trace_requires_labels(self, trained, tmp_path, capsys):
         data = _write(tmp_path, "x\n1\n")

@@ -66,6 +66,9 @@ class TestLoadCsv:
     def test_label_value_out_of_range(self, tmp_path):
         with pytest.raises(DataError, match=r'row 1, column "label"'):
             load_csv(_write(tmp_path, "x,label\n1.0,2\n"), expect_labels=True)
+        # the message quotes the label cell, not another of a wider row
+        with pytest.raises(DataError, match=r'row 1, column "label": expected 0 or 1, got \'2\'$'):
+            load_csv(_write(tmp_path, "x,z,label\n1.0,7,2\n"), expect_labels=True)
 
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         with pytest.raises(DataError, match=r'row 2, column "b"'):

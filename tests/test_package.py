@@ -56,12 +56,12 @@ NUMBER_READS = {("dataset", "_parse_number")}
 # object, which no flag reopens, so no scope flags an array with setflags
 FREEZES = {("dataset", "frozen_copy")}
 
-# the only scopes that build a Split or a Leaf, or call leaves(), which builds
-# a Leaf per leaf: train's forced stumps and leaves() itself.  fit_tree, the
-# model reader (_read_node, deserialize_model), RegressionTree._compile and
-# _round hand over or read plain node fields; tree.root and fold build nodes
-# through the classes they are given, with no call here
-NODE_BUILDERS = {("booster", "train"), ("tree", "RegressionTree.leaves")}
+# the only scope that builds a Split or a Leaf, or calls a leaves() method that
+# would build a Leaf per leaf: train's forced stumps.  fit_tree, the model
+# reader (_read_node, deserialize_model), RegressionTree._compile and _round
+# hand over or read plain node fields; tree.root and fold build nodes through
+# the classes they are given, with no call here
+NODE_BUILDERS = {("booster", "train")}
 
 
 def test_all_lists_each_exported_name_once():

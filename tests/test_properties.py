@@ -32,7 +32,7 @@ from gradboost import (
 )
 from gradboost.tree import MAX_TREE_DEPTH
 
-from conftest import growth_cases, left_chain, right_chain, tree_depth
+from conftest import growth_cases, left_chain, right_chain, tree_depth, tree_leaves
 
 BOUNDED = settings(max_examples=25)
 
@@ -125,7 +125,7 @@ def _assert_batch_matches_rows(model, X):
     probs = sigmoid(batch)
     assert [p.hex() for p in probs.tolist()] == [model.predict_proba(x).hex() for x in X]
     for tree in model.trees:
-        expected = {leaf.leaf_id: [] for leaf in tree.leaves()}
+        expected = {leaf.leaf_id: [] for leaf in tree_leaves(tree)}
         for i, x in enumerate(X):
             leaf = _leaf_of(tree.root, x)
             assert tree.apply(x) == (leaf.leaf_id, leaf.value)
@@ -215,7 +215,7 @@ def _assert_one_stored_form(model):
     with_leaf_values of its own leaf values; the model file matches the
     recursive writer."""
     for tree in model.trees:
-        values = [leaf.value for leaf in tree.leaves()]
+        values = [leaf.value for leaf in tree_leaves(tree)]
         for copy in (RegressionTree(tree.root, tree.n_features), tree.with_leaf_values(values)):
             assert copy is not tree
             assert copy == tree and hash(copy) == hash(tree)
@@ -340,7 +340,7 @@ def _assert_records_chain(trace, model, dataset):
         else:
             assert record.prior_probs is probs
         expected = scores.copy()
-        for leaf_record, leaf in zip(record.leaves, tree.leaves()):
+        for leaf_record, leaf in zip(record.leaves, tree_leaves(tree)):
             assert float(leaf_record.value).hex() == float(leaf.value).hex()
             expected[leaf_record.members] += model.learning_rate * leaf.value
         assert _hex(record.scores) == _hex(expected)

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradboost import Dataset, IterationRecord, TrainConfig, TrainingTrace, load_csv, load_model, replay, train
+from gradboost import cli
 from gradboost.cli import _residual_digits, main, write_trace
 
 from conftest import write_csv
@@ -180,18 +181,28 @@ def test_the_digits_and_the_fallback_match_the_reference_writer(run):
     assert fh.getvalue() == _reference_text(dataset, trace)
 
 
-def test_every_audit_replay_round_takes_the_digits_and_a_tie_falls_back(bench_workloads, tmp_path):
-    """The seed-0 audit-replay trace writes all its rounds from numpy digits,
-    so a change that sends every round to % fails here, not only in the
-    benchmark.  A p_prev of exactly 1/128 is 7812.5 millionths: rounding half
-    up would print 0.007813 where %.6f rounds half to even, 0.007812."""
+def test_every_audit_replay_round_takes_the_digits_and_a_tie_falls_back(
+    bench_workloads, tmp_path, monkeypatch
+):
+    """write_trace writes all the seed-0 audit-replay trace's rounds from
+    numpy digits, so a change that sends every round to % fails here, not
+    only in the benchmark.  A p_prev of exactly 1/128 is 7812.5 millionths:
+    rounding half up would print 0.007813 where %.6f rounds half to even,
+    0.007812."""
     workload = bench_workloads.WORKLOADS["audit-replay"]
     bench_workloads.prepare(workload, bench_workloads.DEFAULT_SEED, tmp_path)
     dataset = load_csv(str(tmp_path / "data.csv"), expect_labels=True)
     trace = replay(load_model(str(tmp_path / "model.json")), dataset)
-    assert len(trace.records) == 100
-    negative = dataset.labels == 0.0
-    assert all(_residual_digits(r.prior_probs, r.residuals, negative) is not None for r in trace.records)
+    taken = []  # per call of write_trace's _residual_digits, whether it gave digits
+
+    def residual_digits(*args):
+        digits = _residual_digits(*args)
+        taken.append(digits is not None)
+        return digits
+
+    monkeypatch.setattr(cli, "_residual_digits", residual_digits)
+    write_trace(io.StringIO(), dataset, trace)
+    assert taken == [True] * 100
 
     dataset, trace = _hand_built([0.0, 1.0], [1 / 128, 0.5])
     (record,) = trace.records

@@ -36,6 +36,7 @@ from conftest import (
     growth_cases,
     right_chain,
     tree_depth,
+    tree_leaves,
 )
 
 
@@ -226,7 +227,7 @@ def _assert_groups_match_apply(tree, rows, groups):
     """groups equals routing each row through apply on its own: every leaf id
     in left-to-right order, members ascending, an empty array for a leaf no
     row reaches."""
-    expected = {leaf.leaf_id: [] for leaf in tree.leaves()}
+    expected = {leaf.leaf_id: [] for leaf in tree_leaves(tree)}
     for i, row in enumerate(rows):
         expected[tree.apply(row)[0]].append(i)
     assert list(groups) == list(expected)
@@ -488,8 +489,8 @@ class TestFitTree:
         tree, _ = fit_tree(six_points.features, r)
         assert tree.root.feature_index == 0
         assert tree.root.threshold == pytest.approx(1.4, abs=1e-12)
-        assert [leaf.leaf_id for leaf in tree.leaves()] == [1, 2]
-        assert all(leaf.value == 0.0 for leaf in tree.leaves())
+        assert [leaf.leaf_id for leaf in tree_leaves(tree)] == [1, 2]
+        assert all(leaf.value == 0.0 for leaf in tree_leaves(tree))
 
     def test_forced_stump_memberships(self, six_points):
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.0), Leaf(2, 0.0)), 1)
@@ -508,7 +509,7 @@ class TestFitTree:
         tree, _ = fit_tree(x, r, max_depth=2)
         assert tree.root.threshold == 1.5
         assert tree.n_leaves == 3
-        assert [leaf.leaf_id for leaf in tree.leaves()] == [1, 2, 3]
+        assert [leaf.leaf_id for leaf in tree_leaves(tree)] == [1, 2, 3]
         right = tree.root.right
         assert right.threshold == 3.5
         assert tree_depth(tree) == 2
@@ -534,12 +535,12 @@ class TestFitTree:
         x = rng.uniform(0, 10, (40, 2))
         r = rng.uniform(-1, 1, 40)
         tree, _ = fit_tree(x, r, max_depth=3)
-        assert [leaf.leaf_id for leaf in tree.leaves()] == list(range(1, tree.n_leaves + 1))
+        assert [leaf.leaf_id for leaf in tree_leaves(tree)] == list(range(1, tree.n_leaves + 1))
 
     def test_max_depth_is_limited(self):
         x, r = np.array([[0.0], [1.0]]), np.array([-0.5, 0.5])
         assert tree_depth(fit_tree(x, r, max_depth=MAX_TREE_DEPTH)[0]) == 1
-        with pytest.raises(ValueError, match="max_depth"):
+        with pytest.raises(ValueError, match=r"^max_depth must be an integer in 1\.\.512, got 513$"):
             fit_tree(x, r, max_depth=MAX_TREE_DEPTH + 1)
 
     @pytest.mark.parametrize(
@@ -593,7 +594,7 @@ class TestFitTree:
         r = rng.uniform(-1, 1, 25)
         tree, _ = fit_tree(x, r, max_depth=2)
         groups = tree.leaf_assignment(x)
-        assert set(groups) == {leaf.leaf_id for leaf in tree.leaves()}
+        assert set(groups) == {leaf.leaf_id for leaf in tree_leaves(tree)}
         combined = np.sort(np.concatenate(list(groups.values())))
         np.testing.assert_array_equal(combined, np.arange(25))
 
@@ -674,15 +675,15 @@ class TestFitTree:
         sys.setrecursionlimit(_frame_depth() + 60)
         try:
             tree, leaf_rows = fit_tree(x, r, max_depth=MAX_TREE_DEPTH)
-            rewritten = tree.with_leaf_values([0.5] + [leaf.value for leaf in tree.leaves()[1:]])
+            rewritten = tree.with_leaf_values([0.5] + [leaf.value for leaf in tree_leaves(tree)[1:]])
         finally:
             sys.setrecursionlimit(limit)
         assert tree_depth(tree) == tree_depth(rewritten) == MAX_TREE_DEPTH
         assert len(leaf_rows) == tree.n_leaves == MAX_TREE_DEPTH + 1
         routed = tree.leaf_assignment(x).values()
         assert all(np.array_equal(rows, members) for rows, members in zip(leaf_rows, routed))
-        assert rewritten.leaves()[0] == Leaf(1, 0.5)
-        assert rewritten.leaves()[1:] == tree.leaves()[1:]
+        assert tree_leaves(rewritten)[0] == Leaf(1, 0.5)
+        assert tree_leaves(rewritten)[1:] == tree_leaves(tree)[1:]
 
     def test_fold_combines_children_before_their_split(self):
         tree = RegressionTree(
@@ -799,7 +800,9 @@ class TestFitTree:
             RegressionTree(Leaf(1, 0.0), n_features)
 
     def test_stores_numpy_and_integer_numbers_as_python_ints_and_floats(self):
-        tree = RegressionTree(Split(np.int64(0), np.float32(0.5), Leaf(1, 2), Leaf(2, -1)), 1)
+        # numpy leaf ids are not exact ints, so they take is_int past the fast path
+        root = Split(np.int64(0), np.float32(0.5), Leaf(np.int64(1), 2), Leaf(np.uint8(2), -1))
+        tree = RegressionTree(root, 1)
         assert tree.feature == (0, -1, -1) and type(tree.feature[0]) is int
         assert tree.threshold == (0.5, 0.0, 0.0) and type(tree.threshold[0]) is float
         assert tree.value == (0.0, 2.0, -1.0) and type(tree.value[1]) is float

@@ -52,6 +52,10 @@ EXIT_CODES = (
     (ValueError, EXIT_USAGE),
 )
 
+# Each line boundary str.splitlines knows, mapped to its Python escape, so an
+# error message naming a path or a header cell stays on one stderr line.
+LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
 
 def write_predictions(fh, model: Model, features, threshold: float) -> None:
     """Prediction CSV: index,raw_score,probability,label (indices 1-based), a row
@@ -287,7 +291,7 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(LINE_BREAKS)}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
     return EXIT_OK
 

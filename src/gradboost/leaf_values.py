@@ -12,7 +12,6 @@ from .dataset import binary_labels, float_array, frozen_copy
 
 NEWTON_DENOMINATOR_FLOOR = 1e-12
 EXACT_LEAF_BOUND = 30.0
-EXACT_LEAF_TOL = 1e-10
 
 
 def sigmoid(z):
@@ -111,38 +110,32 @@ def leaf_loss(value: float, sample: LeafSample) -> float:
 
 
 def leaf_loss_derivative(value: float, sample: LeafSample) -> float:
-    """d(leaf_loss)/d(value): sum of sigmoid(score + value) - label.
-
-    Strictly increasing in `value`, which is what makes bisection valid.
-    """
+    """d(leaf_loss)/d(value): sum of sigmoid(score + value) - label."""
     shifted = sample.prior_scores + float(value)
     terms = sigmoid(shifted) - sample.labels
     return math.fsum(terms.tolist())
 
 
 def exact_leaf_value(sample: LeafSample) -> float:
-    """Minimize the exact leaf loss by bisecting its strictly increasing
-    derivative on [-EXACT_LEAF_BOUND, EXACT_LEAF_BOUND], that is [-30, 30].
+    """Minimize the exact leaf loss by bisecting its derivative d on
+    [-EXACT_LEAF_BOUND, EXACT_LEAF_BOUND], that is [-30, 30].
 
-    Returns a value whose derivative magnitude is at most EXACT_LEAF_TOL
-    (1e-10).  For a single-class sample the derivative never crosses zero
-    inside the interval, so the bound endpoint with the smaller |derivative|
-    is returned instead.
+    When d(-30) < 0 < d(30), halves [lo, hi] keeping d(lo) < 0 <= d(hi) until
+    no double lies strictly between lo and hi, and returns the double v where
+    the computed derivative changes sign: d(v) >= 0 > d(math.nextafter(v,
+    -math.inf)).  That needs only the sign change at the bounds, not a
+    derivative monotone in floats.  For a single-class sample the derivative
+    never crosses zero inside the interval, so the bound endpoint with the
+    smaller |derivative| is returned instead.
     """
     lo, hi = -EXACT_LEAF_BOUND, EXACT_LEAF_BOUND
     d_lo = leaf_loss_derivative(lo, sample)
     d_hi = leaf_loss_derivative(hi, sample)
     if d_lo >= 0.0 or d_hi <= 0.0:
         return lo if abs(d_lo) <= abs(d_hi) else hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        d_mid = leaf_loss_derivative(mid, sample)
-        if abs(d_mid) <= EXACT_LEAF_TOL:
-            return mid
-        if d_mid < 0.0:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if leaf_loss_derivative(mid, sample) < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-    return mid
+    return hi

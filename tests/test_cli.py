@@ -5,7 +5,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -446,6 +449,49 @@ class TestDataErrors:
         capsys.readouterr()
 
 
+class TestOneErrorLine:
+    def test_a_header_cell_with_a_line_break_is_escaped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, '"x\ny",label\n1.3,1\n1.5,0\nabc,1\n', "nl.csv")
+        assert main(["train", "--data", "nl.csv"]) == EXIT_DATA
+        assert capsys.readouterr().err == 'error: nl.csv: row 3, column "x\\ny": non-numeric value \'abc\'\n'
+
+    def test_a_data_path_with_a_line_break_is_escaped(self, tmp_path, capsys):
+        data = _write(tmp_path, "x,label\n1.3,1\nabc,0\n", "a\nb.csv")
+        assert main(["train", "--data", str(data)]) == EXIT_DATA
+        path = str(data).replace("\n", "\\n")
+        assert capsys.readouterr().err == f'error: {path}: row 2, column "x": non-numeric value \'abc\'\n'
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.text())
+    def test_any_header_name_gives_one_error_line(self, trained, tmp_path, capsys, name):
+        data = tmp_path / "named.csv"
+        with data.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([[name, "label"], ["1.3", "1"], ["abc", "0"]])
+        model = str(trained.model)
+        for argv in (
+            ["train", "--data", str(data)],
+            ["predict", "--model", model, "--data", str(data)],
+            ["trace", "--model", model, "--data", str(data)],
+        ):
+            code = main(argv)
+            err = capsys.readouterr().err
+            _assert_clean_exit(code, err, (name, argv[0]))
+            assert code == EXIT_DATA, (name, argv[0], err)
+
+
+def test_the_module_runs_as_a_script():
+    # python -m gradboost.cli runs main and exits with its code
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "gradboost.cli", "train"]
+    data = ["--data", str(root / "demos" / "data" / "six_points.csv")]
+    done = subprocess.run(argv + data, env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "3.845395\n", "")
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_USAGE and done.stdout == ""
+
+
 class TestIOErrors:
     def test_train_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.csv")])
@@ -758,7 +804,7 @@ def _assert_clean_exit(code, err, case):
     if code == EXIT_OK:
         assert err == "", (case, err)
     else:
-        assert err.startswith("error:") and err.count("\n") == 1, (case, err)
+        assert err.startswith("error:") and err.endswith("\n") and len(err.splitlines()) == 1, (case, err)
 
 
 class TestModelFileSweep:

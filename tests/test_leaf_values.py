@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradboost import (
@@ -22,7 +22,7 @@ from gradboost import (
     sigmoid,
 )
 from gradboost import leaf_values
-from gradboost.leaf_values import EXACT_LEAF_BOUND, EXACT_LEAF_TOL
+from gradboost.leaf_values import EXACT_LEAF_BOUND
 
 from conftest import COPIES, NOT_NUMBERS, assert_frozen_over_bytes
 
@@ -367,20 +367,24 @@ class TestExactLeafValue:
         assert exact_leaf_value(_sample([1, 1], [0, 0])) == 30.0
         assert exact_leaf_value(_sample([0, 0], [0, 0])) == -30.0
 
-    def test_derivative_at_result_is_small(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            n = int(rng.integers(2, 20))
-            y = rng.integers(0, 2, n).astype(float)
-            y[0] = 1.0 - y[1]  # keep the leaf mixed so the optimum is interior
-            sample = _sample(y, rng.uniform(-4, 4, n))
-            value = exact_leaf_value(sample)
-            assert abs(leaf_loss_derivative(value, sample)) <= EXACT_LEAF_TOL == 1e-10
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0]), st.floats(-30.0, 30.0)), min_size=2, max_size=20
+        ).filter(lambda rows: len({y for y, _ in rows}) == 2)
+    )
+    @example([(1.0, 0.0), (0.0, 0.0)])  # the derivative is 0 on a run of doubles about 0
+    def test_result_is_where_the_derivative_changes_sign(self, rows):
+        sample = _sample(*zip(*rows))
+        # a mixed leaf whose optimum lies inside [-30, 30]
+        bounds = -EXACT_LEAF_BOUND, EXACT_LEAF_BOUND
+        assume(leaf_loss_derivative(bounds[0], sample) < 0.0 < leaf_loss_derivative(bounds[1], sample))
+        value = exact_leaf_value(sample)
+        below = math.nextafter(value, -math.inf)
+        assert leaf_loss_derivative(value, sample) >= 0.0 > leaf_loss_derivative(below, sample)
 
-    def test_bisection_stops_once_the_interval_is_too_narrow_to_halve(self, monkeypatch):
-        # with a tolerance of 0 no derivative is small enough to stop on, so the
-        # interval's width ends the search: 2 end points and 56 halvings of 60
-        monkeypatch.setattr(leaf_values, "EXACT_LEAF_TOL", 0.0)
+    def test_bisection_halves_until_its_ends_are_adjacent_doubles(self, monkeypatch):
+        # 2 end points and 59 halvings, until lo and hi are adjacent doubles
         derivatives = []
 
         def derivative(value, sample):
@@ -390,8 +394,15 @@ class TestExactLeafValue:
         monkeypatch.setattr(leaf_values, "leaf_loss_derivative", derivative)
         value = exact_leaf_value(_sample([1, 1, 0], [0, 0, 0]))
         assert abs(value - math.log(2.0)) <= 1e-15
-        assert len(derivatives) == 58
-        assert 0.0 not in derivatives
+        assert len(derivatives) == 61
+
+    def test_saturated_leaf_reaches_its_minimizer(self):
+        # the derivative at 0 is only 3.3e-11, so a search that stops on a small
+        # derivative ends there; the minimizer is -1, where the scores are +-25
+        sample = _sample([1, 0], [26, -24])
+        value = exact_leaf_value(sample)
+        assert abs(value + 1.0) <= 1e-5
+        assert leaf_loss(value, sample) < leaf_loss(0.0, sample)
 
     def test_permutation_invariant(self):
         y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])

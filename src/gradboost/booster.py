@@ -46,10 +46,10 @@ class TrainConfig:
     forced_splits: tuple[tuple[int, float], ...] | None = None
 
     def __post_init__(self):
-        positive_int(self.n_trees, "n_trees")
+        object.__setattr__(self, "n_trees", positive_int(self.n_trees, "n_trees"))
         object.__setattr__(self, "learning_rate", valid_learning_rate(self.learning_rate))
-        positive_int(self.max_depth, "max_depth", MAX_TREE_DEPTH)
-        positive_int(self.min_leaf, "min_leaf")
+        object.__setattr__(self, "max_depth", positive_int(self.max_depth, "max_depth", MAX_TREE_DEPTH))
+        object.__setattr__(self, "min_leaf", positive_int(self.min_leaf, "min_leaf"))
         if self.forced_splits is not None:
             try:  # TypeError: not iterable; ValueError: an entry of another length
                 forced = tuple((feature, threshold) for feature, threshold in self.forced_splits)
@@ -78,7 +78,7 @@ class Model:
 
     def __post_init__(self):
         learning_rate = valid_learning_rate(self.learning_rate)
-        positive_int(self.n_features, "n_features")
+        object.__setattr__(self, "n_features", positive_int(self.n_features, "n_features"))
         object.__setattr__(self, "learning_rate", learning_rate)
         object.__setattr__(self, "feature_names", valid_feature_names(self.feature_names, self.n_features))
         object.__setattr__(self, "trees", tuple(self.trees))

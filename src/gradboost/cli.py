@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return exc.code
     try:
         args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:

@@ -151,10 +151,6 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
             raise DataError(f"{path}: {exc}") from None
 
 
-class _Declined(Exception):
-    """A file that the one-pass parse leaves to the row parser."""
-
-
 def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
     """load_csv's Dataset from one np.loadtxt pass over the body of fh, or None
     when the row parser must read the file: a fault of any kind (DataError,
@@ -171,7 +167,7 @@ def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
             # a line longer than the field limit may hold a cell csv.reader
             # refuses; loadtxt strips \x1c-\x1f from a cell as whitespace, float() does not
             if len(line) > limit or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-                raise _Declined
+                raise ValueError("a line left to the row parser")
             n_lines += 1
             yield line
 
@@ -181,11 +177,11 @@ def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
             warnings.simplefilter("error", UserWarning)
             cells = np.loadtxt(body(), delimiter=",", dtype=np.float64, ndmin=2, comments=None)
         if cells.shape != (n_lines, len(header)):
-            raise _Declined
+            return None
         d = len(header) - has_labels
         # the constructor checks that every feature is finite and every label 0 or 1
         return Dataset(cells[:, :d], cells[:, d] if has_labels else None, tuple(header[:d]))
-    except (ValueError, UserWarning, csv.Error, _Declined):
+    except (ValueError, UserWarning, csv.Error):
         return None
 
 

@@ -149,7 +149,7 @@ class RegressionTree:
         integer in [0, n_features), a threshold or leaf value not a finite real,
         leaf ids other than 1, 2, ... left to right, or a path of more than
         MAX_TREE_DEPTH splits."""
-        positive_int(n_features, "n_features")
+        n_features = positive_int(n_features, "n_features")
         rows = []  # one [feature, threshold, right, value] per node, in preorder
         # (a node still to be read, the parent's row to patch when it is a right child, its depth)
         depth, n_leaves, pending = 0, 0, [(root, None, 0)]
@@ -162,22 +162,16 @@ class RegressionTree:
                 leaf_id, value = node
                 # preorder meets the leaves left to right; the deepest node is a leaf
                 n_leaves, depth = n_leaves + 1, max(depth, d)
-                # an exact int or float skips the calls that check any other type
-                if not ((type(leaf_id) is int or is_int(leaf_id)) and leaf_id == n_leaves):
+                if not (is_int(leaf_id) and leaf_id == n_leaves):
                     raise ValueError(f"leaf id {leaf_id!r} out of order, expected {n_leaves}")
-                if type(value) is not float or value - value != 0.0:  # inf - inf and NaN are NaN
-                    value = finite_real(value, "leaf value")
-                rows.append([-1, 0.0, -1, value])
+                rows.append([-1, 0.0, -1, finite_real(value, "leaf value")])
                 continue
             if d == MAX_TREE_DEPTH:
                 raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
             feature, threshold, left, right = node
-            column = feature if type(feature) is int else int(feature) if is_int(feature) else -1
-            if not 0 <= column < n_features:
+            if not (is_int(feature) and 0 <= feature < n_features):
                 raise ValueError(f"split on feature {feature!r} of a {n_features}-feature tree")
-            if type(threshold) is not float or threshold - threshold != 0.0:
-                threshold = finite_real(threshold, "threshold")
-            rows.append(row := [column, threshold, -1, 0.0])
+            rows.append(row := [int(feature), finite_real(threshold, "threshold"), -1, 0.0])
             pending += (right, row, d + 1), (left, None, d + 1)
         for f, attribute in zip(fields(self), (n_features, *zip(*rows), depth)):  # rows to columns
             object.__setattr__(self, f.name, attribute)
@@ -303,10 +297,10 @@ def is_int(value) -> bool:
 
 
 def positive_int(value, what: str, limit: int | None = None) -> int:
-    """value when it is an integer >= 1, and <= limit when one is given;
-    a bool, a float (even 2.0) or a string is refused, not coerced."""
+    """value as a Python int when it is an integer >= 1, and <= limit when one
+    is given; a bool, a float (even 2.0) or a string is refused, not coerced."""
     if is_int(value) and value >= 1 and (limit is None or value <= limit):
-        return value
+        return int(value)
     bounds = ">= 1" if limit is None else f"in 1..{limit}"
     raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
 

@@ -3,7 +3,8 @@ and read by the package, a demo, the benchmark or the README's code, as is
 every public method and property of an exported class; no module of the
 package, its tests or demos imports a name it never uses; values become
 float64, are checked finite, a CSV body is parsed by numpy, and a CSV cell
-by float(), in one place each; best_split's candidate loop makes no call
+by float(), in one place each; a node field is tested for an exact int or
+float type only inside its number rule; best_split's candidate loop makes no call
 but to record a winner, and it sorts a column stably only when the column
 has a tie; trees are grown, loaded and replayed with no Split
 or Leaf per node; the suite's one hypothesis profile; and the README's
@@ -43,6 +44,14 @@ FLOAT64_CONVERSIONS = {("dataset", "float_array")}
 # float_array(..., finite=True) is the one np.isfinite check of an array; a
 # single row sums its cells instead (tree.row_values), which is far cheaper
 FINITENESS_CHECKS = {("dataset", "float_array")}
+
+# tree.is_int and tree.finite_real are the one rule each for an integer and a
+# finite real field, and test a value's exact type only to skip the ABC check;
+# beside them, leaf_values.sigmoid's measured scalar path and the model file's
+# version rule in deserialize_model test an exact int or float
+EXACT_NUMBER_TYPE_TESTS = {
+    ("tree", "is_int"), ("tree", "finite_real"), ("leaf_values", "sigmoid"), ("booster", "deserialize_model"),
+}
 
 # load_csv parses a CSV body with numpy in one place, which defers every file
 # it might read otherwise than the row parser, _read_rows, to that parser
@@ -174,6 +183,23 @@ def test_values_become_float64_only_through_float_array():
 
 def test_arrays_are_checked_finite_only_in_float_array():
     assert _scopes_calling(lambda call: ast.unparse(call.func) == "np.isfinite") == FINITENESS_CHECKS
+
+
+def _tests_an_exact_number_type(node):
+    """node is a comparison of the form type(x) is [not] int or float."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and ast.unparse(node.left.func) == "type"
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and ast.unparse(node.comparators[0]) in ("int", "float")
+    )
+
+
+def test_an_exact_int_or_float_type_is_tested_only_inside_the_number_rules():
+    # a node field checked beside its rule, not through it, is a second rule
+    # that must agree with the first on every value
+    assert _scopes_of(_tests_an_exact_number_type) == EXACT_NUMBER_TYPE_TESTS
 
 
 def test_numpy_parses_a_csv_body_only_in_load_csvs_one_pass():

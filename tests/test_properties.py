@@ -7,7 +7,9 @@ same cases and the suite stays fast.
 import dataclasses
 import itertools
 import json
+import math
 import pickle
+import sys
 from copy import deepcopy
 
 import numpy as np
@@ -242,26 +244,56 @@ def test_trees_rebuild_equal_from_their_root_on_hand_built_trees(shape):
     _assert_one_stored_form(Model((tree,), 0.1, 1, ("x",)))
 
 
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+# each float type with its width and its largest finite value
+FLOAT_TYPES = ((float, 64, sys.float_info.max), (np.float16, 16, 65504.0),
+               (np.float32, 32, float(np.finfo(np.float32).max)), (np.float64, 64, sys.float_info.max))
+
+
+def integers_of_every_type(low, high):
+    """Integers in [low, high] as Python ints and as each numpy integer type that holds one."""
+    bounds = [(int, low, high)] + [
+        (kind, max(low, int(np.iinfo(kind).min)), min(high, int(np.iinfo(kind).max))) for kind in NUMPY_INTEGERS
+    ]
+    return st.one_of(*(st.integers(lo, hi).map(kind) for kind, lo, hi in bounds if lo <= hi))
+
+
+def reals_of_every_type(low, high, exclude_low=False):
+    """Reals in [low, high], or (low, high] when exclude_low, as Python and numpy
+    floats of every width, Fractions and integers of every type."""
+    floats = (
+        st.floats(max(low, -most), min(high, most), exclude_min=exclude_low, width=width).map(kind)
+        for kind, width, most in FLOAT_TYPES
+    )
+    fractions = st.fractions(low, high, max_denominator=10**6).filter(lambda q: q > low or not exclude_low)
+    lowest = math.floor(low) + 1 if exclude_low else math.ceil(low)
+    return st.one_of(*floats, fractions, integers_of_every_type(lowest, math.floor(high)))
+
+
 @st.composite
 def hand_built_models(draw):
     """A model of up to three hand-built trees at most four splits deep, with
     finite thresholds and values, leaf ids numbered left to right, and any
-    learning rate in (0, 1] and feature names."""
+    learning rate in (0, 1] and feature names: every number a Python or a
+    numpy one of any type, or a Fraction where a real is asked for."""
     n_features = draw(st.integers(1, 3))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    thresholds = reals_of_every_type(-sys.float_info.max, sys.float_info.max)
+    values = reals_of_every_type(-1e307, 1e307)  # three trees' scores sum to a finite float
 
     def node(depth, leaf_ids):
         if depth == 4 or not draw(st.booleans()):
-            return Leaf(next(leaf_ids), draw(finite))
-        feature, threshold = draw(st.integers(0, n_features - 1)), draw(finite)
+            leaf_id = next(leaf_ids)
+            return Leaf(draw(integers_of_every_type(leaf_id, leaf_id)), draw(values))
+        feature, threshold = draw(integers_of_every_type(0, n_features - 1)), draw(thresholds)
         # the left subtree is built first, so it takes the lower leaf ids
         return Split(feature, threshold, node(depth + 1, leaf_ids), node(depth + 1, leaf_ids))
 
     n_trees = draw(st.integers(0, 3))
-    trees = tuple(RegressionTree(node(0, itertools.count(1)), n_features) for _ in range(n_trees))
-    learning_rate = draw(st.floats(0.0, 1.0, exclude_min=True))
+    stored_n_features = integers_of_every_type(n_features, n_features)
+    trees = tuple(RegressionTree(node(0, itertools.count(1)), draw(stored_n_features)) for _ in range(n_trees))
+    learning_rate = draw(reals_of_every_type(0, 1, exclude_low=True))
     names = draw(st.lists(st.text(max_size=4), min_size=n_features, max_size=n_features))
-    return Model(trees, learning_rate, n_features, tuple(names))
+    return Model(trees, learning_rate, draw(stored_n_features), tuple(names))
 
 
 @BOUNDED

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gradboost import (
     Dataset,
     Leaf,
+    Model,
     RegressionTree,
     Split,
     SplitCandidate,
@@ -800,12 +801,17 @@ class TestFitTree:
             RegressionTree(Leaf(1, 0.0), n_features)
 
     def test_stores_numpy_and_integer_numbers_as_python_ints_and_floats(self):
-        # numpy leaf ids are not exact ints, so they take is_int past the fast path
         root = Split(np.int64(0), np.float32(0.5), Leaf(np.int64(1), 2), Leaf(np.uint8(2), -1))
-        tree = RegressionTree(root, 1)
+        tree = RegressionTree(root, np.int16(1))
         assert tree.feature == (0, -1, -1) and type(tree.feature[0]) is int
         assert tree.threshold == (0.5, 0.0, 0.0) and type(tree.threshold[0]) is float
         assert tree.value == (0.0, 2.0, -1.0) and type(tree.value[1]) is float
+        assert tree.n_features == 1 and type(tree.n_features) is int
+        model = Model((tree,), 0.1, np.int64(1), ("x",))
+        assert model.n_features == 1 and type(model.n_features) is int
+        config = TrainConfig(n_trees=np.int64(2), max_depth=np.uint8(3), min_leaf=np.int32(4))
+        fields = config.n_trees, config.max_depth, config.min_leaf
+        assert fields == (2, 3, 4) and {type(value) for value in fields} == {int}
 
     def test_apply_rejects_wrong_width(self, six_points):
         tree, _ = fit_tree(six_points.features, np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))

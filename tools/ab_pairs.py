@@ -101,11 +101,12 @@ def verdict(metric, before: list[float], after: list[float], won: int, iqr: floa
     return "same"
 
 
-def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
+def summary(metrics, parent: list[dict], change: list[dict], verdicts: dict | None = None) -> list[str]:
     """One line per metric over the pairs (parent[k], change[k]): both
     medians, the change's over the parent's, the parent's interquartile
     distance, the pairs the change won and its verdict; then each side's
-    failed operations out of those attempted."""
+    failed operations out of those attempted.  verdicts, when given, takes
+    each metric's name: its verdict."""
     columns = (("parent", ">11"), ("change", ">11"), ("ratio", ">8"), ("parent IQR", ">11"), ("won", ">7"),
                ("verdict", ""))
     lines = [f"{'metric':<20} {'unit':<5} " + " ".join(f"{name:{spec}}" for name, spec in columns)]
@@ -118,10 +119,12 @@ def summary(metrics, parent: list[dict], change: list[dict]) -> list[str]:
         median_before, median_after = statistics.median(before), statistics.median(after)
         ratio = f"x{median_after / median_before:.3f}" if median_before else "-"
         q1, q3 = (0.0, 0.0) if len(before) < 2 else statistics.quantiles(before, n=4, method="inclusive")[::2]
+        judged = verdict(metric, before, after, won, q3 - q1)
+        if verdicts is not None:
+            verdicts[name] = judged
         lines.append(
             f"{name:<20} {metric['unit']:<5} {median_before:>11.6g} {median_after:>11.6g} "
-            f"{ratio:>8} {q3 - q1:>11.3g} {won:>3}/{len(before):<3} "
-            + verdict(metric, before, after, won, q3 - q1)
+            f"{ratio:>8} {q3 - q1:>11.3g} {won:>3}/{len(before):<3} {judged}"
         )
     totals = [f"{side} {sum(v['failed'] for v in runs)} of {sum(v['attempted'] for v in runs)}"
               for side, runs in (("parent", parent), ("change", change))]
@@ -143,14 +146,13 @@ def run_block(args, workload: str, metrics) -> bool:
     before, after = [statistics.median(v["attempted"] for v in runs) for runs in results.values()]
     ratio = f"x{after / before:.3f}" if before else "-"
     print(f"median attempted: parent {before:.0f}, change {after:.0f} ({ratio})")
-    lines = summary(metrics, results["parent"], results["change"])
-    print("\n".join(lines), flush=True)
+    verdicts = {}
+    print("\n".join(summary(metrics, results["parent"], results["change"], verdicts)), flush=True)
     incorrect = [f"{side} pair {k + 1}" for side, runs in results.items()
                  for k, values in enumerate(runs) if not values["correct"]]
     if incorrect:
         print(f"error: {workload}: runs that reported correct: false: {', '.join(incorrect)}", file=sys.stderr)
-    # between the header and the totals, one row per metric, ending with its verdict
-    worse = [row.split()[0] for row in lines[1:-1] if row.split()[-1] == "worse"]
+    worse = [name for name, judged in verdicts.items() if judged == "worse"]
     if worse:
         print(f"error: {workload}: metrics whose verdict is worse: {', '.join(worse)}", file=sys.stderr)
     return bool(incorrect or worse)

@@ -14,7 +14,7 @@ from .dataset import DataError, Dataset, float_array, frozen_copy, valid_feature
 from .leaf_values import LeafSample  # not called here; bench/tracing.py wraps booster.LeafSample
 from .leaf_values import leaf_value_terms, newton_step, sigmoid, total_loss
 from .tree import (
-    MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, matrix_cells,
+    MAX_TREE_DEPTH, Leaf, RegressionTree, Split, finite_real, fit_tree, is_int, matrix_cells,
     positive_int, row_values,
 )
 
@@ -93,17 +93,15 @@ class Model:
         if not math.isfinite(bound):
             raise ValueError("learning_rate * max |gamma| summed over the trees overflows a float")
 
-    def check_width(self, features: np.ndarray) -> None:
+    def check_width(self, features) -> None:
         """Refuse, as a DataError, a data matrix whose feature columns are not the model's."""
-        if features.shape[1] != self.n_features:
-            raise DataError(
-                f"data has {features.shape[1]} feature columns, model expects {self.n_features}"
-            )
+        width = float_array(features, "features", (None, None)).shape[1]
+        if width != self.n_features:
+            raise DataError(f"data has {width} feature columns, model expects {self.n_features}")
 
-    def __getstate__(self) -> dict:
-        # a pickle or deep copy holds the model, not the walk form built from it on
-        # first use, which would grow a pickle and cost a deep copy one recursion per level
-        return {name: value for name, value in self.__dict__.items() if name != "_walks"}
+    def __reduce__(self):
+        # a copy or a pickle is built again by the constructor, so it holds no walk form
+        return Model, (self.trees, self.learning_rate, self.n_features, self.feature_names)
 
     @cached_property
     def _walks(self) -> tuple:
@@ -251,7 +249,7 @@ def deserialize_model(text: str) -> Model:
     if not isinstance(document, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = document.get("format_version")
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+    if not (is_int(version) and version == MODEL_FORMAT_VERSION):
         raise ModelVersionError(
             f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
@@ -360,15 +358,13 @@ class TrainingTrace:
 
 def _leaf_terms(leaf_rows, y, probs) -> list[tuple[int, np.ndarray, float, float]]:
     """(leaf_id, members, numerator, denominator) for each leaf's rows, left to
-    right: the Newton terms of its rows at the round's probs, 0.0 and 0.0 if it
-    has none.  Gathering probs[members] gives bit for bit sigmoid(scores[members])."""
-    terms = []
-    for leaf_id, members in enumerate(leaf_rows, start=1):
-        numerator = denominator = 0.0
-        if members.size:
-            numerator, denominator = leaf_value_terms(y[members], probs[members])
-        terms.append((leaf_id, members, numerator, denominator))
-    return terms
+    right: the Newton terms of its rows at the round's probs.  An empty leaf
+    takes the same call, whose fsum of no terms gives +0.0 and +0.0.
+    Gathering probs[members] gives bit for bit sigmoid(scores[members])."""
+    return [
+        (leaf_id, members, *leaf_value_terms(y[members], probs[members]))
+        for leaf_id, members in enumerate(leaf_rows, start=1)
+    ]
 
 
 def _round(iteration, tree, terms, y, scores, prior_probs, learning_rate) -> IterationRecord:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -154,10 +153,9 @@ def load_csv(path, expect_labels: bool = False) -> Dataset:
 def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
     """load_csv's Dataset from one np.loadtxt pass over the body of fh, or None
     when the row parser must read the file: a fault of any kind (DataError,
-    UnicodeDecodeError and loadtxt's own refusals are ValueErrors), a header
-    with no rows (loadtxt's "input contained no data" UserWarning), a blank
-    line, which loadtxt skips, so that the matrix has fewer rows than the
-    lines read, or a line it might read otherwise than csv.reader and float() do."""
+    UnicodeDecodeError and loadtxt's own refusals are ValueErrors), a blank
+    line, the only kind loadtxt skips, a body of no lines, on which it warns,
+    or a line it might read otherwise than csv.reader and float() do."""
     limit = csv.field_size_limit()
     n_lines = 0
 
@@ -166,22 +164,23 @@ def _parse_at_once(path, fh, expect_labels: bool) -> Dataset | None:
         for line in fh:
             # a line longer than the field limit may hold a cell csv.reader
             # refuses; loadtxt strips \x1c-\x1f from a cell as whitespace, float() does not
-            if len(line) > limit or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            if (not line.strip("\r\n") or len(line) > limit
+                    or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line):
                 raise ValueError("a line left to the row parser")
             n_lines += 1
             yield line
+        if not n_lines:
+            raise ValueError("a body of no lines, left to the row parser")
 
     try:
         header, has_labels = _read_header(path, csv.reader(fh), expect_labels)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)
-            cells = np.loadtxt(body(), delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        cells = np.loadtxt(body(), delimiter=",", dtype=np.float64, ndmin=2, comments=None)
         if cells.shape != (n_lines, len(header)):
             return None
         d = len(header) - has_labels
         # the constructor checks that every feature is finite and every label 0 or 1
         return Dataset(cells[:, :d], cells[:, d] if has_labels else None, tuple(header[:d]))
-    except (ValueError, UserWarning, csv.Error):
+    except (ValueError, csv.Error):
         return None
 
 

@@ -58,7 +58,7 @@ def best_split(features, residuals, instance_set, min_count: int = 1):
     list too), or a ValueError names what is wrong; finite features and
     residuals are the caller's duty (fit_tree checks them once per tree).
     """
-    positive_int(min_count, "min_count")
+    min_count = positive_int(min_count, "min_count")
     X = float_array(features, "features", (None, None))
     idx = np.asarray(instance_set)
     if idx.ndim != 1 or idx.size and idx.dtype.kind not in "iu":  # not a bool mask, floats, strings
@@ -326,8 +326,8 @@ def fit_tree(features, residuals, *, max_depth: int = 1, min_leaf: int = 1):
     # finite once per tree: best_split trusts its nodes
     X = float_array(features, "features", (None, None), finite=True)
     res = float_array(residuals, "residuals", (X.shape[0],), finite=True)
-    positive_int(max_depth, "max_depth", MAX_TREE_DEPTH)
-    positive_int(min_leaf, "min_leaf")
+    max_depth = positive_int(max_depth, "max_depth", MAX_TREE_DEPTH)
+    min_leaf = positive_int(min_leaf, "min_leaf")
     if X.shape[0] == 0:
         raise ValueError("features must hold at least one row")
     leaf_rows: list[np.ndarray] = []

@@ -1,5 +1,6 @@
 """End-to-end boosting: config validation, training trace, prediction, replay."""
 
+import copy
 import math
 import pickle
 import re
@@ -199,6 +200,32 @@ class TestPredict:
         loaded = pickle.loads(after)
         assert loaded == model
         assert [loaded.predict_raw(x).hex() for x in features] == [v.hex() for v in raw]
+
+    @pytest.mark.parametrize(
+        "features, message",
+        [
+            ([[1.0], [2.0]], None),
+            ([[1.0, 2.0], [3.0, 4.0]], "^data has 2 feature columns, model expects 1$"),
+            (np.array([1.0, 2.0]), r"^features must have shape \(\*, \*\), got \(2,\)$"),
+        ],
+        ids=["list-of-the-width", "list-of-another-width", "1-d-array"],
+    )
+    def test_check_width_reads_any_matrix_and_refuses_as_a_data_error(self, features, message):
+        model = Model((), 0.1, 1, ("x",))
+        if message is None:
+            model.check_width(features)
+        else:
+            with pytest.raises(DataError, match=message):
+                model.check_width(features)
+
+    def test_a_copy_is_built_again_from_the_fields(self, reference_run, monkeypatch):
+        model, _ = reference_run
+        model.predict_raw(np.array([1.0]))  # builds the walk form, which no copy takes
+        built = []
+        monkeypatch.setattr(Model, "__post_init__", lambda self: built.append(self))
+        copies = copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))
+        assert list(map(id, built)) == list(map(id, copies))
+        assert all(clone == model and "_walks" not in vars(clone) for clone in copies)
 
     def test_empty_model_predicts_even_odds(self):
         model = Model(trees=(), learning_rate=0.1, n_features=1, feature_names=("x",))

@@ -414,7 +414,9 @@ class TestDataErrors:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n"], ids=["header-only", "blank", "blanks"])
+    @pytest.mark.parametrize(
+        "body", ["", "\n", "\n\r\n\n", "\r"], ids=["header-only", "blank", "blanks", "carriage-return"]
+    )
     @pytest.mark.parametrize("command", ["train", "predict", "trace"])
     def test_a_file_of_no_rows_gives_one_error_line_and_no_warning(
         self, trained, tmp_path, capsys, command, body

@@ -4,7 +4,9 @@ every public method and property of an exported class; no module of the
 package, its tests or demos imports a name it never uses; values become
 float64, are checked finite, a CSV body is parsed by numpy, and a CSV cell
 by float(), in one place each; a node field is tested for an exact int or
-float type only inside its number rule; best_split's candidate loop makes no call
+float type only inside its number rule, and no number rule's result is
+thrown away; no scope changes the process's warning filters; best_split's
+candidate loop makes no call
 but to record a winner, and it sorts a column stably only when the column
 has a tie; trees are grown, loaded and replayed with no Split
 or Leaf per node; the suite's one hypothesis profile; and the README's
@@ -47,10 +49,15 @@ FINITENESS_CHECKS = {("dataset", "float_array")}
 
 # tree.is_int and tree.finite_real are the one rule each for an integer and a
 # finite real field, and test a value's exact type only to skip the ABC check;
-# beside them, leaf_values.sigmoid's measured scalar path and the model file's
-# version rule in deserialize_model test an exact int or float
-EXACT_NUMBER_TYPE_TESTS = {
-    ("tree", "is_int"), ("tree", "finite_real"), ("leaf_values", "sigmoid"), ("booster", "deserialize_model"),
+# beside them, only leaf_values.sigmoid's measured scalar path tests an exact
+# int or float
+EXACT_NUMBER_TYPE_TESTS = {("tree", "is_int"), ("tree", "finite_real"), ("leaf_values", "sigmoid")}
+
+# the rules that check a number, or numbers, and return them as the caller
+# must use them: a bare call checks one value and leaves the caller with another
+NUMBER_RULES = {
+    "positive_int", "finite_real", "float_array", "binary_labels", "valid_feature_names",
+    "valid_learning_rate", "valid_threshold",
 }
 
 # load_csv parses a CSV body with numpy in one place, which defers every file
@@ -200,6 +207,21 @@ def test_an_exact_int_or_float_type_is_tested_only_inside_the_number_rules():
     # a node field checked beside its rule, not through it, is a second rule
     # that must agree with the first on every value
     assert _scopes_of(_tests_an_exact_number_type) == EXACT_NUMBER_TYPE_TESTS
+
+
+def test_no_number_rule_result_is_thrown_away():
+    def bare_rule_call(node):
+        call = isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and node.value
+        return call and ast.unparse(call.func).rpartition(".")[2] in NUMBER_RULES
+
+    assert _scopes_of(bare_rule_call) == set()
+
+
+def test_no_scope_changes_the_process_warning_filters():
+    # catch_warnings swaps the filter list of the whole process, so a call made
+    # while another thread runs changes what that thread's warnings do
+    names = ("catch_warnings", "simplefilter", "filterwarnings")
+    assert _scopes_calling(lambda call: ast.unparse(call.func).rpartition(".")[2] in names) == set()
 
 
 def test_numpy_parses_a_csv_body_only_in_load_csvs_one_pass():

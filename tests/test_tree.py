@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -812,6 +813,26 @@ class TestFitTree:
         config = TrainConfig(n_trees=np.int64(2), max_depth=np.uint8(3), min_leaf=np.int32(4))
         fields = config.n_trees, config.max_depth, config.min_leaf
         assert fields == (2, 3, 4) and {type(value) for value in fields} == {int}
+
+    @pytest.mark.parametrize(
+        "max_depth, min_leaf",
+        [(np.uint64(3), np.uint64(2)), (np.uint8(3), np.uint8(2)), (np.int64(3), np.int64(2**62))],
+        ids=["uint64", "uint8", "int64-past-half-the-range"],
+    )
+    def test_numpy_integer_rules_grow_the_tree_of_python_ints(self, max_depth, min_leaf):
+        # each rule is read through the int positive_int returns: a uint64 count
+        # would make best_split's cut points floats, and 2 * np.int64(2**62) overflows
+        rng = np.random.default_rng(4)
+        X, r, rows = rng.integers(0, 6, (40, 3)).astype(float), rng.normal(size=40), np.arange(40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tree, leaf_rows = fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)
+            found = best_split(X, r, rows, min_count=min_leaf)
+        expected, expected_rows = fit_tree(X, r, max_depth=int(max_depth), min_leaf=int(min_leaf))
+        assert tree == expected and tree.n_leaves == len(leaf_rows)
+        assert [row.tolist() for row in leaf_rows] == [row.tolist() for row in expected_rows]
+        assert found == best_split(X, r, rows, min_count=int(min_leaf))
+        assert caught == []
 
     def test_apply_rejects_wrong_width(self, six_points):
         tree, _ = fit_tree(six_points.features, np.array([0.5, -0.5, 0.5, -0.5, 0.5, -0.5]))

@@ -121,12 +121,12 @@ class RegressionTree:
     """Immutable fitted tree.  Routing uses x[feature] <= threshold for the
     left branch; leaf ids run 1..J in left-to-right order.
 
-    Stored only as four tuples over the nodes in preorder, left subtree
-    first: feature (-1 marks a leaf), threshold, right child index (-1 at a
-    leaf) and value (0.0 at a split).  Preorder fixes the rest: node 0 is the
-    root, a split's left child is the next node, and leaf j is the j-th from
-    the left.  The generated ==, hash and repr read these flat tuples, so a
-    tree of any depth compares and prints.
+    Stored only as four tuples over the nodes in preorder, left subtree first:
+    feature (-1 marks a leaf), threshold, right (the right child's index, or
+    minus the leaf id at a leaf) and value (0.0 at a split).  Preorder fixes
+    the rest: node 0 is the root, a split's left child is the next node, and
+    leaf j is the j-th from the left.  The generated ==, hash and repr read
+    these flat tuples, so a tree of any depth compares and prints.
     """
 
     n_features: int
@@ -164,7 +164,7 @@ class RegressionTree:
                 n_leaves, depth = n_leaves + 1, max(depth, d)
                 if not (is_int(leaf_id) and leaf_id == n_leaves):
                     raise ValueError(f"leaf id {leaf_id!r} out of order, expected {n_leaves}")
-                rows.append([-1, 0.0, -1, finite_real(value, "leaf value")])
+                rows.append([-1, 0.0, -n_leaves, finite_real(value, "leaf value")])
                 continue
             if d == MAX_TREE_DEPTH:
                 raise ValueError(f"tree is deeper than the limit of {MAX_TREE_DEPTH} splits")
@@ -178,13 +178,10 @@ class RegressionTree:
         return self
 
     def apply(self, x) -> tuple[int, float]:
-        """Route one instance to its leaf; returns (leaf_id, value)."""
+        """Route one instance to its leaf; returns (leaf_id, value): a fold of
+        every node at the row, where a walk down would visit one per level."""
         row = row_values(x, self.n_features)
-        feature, threshold, right = self.feature, self.threshold, self.right
-        i = 0
-        while (f := feature[i]) >= 0:  # a split's left child is the next node
-            i = i + 1 if row[f] <= threshold[i] else right[i]
-        return feature[:i].count(-1) + 1, self.value[i]
+        return self.fold(lambda *leaf: leaf, lambda f, t, left, right: left if row[f] <= t else right)
 
     def _route(self, cells: np.ndarray, row_starts: np.ndarray) -> np.ndarray:
         """The preorder node each row of a matrix_cells matrix ends at."""
@@ -219,9 +216,8 @@ class RegressionTree:
         nodes = self._route(*matrix_cells(features, self.n_features))
         # one scan of nodes per leaf: faster than a stable sort for the few
         # leaves of a boosting tree (4 leaves: 87 vs 143 us on 1,500 rows);
-        # preorder meets the leaves in id order
-        leaf_nodes = [i for i, f in enumerate(self.feature) if f < 0]
-        return {leaf_id: np.flatnonzero(nodes == i) for leaf_id, i in enumerate(leaf_nodes, start=1)}
+        # preorder meets the leaves in id order, and each stores -leaf_id in right
+        return {-r: np.flatnonzero(nodes == i) for i, r in enumerate(self.right) if r < 0}
 
     @property
     def root(self) -> Split | Leaf:
@@ -238,22 +234,20 @@ class RegressionTree:
         given = [finite_real(v, "leaf value") for v in values]
         if len(given) != self.n_leaves:
             raise ValueError(f"{len(given)} leaf values for a tree of {self.n_leaves} leaves")
-        leaf_values = iter(given)
-        value = tuple(v if f >= 0 else next(leaf_values) for f, v in zip(self.feature, self.value))
+        value = tuple(v if r >= 0 else given[-r - 1] for r, v in zip(self.right, self.value))
         tree = copy.copy(self)
         object.__setattr__(tree, "value", value)
         return tree
 
     def fold(self, leaf, split):
-        """leaf(leaf_id, value) at each leaf, split(feature, threshold, left, right)
-        of its children's results at each split: one backward pass over the
-        preorder, which puts children after their parent.  Returns the root's."""
+        """The root's result of leaf(leaf_id, value) at each leaf and split(feature,
+        threshold, left, right) of its children's results at each split, in the
+        one walk of a tree: backward over the preorder, children before parents."""
         feature, threshold, right, value = self.feature, self.threshold, self.right, self.value
         folded: list = [None] * len(feature)
-        leaf_id = self.n_leaves + 1  # counts down, as the pass meets the leaves right to left
         for i in reversed(range(len(feature))):
             if feature[i] < 0:
-                folded[i] = leaf(leaf_id := leaf_id - 1, value[i])
+                folded[i] = leaf(-right[i], value[i])
             else:
                 folded[i] = split(feature[i], threshold[i], folded[i + 1], folded[right[i]])
         return folded[0]

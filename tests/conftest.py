@@ -2,6 +2,7 @@ import copy
 import csv
 import importlib.util
 import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -16,6 +17,10 @@ from gradboost import Dataset, Leaf, Split, TrainConfig, booster, train
 # and writes no example database; a settings(...) call names only what differs.
 settings.register_profile("gradboost", derandomize=True, deadline=None, database=None)
 settings.load_profile("gradboost")
+
+# the most seconds one test may run: far above the slowest test and the suite's
+# 120 s subprocess timeouts, so only a hang reaches it
+TEST_TIME_LIMIT = 300
 
 SIX_CSV = """x,label
 1.3,1
@@ -152,6 +157,31 @@ NOT_NUMBERS = [
     pytest.param([[True], [False]], "bool", id="bools"),
     pytest.param(np.array([[0.5], [1.5]], dtype=object), "object", id="objects"),
 ]
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fails a test that runs past TEST_TIME_LIMIT seconds with a TimeoutError
+    and its traceback, so a hang costs that one test and the rest still run.
+    Where there is no SIGALRM, a test runs with no limit."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        # and again each second after: hypothesis catches the error and runs
+        # the hanging example again while it shrinks, and only a fresh alarm
+        # stops that run too
+        signal.alarm(1)
+        raise TimeoutError(f"test ran past {TEST_TIME_LIMIT} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

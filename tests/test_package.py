@@ -8,9 +8,9 @@ float type only inside its number rule, and no number rule's result is
 thrown away; no scope changes the process's warning filters; best_split's
 candidate loop makes no call
 but to record a winner, and it sorts a column stably only when the column
-has a tie; trees are grown, loaded and replayed with no Split
-or Leaf per node; the suite's one hypothesis profile; and the README's
-library quickstart runs."""
+has a tie; fold is the one walk out of a tree; trees are grown, loaded and
+replayed with no Split or Leaf per node; the suite's one hypothesis
+profile; and the README's library quickstart runs."""
 
 import ast
 import contextlib
@@ -35,8 +35,9 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 # this entry go together when that wrapper does.
 UNUSED_BUT_WRAPPED = {("booster", "LeafSample")}
 
-# RegressionTree.apply routes one row the plain way: it is the reference that
-# tests hold predict_raw, predict_raw_batch and leaf_assignment to, bit for bit
+# RegressionTree.apply routes one row by folding the tree at it: it is the
+# reference that tests hold predict_raw, predict_raw_batch and leaf_assignment
+# to, bit for bit
 TEST_ORACLES = {"RegressionTree.apply"}
 
 # dataset.float_array reads every argument as float64, refusing what is not
@@ -245,15 +246,15 @@ def test_arrays_are_frozen_only_through_frozen_copy():
     assert _scopes_calling(_calls_method("tobytes")) == FREEZES
 
 
-def _best_split():
-    """tree.best_split's FunctionDef."""
+def _tree_definition(kind, name):
+    """The one kind of node (ast.FunctionDef or ast.ClassDef) named name in tree.py."""
     tree = next(path for path in SOURCES if path.stem == "tree")
-    (function,) = [
+    (definition,) = [
         node
         for node in ast.walk(ast.parse(tree.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name == "best_split"
+        if isinstance(node, kind) and node.name == name
     ]
-    return function
+    return definition
 
 
 def test_the_split_search_loop_makes_no_call():
@@ -261,7 +262,7 @@ def test_the_split_search_loop_makes_no_call():
     # every node, so a call there is paid per candidate: two max calls for the
     # clamps made fit-wide's train call take ×1.7 as long.  The loop only
     # searches; the winner's threshold and its SplitCandidate come after it.
-    function = _best_split()
+    function = _tree_definition(ast.FunctionDef, "best_split")
     (loop,) = [
         node
         for node in ast.walk(function)
@@ -288,7 +289,7 @@ def test_the_split_search_sorts_stably_only_a_column_with_a_tie():
     # the rows sets the bits of every running sum.  best_split sorts each
     # column the default way, and its one stable sort sits under the branch
     # for a sorted column that is not strictly increasing: neither may go.
-    function = _best_split()
+    function = _tree_definition(ast.FunctionDef, "best_split")
     argsorts = [
         node
         for node in ast.walk(function)
@@ -307,6 +308,25 @@ def test_the_split_search_sorts_stably_only_a_column_with_a_tie():
     ]
     assert stable in [node for statement in branch.body for node in ast.walk(statement)]
     assert default.lineno < branch.lineno
+
+
+def test_fold_is_the_one_walk_out_of_a_tree():
+    # one loop in (_compile), the batch router (_route) and one fold out: a
+    # second walk beside fold would number the leaves, or route a row, its own
+    # way, and apply is a fold at one row
+    methods = {
+        node.name: node
+        for node in _tree_definition(ast.ClassDef, "RegressionTree").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    loops = {
+        name
+        for name, method in methods.items()
+        if any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(method))
+    }
+    assert loops == {"_compile", "_route", "fold"}
+    calls = [ast.unparse(node.func) for node in ast.walk(methods["apply"]) if isinstance(node, ast.Call)]
+    assert "self.fold" in calls
 
 
 def test_trees_are_grown_loaded_and_replayed_with_no_split_or_leaf():

@@ -225,6 +225,17 @@ def routing_cases(draw):
     return tree, np.array(rows, dtype=np.float64).reshape(n_rows, n_features)
 
 
+@st.composite
+def trees_with_rows(draw):
+    """A hand-built tree with one row of zeros, or a tree that fit_tree grows
+    on a growth case with the rows it grew on."""
+    if draw(st.booleans()):
+        n_features = draw(st.integers(1, 3))
+        return draw(hand_built_trees(n_features)), np.zeros((1, n_features))
+    X, r, max_depth, min_leaf = draw(growth_cases(30))
+    return fit_tree(X, r, max_depth=max_depth, min_leaf=min_leaf)[0], X
+
+
 def _assert_groups_match_apply(tree, rows, groups):
     """groups equals routing each row through apply on its own: every leaf id
     in left-to-right order, members ascending, an empty array for a leaf no
@@ -906,8 +917,19 @@ class TestTreeIdentity:
         tree = RegressionTree(Split(0, 3.5, Leaf(1, 0.25), Leaf(2, -0.5)), 1)
         assert repr(tree) == (
             "RegressionTree(n_features=1, feature=(0, -1, -1), threshold=(3.5, 0.0, 0.0),"
-            " right=(2, -1, -1), value=(0.0, 0.25, -0.5))"
+            " right=(2, -1, -2), value=(0.0, 0.25, -0.5))"
         )
+
+    @settings(max_examples=150)
+    @given(trees_with_rows())
+    def test_each_leaf_stores_its_preorder_id(self, case):
+        # right holds -leaf_id at a leaf, numbered 1..J as preorder meets the
+        # leaves, and every reader of a leaf id takes that one
+        tree, rows = case
+        stored = [-r for r in tree.right if r < 0]
+        assert stored == list(range(1, tree.n_leaves + 1))
+        assert stored == [leaf.leaf_id for leaf in tree_leaves(tree)]
+        assert stored == list(tree.leaf_assignment(rows))
 
     @pytest.mark.parametrize(
         "other",
